@@ -13,6 +13,7 @@ report.json (deterministic bytes: no volatile fields) plus timing.json
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -146,7 +147,7 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
     """Every record: name, lhs, rhs, diff, tolerance, passed, pipelines."""
     from .arith import best_rational
     from .curves import ap_table
-    from .domain import (index_psi, rs_identity_check, sweep_pair_family,
+    from .domain import (index_psi, petersson, rs_identity_check, sweep_pair_family,
                          _grid_pair, unfolding_check)
     from .eisenstein import (epstein_completed, epstein_lattice, epstein_residue,
                              kronecker_limit_check)
@@ -182,12 +183,15 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
 
     c1, c2, fe, ge = _forms(cfg)
     N = math.lcm(c1.conductor, c2.conductor)
+    # (f, f) at the first curve's level: shared by residue_law and sym2
+    pet_ff = functools.cache(lambda: petersson(fe, fe, c1.conductor, depth=depth,
+                                               y_cut=y_cut, workers=workers))
 
     if want("ap"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok = True
         for curve in (c1, c2):
-            tab = ap_table(curve, 1000, workers=workers)
+            tab = ap_table(curve, int(cfg["p_max"]), workers=workers)
             for p, info in tab.items():
                 if info.kind == "good" and info.ap * info.ap > 4 * p:
                     ok = False
@@ -195,17 +199,17 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
                     ok = False
         add("ap", 0.0 if ok else 1.0, 0.0, 0.5,
             extra={"curves": [c1.label, c2.label]}, pipelines="point-count")
-        timings["ap"] = time.time() - t0
+        timings["ap"] = time.perf_counter() - t0
 
     if want("unfolding"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         u = unfolding_check(fe, fe, 2.0)
         add("unfolding", u["lhs"], u["rhs"], 1e-10 * abs(u["rhs"]),
             pipelines="series,quadrature-1d")
-        timings["unfolding"] = time.time() - t0
+        timings["unfolding"] = time.perf_counter() - t0
 
     if want("epstein"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(20):
@@ -223,10 +227,10 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
                     - epstein_completed(UHPoint(xx, yy), 1.0 - s).value))
         add("epstein", worst, 0.0, 1e-9, extra={"fe_residual": fe_worst},
             pipelines="theta-lattice,fourier-bessel")
-        timings["epstein"] = time.time() - t0
+        timings["epstein"] = time.perf_counter() - t0
 
     if want("epstein_residue"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         worst = 0.0
         vals = []
         for xx, yy in ((0.0, 1.0), (0.5, 3.0), (0.23, 0.9)):
@@ -235,10 +239,10 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
             worst = max(worst, abs(r - 1.0))
         add("epstein_residue", worst, 0.0, 1e-6,
             extra={"values": [_num(v) for v in vals]}, pipelines="richardson")
-        timings["epstein_residue"] = time.time() - t0
+        timings["epstein_residue"] = time.perf_counter() - t0
 
     if want("kronecker"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         diffs = []
         for xx, yy in ((0.0, 1.0), (0.0, 2.0), (0.3, 1.4)):
             lhs, rhs, diff = kronecker_limit_check(UHPoint(xx, yy))
@@ -247,7 +251,7 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
         add("kronecker", max(abs(d) for d in diffs), 0.0, 1e-6,
             extra={"offsets": [_num(d) for d in diffs], "offset_spread": _num(spread)},
             pipelines="richardson,eta")
-        timings["kronecker"] = time.time() - t0
+        timings["kronecker"] = time.perf_counter() - t0
 
     rs = None
     if want("rankin_selberg") or want("orthogonality") or want("class_number_formula") or want("residue_law"):
@@ -255,16 +259,16 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
 
     fam = None
     if want("rankin_selberg") or want("orthogonality") or want("class_number_formula"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         grid = _grid_pair(N, depth, y_cut)
         fam = sweep_pair_family(fe, ge, N, grid, s_values=(2.0,), want_regulator=True,
                                 want_cnf=True, want_norms=True, workers=workers)
-        timings["sweep_pair_family"] = time.time() - t0
+        timings["sweep_pair_family"] = time.perf_counter() - t0
 
     if want("rankin_selberg"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         chk = rs_identity_check(fe, ge, N, 2.0, depth=depth, y_cut=y_cut,
-                                workers=workers, rs=rs)
+                                workers=workers, rs=rs, fam=fam)
         add("rankin_selberg", chk["lhs"], chk["rhs"][chk["resolved_exponent"]],
             1e-3 * abs(chk["lhs"]),
             extra={"resolved_exponent": chk["resolved_exponent"],
@@ -278,22 +282,20 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
             chk2["rhs"][chk2["resolved_exponent"]], 1e-3 * abs(chk2["lhs"]),
             extra={"resolved_exponent": chk2["resolved_exponent"]},
             pipelines="direct-series,eisenstein-quadrature")
-        timings["rankin_selberg"] = time.time() - t0
+        timings["rankin_selberg"] = time.perf_counter() - t0
 
     if want("residue_law"):
-        t0 = time.time()
-        from .domain import petersson
-
+        t0 = time.perf_counter()
         rs_iso = RankinSeries.build(fe, fe)
         res = residue_at_1(rs_iso)
-        pet = petersson(fe, fe, c1.conductor, depth=depth, y_cut=y_cut, workers=workers)
+        pet = pet_ff()
         rhs = 2.0 * math.pi * sum_mu_over_d(c1.conductor) * index_psi(c1.conductor) * pet.value.real
         add("residue_law", res["residue"], rhs, 1e-3 * abs(rhs),
             pipelines="afe,quadrature")
-        timings["residue_law"] = time.time() - t0
+        timings["residue_law"] = time.perf_counter() - t0
 
     if want("orthogonality") and fam is not None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         psi = index_psi(N)
         val = abs(fam["pet_fg"]) / psi
         ok_pos = fam["pet_ff"].real > 0 and fam["pet_gg"].real > 0
@@ -301,10 +303,10 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
             extra={"ff": _num(fam["pet_ff"].real / psi), "gg": _num(fam["pet_gg"].real / psi),
                    "norms_positive": ok_pos},
             pipelines="quadrature")
-        timings["orthogonality"] = time.time() - t0
+        timings["orthogonality"] = time.perf_counter() - t0
 
     if want("class_number_formula") and fam is not None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         phi0 = afe_eval(rs, 0.0)
         reg = -(math.pi / 3.0) * fam["regulator"].real
         cnf = -4.0 * math.pi * fam["cnf"].real
@@ -320,10 +322,10 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
         nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg))
         add("cnf_nonvanishing", 1.0 if nonvanishing else 0.0, 1.0, 0.5,
             pipelines="afe")
-        timings["class_number_formula"] = time.time() - t0
+        timings["class_number_formula"] = time.perf_counter() - t0
 
     if want("pole_orders"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rs_iso = RankinSeries.build(fe, fe)
         rs_pair = rs if rs is not None else RankinSeries.build(fe, ge)
         o_iso = order_of_vanishing(lambda s: assemble_LH2(rs_iso, s), 2.0)
@@ -333,11 +335,11 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
         add("pole_orders", 0.0 if ok else 1.0, 0.0, 0.5,
             extra={"isogenous": o_iso, "pair": o_pair},
             pipelines="afe,log-slope")
-        timings["pole_orders"] = time.time() - t0
+        timings["pole_orders"] = time.perf_counter() - t0
 
     if want("sym2"):
-        t0 = time.time()
-        rep = sym2_report(c1, fe, depth=depth, y_cut=y_cut, workers=workers,
+        t0 = time.perf_counter()
+        rep = sym2_report(c1, fe, depth=depth, y_cut=y_cut, workers=workers, pet=pet_ff(),
                           deg_phi=_maybe_int(cfg.get("deg_phi1", "")),
                           manin_c=int(cfg.get("manin_c1", "1")))
         ok = (rep["residue_ratio_recognized"] is not None
@@ -345,10 +347,10 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
         add("sym2", rep["residue_ratio_residual"], 0.0, 1e-4,
             extra={k: _num(v) for k, v in rep.items() if not isinstance(v, (dict,))},
             pipelines="afe,quadrature,agm")
-        timings["sym2"] = time.time() - t0
+        timings["sym2"] = time.perf_counter() - t0
 
     if want("triple_product"):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rec = _triple_product_check(cfg)
         if rec is None:
             records.append({
@@ -359,7 +361,7 @@ def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
         else:
             add("triple_product", rec["slope"], rec["predicted"], 0.3,
                 extra=rec, pipelines="afe,log-slope")
-        timings["triple_product"] = time.time() - t0
+        timings["triple_product"] = time.perf_counter() - t0
 
     return records, timings
 

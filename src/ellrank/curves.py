@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +274,12 @@ def _bsgs_annihilator(P, A, p):
     raise RuntimeError("BSGS failed to find an annihilator")
 
 
+def _bsgs_seed(ainvs: tuple, p: int) -> int:
+    """Random seed for the BSGS points at (curve, p): a CRC-32 of the
+    text, so unlike hash() it does not change with PYTHONHASHSEED."""
+    return zlib.crc32(repr((tuple(ainvs), p)).encode())
+
+
 def _count_points_bsgs(curve: CurveModel, p: int) -> int:
     """#E(F_p) by Mestre's method: orders of random points on the curve
     and its quadratic twist jointly pin the order inside the Hasse
@@ -282,7 +289,7 @@ def _count_points_bsgs(curve: CurveModel, p: int) -> int:
     while pow(d, (p - 1) // 2, p) != p - 1:
         d += 1
     At, Bt = A * d * d % p, B * d * d * d % p
-    rng = random.Random(hash((curve.ainvs, p, "ellrank")) & 0xFFFFFFFF)
+    rng = random.Random(_bsgs_seed(curve.ainvs, p))
     lo = p + 1 - 2 * math.isqrt(p) - 1
     hi = p + 1 + 2 * math.isqrt(p) + 1
     lcm_e = lcm_t = 1

@@ -37,7 +37,7 @@ import numpy as np
 from .arith import is_squarefree, prime_divisors
 from .curves import CoefficientTable
 from .modular import CuspFormEval
-from .specialfn import PoleError, _gamma_raw, _zeta_raw, bessel_k_array, zeta_depleted
+from .specialfn import EvalResult, PoleError, _gamma_raw, _zeta_raw, bessel_k_array, zeta_depleted
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ def order_of_vanishing(F, s0: float, h0: float = 0.32, levels: int = 4) -> dict:
 
 def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
                 workers: int = 1, deg_phi: int | None = None,
-                manin_c: int = 1) -> dict:
+                manin_c: int = 1, pet: EvalResult | None = None) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
       residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), rationally
@@ -399,7 +399,8 @@ def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
       sym2_edge       H(1) * Res_{s=1} L_{f,f}  (the following ratio to
                       the period area/pi is reported, never asserted)
 
-    deg_phi and manin_c are report-only config inputs.
+    deg_phi and manin_c are report-only config inputs.  pet, when given,
+    is petersson(fe, fe, level) at this depth and y_cut, already computed.
     """
     from .arith import recognize_rational, best_rational
     from .curves import period_lattice
@@ -410,7 +411,8 @@ def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
     N = curve.conductor
     rs = RankinSeries.build(fe, fe)
     res = residue_at_1(rs)
-    pet = petersson(fe, fe, N, depth=depth, y_cut=y_cut, workers=workers)
+    if pet is None:
+        pet = petersson(fe, fe, N, depth=depth, y_cut=y_cut, workers=workers)
     if not pet.value.real > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)

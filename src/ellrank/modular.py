@@ -198,13 +198,17 @@ def cyclotomic_qlog_sum_array(x, y, N: int, head: int = 48,
         xm, ym = x[m], y[m]
         q = np.exp(TWO_PI * (1j * xm - ym))
         acc = -TWO_PI * ym * phiN / 24.0
-        qn = np.ones_like(q)
-        for _ in range(head):
-            qn = qn * q
-            val = np.zeros_like(q) + coeffs[-1]
-            for c in coeffs[-2::-1]:
-                val = val * qn + c
-            acc = acc + np.log(np.abs(val))
+        # rows q^1 .. q^head by sequential products, then one Horner pass
+        # over all rows at once
+        qn = np.empty((head,) + q.shape, dtype=complex)
+        qn[0] = q
+        for n in range(1, head):
+            qn[n] = qn[n - 1] * q
+        val = np.zeros_like(qn) + coeffs[-1]
+        for c in coeffs[-2::-1]:
+            val = val * qn + c
+        for row in np.log(np.abs(val)):
+            acc = acc + row
         # geometric tails: sum_{n>head} log|1-(q^e)^n| per divisor e = N/d
         ymin = float(ym.min())
         for d in divisors(N):
@@ -344,7 +348,10 @@ def eval_form_array(form: CuspFormEval, x, y, tol: float = 1e-11) -> np.ndarray:
     xb, yb, (A, B, C, D), Q = boost_array(form.level, x, y)
     fb = _qseries(form._coeffs_f, xb, yb, tol)
     j = C * (x + 1j * y) + D
-    eps = np.array([form.sign_for(int(q)) for q in Q], dtype=float)
+    signs = np.zeros(form.level + 1)
+    for q in divisors(form.level):
+        signs[q] = form.sign_for(q)
+    eps = signs[Q]
     return eps * Q * fb / (j * j)
 
 

@@ -100,3 +100,19 @@ def test_usage_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
     assert main(["--config", str(cfg), "ap"]) == 2
+
+
+def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
+    import ellrank.curves
+
+    seen = []
+    real = ellrank.curves.ap_table
+
+    def recording(curve, p_max, **kw):
+        seen.append(p_max)
+        return real(curve, p_max, **kw)
+
+    monkeypatch.setattr(ellrank.curves, "ap_table", recording)
+    rc = main(["--out", str(tmp_path), "--only", "ap", "--set", "p_max=200", "verify"])
+    assert rc == 0
+    assert seen == [200, 200]

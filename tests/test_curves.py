@@ -174,3 +174,27 @@ def test_area_against_parallelogram_oracle():
 def test_coefficient_table_normalization_guard():
     with pytest.raises(ValueError):
         CoefficientTable(11, np.array([0, 2, 1]), 2)
+
+
+def test_bsgs_seed_ignores_hash_randomization():
+    # the seed must not depend on PYTHONHASHSEED (str hashing is salted)
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    import ellrank
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellrank.__file__)))
+    code = ("from ellrank.curves import _bsgs_seed, curve_by_label\n"
+            "print([_bsgs_seed(curve_by_label(l).ainvs, p)"
+            " for l in ('11a', '14a', '15a') for p in (10007, 50021, 119993)])")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert len(set(ast.literal_eval(outs[0]))) == 9

@@ -156,3 +156,38 @@ def test_regulator_conjugate_symmetry(form_11a, form_14a):
     a = sweep_pair_family(form_11a, form_14a, 154, grid, want_regulator=True)
     b = sweep_pair_family(form_14a, form_11a, 154, grid, want_regulator=True)
     assert abs(a["regulator"] - b["regulator"].conjugate()) < 1e-8 * abs(a["regulator"])
+
+
+def test_class_factored_form_values_match_direct(form_11a, form_14a):
+    # f(gamma_j w) rebuilt from one evaluation per level-L coset equals the
+    # direct evaluation at every Gamma_0(154) coset image of the grid
+    from ellrank.domain import slash_on_cosets
+    from ellrank.halfplane import apply_moebius
+    from ellrank.modular import eval_form_array
+
+    grid = build_grid(154, depth=0, y_cut=12.0)
+    w = grid.xs + 1j * grid.ys
+    for form in (form_11a, form_14a):
+        slashed = slash_on_cosets(form, grid)
+        assert len(slashed) == 288
+        assert len({id(v) for v in slashed}) == index_psi(form.level)
+        for rep, h in zip(grid.reps, slashed):
+            wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, grid.xs, grid.ys)
+            direct = eval_form_array(form, wx, wy)
+            factored = (rep.c * w + rep.d) ** 2 * h
+            # compare in the invariant size |f(z)| Im z
+            scale = np.max(np.abs(direct) * wy)
+            assert np.max(np.abs(factored - direct) * wy) < 1e-10 * scale, (form.level, rep)
+
+
+def test_petersson_154_matches_direct_sweep(form_11a, form_14a):
+    # values of the per-coset sweep (every form evaluated at all 288 coset
+    # images), depth 1: (f, g) is a zero at rounding level, the norms and
+    # the error bound (dominated by the cusp tail) are pinned
+    p = petersson(form_11a, form_14a, 154, depth=1)
+    assert abs(p.value) < 1e-15
+    assert abs(p.abs_error_bound - 1.3425963781909777e-07) < 1e-9 * 1.3425963781909777e-07
+    ff = petersson(form_11a, form_11a, 154, depth=1)
+    assert abs(ff.value - 0.003908338232145922) < 1e-9 * 0.003908338232145922
+    gg = petersson(form_14a, form_14a, 154, depth=1)
+    assert abs(gg.value - 0.0027717522322518433) < 1e-9 * 0.0027717522322518433

@@ -228,6 +228,84 @@ def test_cyclotomic_qlog_head_doubling(rng):
     assert np.max(np.abs(a - b)) < 1e-9
 
 
+def cyclotomic_qlog_sum_loop(x, y, N, head=48, deep_threshold=0.0025):
+    """Per-n oracle for cyclotomic_qlog_sum_array: the cyclotomic head is
+    one Horner loop per n = 1..head; deep route and geometric tails as in
+    the production code."""
+    from ellrank.arith import cyclotomic, divisors, moebius, totient
+
+    out = np.empty(x.shape)
+    deep = y < deep_threshold
+    if deep.any():
+        out[deep] = log_abs_delta_N_array(x[deep], y[deep], N) / 24.0
+    coeffs = np.array(cyclotomic(N).coefficients, dtype=float)
+    phiN = totient(N)
+    octs = np.where(deep, 99, np.floor(np.log2(y)).astype(int))
+    for o in np.unique(octs):
+        if o == 99:
+            continue
+        m = octs == o
+        xm, ym = x[m], y[m]
+        q = np.exp(2.0 * math.pi * (1j * xm - ym))
+        acc = -2.0 * math.pi * ym * phiN / 24.0
+        qn = np.ones_like(q)
+        for _ in range(head):
+            qn = qn * q
+            val = np.zeros_like(q) + coeffs[-1]
+            for c in coeffs[-2::-1]:
+                val = val * qn + c
+            acc = acc + np.log(np.abs(val))
+        ymin = float(ym.min())
+        for d in divisors(N):
+            mu = moebius(d)
+            if mu == 0:
+                continue
+            e = N // d
+            u = q**e
+            jmax = max(2, int(40.0 / (2.0 * math.pi * ymin * e * (head + 1))) + 2)
+            t = np.zeros_like(acc)
+            uj = np.ones_like(q)
+            ujh = u**head
+            upow = np.ones_like(q)
+            for j in range(1, jmax + 1):
+                uj = uj * u
+                upow = upow * ujh
+                num = uj * upow
+                t -= np.real(num / (1.0 - uj)) / j
+                if np.all(np.abs(num) < 1e-17):
+                    break
+            acc = acc + mu * t
+        out[m] = acc
+    return out, deep
+
+
+@pytest.mark.parametrize("head", [48, 96])
+def test_cyclotomic_qlog_batched_head_bit_identical(rng, head):
+    # points spread over many octaves of y, a few below the eta threshold
+    xs = rng.uniform(-0.5, 0.5, 300)
+    ys = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 300))
+    for N in (14, 154):
+        v, deep = cyclotomic_qlog_sum_array(xs, ys, N, head=head)
+        w, deep_w = cyclotomic_qlog_sum_loop(xs, ys, N, head=head)
+        assert deep.any() and np.array_equal(deep, deep_w)
+        assert np.array_equal(v, w), (N, head)
+
+
+def test_eval_form_sign_table_bit_identical(form_14a, rng):
+    # the Atkin-Lehner sign lookup table gives exactly the per-point signs
+    from ellrank.halfplane import boost_array
+    from ellrank.modular import _qseries
+
+    x = rng.uniform(-0.5, 0.5, 400)
+    y = np.exp(rng.uniform(math.log(2e-3), math.log(1.5), 400))
+    xb, yb, (A, B, C, D), Q = boost_array(14, x, y)
+    assert len(set(Q.tolist())) == 4
+    fb = _qseries(form_14a._coeffs_f, xb, yb, 1e-11)
+    j = C * (x + 1j * y) + D
+    eps = np.array([form_14a.sign_for(int(q)) for q in Q], dtype=float)
+    assert np.array_equal(eval_form_array(form_14a, x, y), eps * Q * fb / (j * j))
+
+
 def test_series_length_monotone():
     assert series_length(0.5, 1e-12) < series_length(0.05, 1e-12)
     with pytest.raises(ValueError):
