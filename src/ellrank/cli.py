@@ -2,25 +2,24 @@
 report emission.
 
 Subcommands: ap, verify, lvalue, petersson, eisenstein, report.
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error or a config that
+does not validate.
 
 Configuration is a flat key=value text file (see DEFAULT_CONFIG);
---set key=value overrides individual entries.  verify writes
-report.json (deterministic bytes: no volatile fields) plus timing.json
-(wall times, not covered by the byte-identity guarantee).
+--set key=value overrides individual entries.  verify runs the check
+registry of ellrank.checks over one RunContext and writes report.json
+(deterministic bytes: no volatile fields) plus timing.json (wall times,
+not covered by the byte-identity guarantee).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import os
 import sys
-import time
 
-import numpy as np
+from . import checks
 
 DEFAULT_CONFIG = {
     "curve1.label": "11a",
@@ -33,7 +32,6 @@ DEFAULT_CONFIG = {
     "p_max": "1000",
     "depth": "2",
     "y_cut": "12.0",
-    "workers": "1",
     "out": ".",
     "deg_phi1": "",
     "deg_phi2": "",
@@ -41,11 +39,11 @@ DEFAULT_CONFIG = {
     "manin_c2": "1",
 }
 
-CHECK_NAMES = [
-    "ap", "unfolding", "epstein", "epstein_residue", "kronecker",
-    "rankin_selberg", "residue_law", "orthogonality",
-    "class_number_formula", "pole_orders", "sym2", "triple_product",
-]
+_NUMBER_KEYS = {"n_max": int, "p_max": int, "depth": int, "y_cut": float,
+                "curve1.conductor": int, "curve2.conductor": int,
+                "manin_c1": int, "manin_c2": int, "deg_phi1": int, "deg_phi2": int}
+_CURVE_COMMANDS = ("ap", "verify", "lvalue", "petersson")
+_FORM_COMMANDS = ("verify", "lvalue", "petersson")
 
 
 class UsageError(Exception):
@@ -72,14 +70,34 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _curve_from_config(cfg: dict, idx: int):
-    from .curves import CurveModel
+def validate_config(cfg: dict, command: str) -> None:
+    """Raise UsageError unless the numeric keys parse and, for the
+    subcommands that use the two curves, each curve's ainvs have its
+    stated conductor; subcommands that build cusp forms also need a
+    square-free conductor."""
+    for key, kind in _NUMBER_KEYS.items():
+        value = cfg[key]
+        if value == "" and key.startswith("deg_phi"):
+            continue        # optional, empty means unset
+        try:
+            kind(value)
+        except ValueError:
+            raise UsageError(f"{key} = {value!r} is not a number") from None
+    if command not in _CURVE_COMMANDS:
+        return
+    from .arith import is_squarefree
 
-    ainvs = [int(t) for t in cfg[f"curve{idx}.ainvs"].split(",")]
-    if len(ainvs) != 5:
-        raise UsageError(f"curve{idx}.ainvs needs 5 integers")
-    return CurveModel(*ainvs, conductor=int(cfg[f"curve{idx}.conductor"]),
-                      label=cfg[f"curve{idx}.label"])
+    for idx in (1, 2):
+        try:
+            curve = checks.curve_from_config(cfg, idx)
+        except ValueError as exc:
+            raise UsageError(f"curve{idx}: {exc}") from None
+        if not curve.validate_conductor():
+            raise UsageError(f"curve{idx}: ainvs {curve.ainvs} do not have conductor "
+                             f"{curve.conductor}")
+        if command in _FORM_COMMANDS and not is_squarefree(curve.conductor):
+            raise UsageError(f"curve{idx}: conductor {curve.conductor} is not square-free "
+                             f"(cusp forms are built at square-free levels only)")
 
 
 def _write_ap_csv(path: str, table: dict):
@@ -106,335 +124,35 @@ def _read_ap_csv(path: str) -> dict:
 
 
 def cmd_ap(cfg: dict) -> int:
-    from .curves import ap_table
+    from .curves import ap_table, primes_up_to
 
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     p_max = int(cfg["p_max"])
-    workers = int(cfg["workers"])
     for idx in (1, 2):
-        curve = _curve_from_config(cfg, idx)
+        curve = checks.curve_from_config(cfg, idx)
         path = os.path.join(out_dir, f"ap_{curve.label}.csv")
         if os.path.exists(path):
             cached = _read_ap_csv(path)
-            if cached and all(p in cached for p in _primes(p_max)):
+            if cached and all(int(p) in cached for p in primes_up_to(p_max)):
                 print(f"{path}: cache covers p_max={p_max}, reusing")
                 continue
-        table = ap_table(curve, p_max, workers=workers)
+        table = ap_table(curve, p_max)
         _write_ap_csv(path, table)
         print(f"{path}: wrote {len(table)} rows")
     return 0
 
 
-def _primes(n):
-    from .curves import primes_up_to
-
-    return [int(p) for p in primes_up_to(n)]
-
-
-def _forms(cfg, n_max=None):
-    from .modular import CuspFormEval
-
-    n_max = n_max or int(cfg["n_max"])
-    c1 = _curve_from_config(cfg, 1)
-    c2 = _curve_from_config(cfg, 2)
-    return c1, c2, CuspFormEval.from_curve(c1, n_max), CuspFormEval.from_curve(c2, n_max)
-
-
-# --------------------------------------------------------------- checks
-
-def _run_checks(cfg: dict, only: str | None) -> tuple[list[dict], dict]:
-    """Every record: name, lhs, rhs, diff, tolerance, passed, pipelines."""
-    from .arith import best_rational
-    from .curves import ap_table
-    from .domain import (index_psi, petersson, rs_identity_check, sweep_pair_family,
-                         _grid_pair, unfolding_check)
-    from .eisenstein import (epstein_completed, epstein_lattice, epstein_residue,
-                             kronecker_limit_check)
-    from .halfplane import UHPoint
-    from .lseries import (RankinSeries, afe_eval, assemble_LH2, order_of_vanishing,
-                          residue_at_1, sym2_report)
-    from .modular import CuspFormEval
-
-    depth = int(cfg["depth"])
-    y_cut = float(cfg["y_cut"])
-    workers = int(cfg["workers"])
-    records: list[dict] = []
-    timings: dict = {}
-
-    def want(name):
-        return only is None or only == name
-
-    def add(name, lhs, rhs, tolerance, extra=None, pipelines=""):
-        diff = abs(lhs - rhs) if rhs not in (None, "") else abs(lhs)
-        rec = {
-            "name": name,
-            "lhs": _num(lhs),
-            "rhs": _num(rhs),
-            "diff": _num(diff),
-            "tolerance": tolerance,
-            "passed": bool(diff <= tolerance),
-            "pipelines": pipelines,
-        }
-        if extra:
-            rec["extra"] = extra
-        records.append(rec)
-        return rec["passed"]
-
-    c1, c2, fe, ge = _forms(cfg)
-    N = math.lcm(c1.conductor, c2.conductor)
-    # (f, f) at the first curve's level: shared by residue_law and sym2
-    pet_ff = functools.cache(lambda: petersson(fe, fe, c1.conductor, depth=depth,
-                                               y_cut=y_cut, workers=workers))
-
-    if want("ap"):
-        t0 = time.perf_counter()
-        ok = True
-        for curve in (c1, c2):
-            tab = ap_table(curve, int(cfg["p_max"]), workers=workers)
-            for p, info in tab.items():
-                if info.kind == "good" and info.ap * info.ap > 4 * p:
-                    ok = False
-                if curve.conductor % p == 0 and abs(info.ap) != 1:
-                    ok = False
-        add("ap", 0.0 if ok else 1.0, 0.0, 0.5,
-            extra={"curves": [c1.label, c2.label]}, pipelines="point-count")
-        timings["ap"] = time.perf_counter() - t0
-
-    if want("unfolding"):
-        t0 = time.perf_counter()
-        u = unfolding_check(fe, fe, 2.0)
-        add("unfolding", u["lhs"], u["rhs"], 1e-10 * abs(u["rhs"]),
-            pipelines="series,quadrature-1d")
-        timings["unfolding"] = time.perf_counter() - t0
-
-    if want("epstein"):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(20):
-            x, y = rng.uniform(-0.45, 0.45), rng.uniform(0.6, 3.0)
-            s = rng.uniform(1.2, 3.0)
-            a = epstein_lattice(UHPoint(x, y), s, tol=1e-12).value * (
-                math.pi ** (-s) * math.gamma(s))
-            b = epstein_completed(UHPoint(x, y), s).value
-            worst = max(worst, abs(a / b - 1.0))
-        fe_worst = 0.0
-        for s in (-0.5, 0.25, 0.4):
-            for xx, yy in ((0.0, 1.0), (0.3, 1.7), (-0.2, 0.9), (0.45, 2.4), (0.1, 1.2)):
-                fe_worst = max(fe_worst, abs(
-                    epstein_completed(UHPoint(xx, yy), s).value
-                    - epstein_completed(UHPoint(xx, yy), 1.0 - s).value))
-        add("epstein", worst, 0.0, 1e-9, extra={"fe_residual": fe_worst},
-            pipelines="theta-lattice,fourier-bessel")
-        timings["epstein"] = time.perf_counter() - t0
-
-    if want("epstein_residue"):
-        t0 = time.perf_counter()
-        worst = 0.0
-        vals = []
-        for xx, yy in ((0.0, 1.0), (0.5, 3.0), (0.23, 0.9)):
-            r = epstein_residue(UHPoint(xx, yy)).value
-            vals.append(r)
-            worst = max(worst, abs(r - 1.0))
-        add("epstein_residue", worst, 0.0, 1e-6,
-            extra={"values": [_num(v) for v in vals]}, pipelines="richardson")
-        timings["epstein_residue"] = time.perf_counter() - t0
-
-    if want("kronecker"):
-        t0 = time.perf_counter()
-        diffs = []
-        for xx, yy in ((0.0, 1.0), (0.0, 2.0), (0.3, 1.4)):
-            lhs, rhs, diff = kronecker_limit_check(UHPoint(xx, yy))
-            diffs.append(diff)
-        spread = max(diffs) - min(diffs)
-        add("kronecker", max(abs(d) for d in diffs), 0.0, 1e-6,
-            extra={"offsets": [_num(d) for d in diffs], "offset_spread": _num(spread)},
-            pipelines="richardson,eta")
-        timings["kronecker"] = time.perf_counter() - t0
-
-    rs = None
-    if want("rankin_selberg") or want("orthogonality") or want("class_number_formula") or want("residue_law"):
-        rs = RankinSeries.build(fe, ge)
-
-    fam = None
-    if want("rankin_selberg") or want("orthogonality") or want("class_number_formula"):
-        t0 = time.perf_counter()
-        grid = _grid_pair(N, depth, y_cut)
-        fam = sweep_pair_family(fe, ge, N, grid, s_values=(2.0,), want_regulator=True,
-                                want_cnf=True, want_norms=True, workers=workers)
-        timings["sweep_pair_family"] = time.perf_counter() - t0
-
-    if want("rankin_selberg"):
-        t0 = time.perf_counter()
-        chk = rs_identity_check(fe, ge, N, 2.0, depth=depth, y_cut=y_cut,
-                                workers=workers, rs=rs, fam=fam)
-        add("rankin_selberg", chk["lhs"], chk["rhs"][chk["resolved_exponent"]],
-            1e-3 * abs(chk["lhs"]),
-            extra={"resolved_exponent": chk["resolved_exponent"],
-                   "rel_diffs": {k: _num(v) for k, v in chk["rel_diffs"].items()}},
-            pipelines="direct-series,eisenstein-quadrature")
-        # isogenous copy at the first curve's own level
-        rs_iso = RankinSeries.build(fe, fe)
-        chk2 = rs_identity_check(fe, fe, c1.conductor, 2.0, depth=depth,
-                                 y_cut=y_cut, workers=workers, rs=rs_iso)
-        add("rankin_selberg_isogenous", chk2["lhs"],
-            chk2["rhs"][chk2["resolved_exponent"]], 1e-3 * abs(chk2["lhs"]),
-            extra={"resolved_exponent": chk2["resolved_exponent"]},
-            pipelines="direct-series,eisenstein-quadrature")
-        timings["rankin_selberg"] = time.perf_counter() - t0
-
-    if want("residue_law"):
-        t0 = time.perf_counter()
-        rs_iso = RankinSeries.build(fe, fe)
-        res = residue_at_1(rs_iso)
-        pet = pet_ff()
-        rhs = 2.0 * math.pi * sum_mu_over_d(c1.conductor) * index_psi(c1.conductor) * pet.value.real
-        add("residue_law", res["residue"], rhs, 1e-3 * abs(rhs),
-            pipelines="afe,quadrature")
-        timings["residue_law"] = time.perf_counter() - t0
-
-    if want("orthogonality") and fam is not None:
-        t0 = time.perf_counter()
-        psi = index_psi(N)
-        val = abs(fam["pet_fg"]) / psi
-        ok_pos = fam["pet_ff"].real > 0 and fam["pet_gg"].real > 0
-        add("orthogonality", val, 0.0, 1e-6,
-            extra={"ff": _num(fam["pet_ff"].real / psi), "gg": _num(fam["pet_gg"].real / psi),
-                   "norms_positive": ok_pos},
-            pipelines="quadrature")
-        timings["orthogonality"] = time.perf_counter() - t0
-
-    if want("class_number_formula") and fam is not None:
-        t0 = time.perf_counter()
-        phi0 = afe_eval(rs, 0.0)
-        reg = -(math.pi / 3.0) * fam["regulator"].real
-        cnf = -4.0 * math.pi * fam["cnf"].real
-        ok_ab = add("cnf_a_vs_b", phi0.value, reg, 1e-3 * abs(phi0.value),
-                    pipelines="afe,regulator")
-        ratio = cnf / phi0.value
-        br = best_rational(ratio, 48)
-        add("cnf_c_ratio", ratio, br.numerator / br.denominator, 1e-4,
-            extra={"recognized": [br.numerator, br.denominator],
-                   "deep_fraction": _num(fam["cnf_deep_measure"].real
-                                         / (index_psi(N) * (math.pi / 3 - 1 / y_cut)))},
-            pipelines="cyclotomic-qlog,afe")
-        nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg))
-        add("cnf_nonvanishing", 1.0 if nonvanishing else 0.0, 1.0, 0.5,
-            pipelines="afe")
-        timings["class_number_formula"] = time.perf_counter() - t0
-
-    if want("pole_orders"):
-        t0 = time.perf_counter()
-        rs_iso = RankinSeries.build(fe, fe)
-        rs_pair = rs if rs is not None else RankinSeries.build(fe, ge)
-        o_iso = order_of_vanishing(lambda s: assemble_LH2(rs_iso, s), 2.0)
-        o_pair = order_of_vanishing(lambda s: assemble_LH2(rs_pair, s), 2.0)
-        ok = (o_iso["order"] == -3 and o_pair["order"] == -2
-              and o_iso["residual"] < 0.2 and o_pair["residual"] < 0.2)
-        add("pole_orders", 0.0 if ok else 1.0, 0.0, 0.5,
-            extra={"isogenous": o_iso, "pair": o_pair},
-            pipelines="afe,log-slope")
-        timings["pole_orders"] = time.perf_counter() - t0
-
-    if want("sym2"):
-        t0 = time.perf_counter()
-        rep = sym2_report(c1, fe, depth=depth, y_cut=y_cut, workers=workers, pet=pet_ff(),
-                          deg_phi=_maybe_int(cfg.get("deg_phi1", "")),
-                          manin_c=int(cfg.get("manin_c1", "1")))
-        ok = (rep["residue_ratio_recognized"] is not None
-              and rep["residue_ratio_residual"] < 1e-4)
-        add("sym2", rep["residue_ratio_residual"], 0.0, 1e-4,
-            extra={k: _num(v) for k, v in rep.items() if not isinstance(v, (dict,))},
-            pipelines="afe,quadrature,agm")
-        timings["sym2"] = time.perf_counter() - t0
-
-    if want("triple_product"):
-        t0 = time.perf_counter()
-        rec = _triple_product_check(cfg)
-        if rec is None:
-            records.append({
-                "name": "triple_product", "lhs": None, "rhs": None, "diff": None,
-                "tolerance": 0.3, "passed": True, "pipelines": "afe,log-slope",
-                "extra": {"skipped": "needs the default 11a/14a pair plus built-in 15a"},
-            })
-        else:
-            add("triple_product", rec["slope"], rec["predicted"], 0.3,
-                extra=rec, pipelines="afe,log-slope")
-        timings["triple_product"] = time.perf_counter() - t0
-
-    return records, timings
-
-
-def sum_mu_over_d(N: int) -> float:
-    from .arith import divisors, moebius
-
-    return sum(moebius(d) / d for d in divisors(N))
-
-
-def _maybe_int(s):
-    return int(s) if s else None
-
-
-def _num(v):
-    if v is None:
-        return None
-    if isinstance(v, complex):
-        return [float(v.real), float(v.imag)]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, (tuple, list)):
-        return [_num(t) for t in v]
-    return v if isinstance(v, (int, str, bool, dict)) else float(v)
-
-
-def _triple_product_check(cfg):
-    from .curves import curve_by_label
-    from .lseries import (RankinSeries, Phi, G_factor, bad_factor_H,
-                          order_of_vanishing)
-    from .modular import CuspFormEval
-    from .specialfn import _zeta_raw
-
-    if cfg["curve1.label"] != "11a" or cfg["curve2.label"] != "14a":
-        return None
-    n_max = int(cfg["n_max"])
-    fe = CuspFormEval.from_curve(curve_by_label("11a"), n_max)
-    ge = CuspFormEval.from_curve(curve_by_label("14a"), n_max)
-    he = CuspFormEval.from_curve(curve_by_label("15a"), n_max)
-    pairs = [RankinSeries.build(a, b) for a, b in ((fe, ge), (fe, he), (ge, he))]
-
-    def LH4(s):
-        u = s - 2.0
-        out = _zeta_raw(u) ** 3
-        for rr in pairs:
-            out *= Phi(rr, u).value / G_factor(rr, u) * bad_factor_H(rr, u)
-        return out
-
-    o4 = order_of_vanishing(LH4, 3.0)
-    pairwise = []
-    for rr in pairs:
-        ov = order_of_vanishing(lambda s: Phi(rr, s - 2.0).value / G_factor(rr, s - 2.0), 3.0)
-        pairwise.append(ov["order"])
-    predicted = -(3 + sum(-o for o in pairwise))
-    return {
-        "slope": o4["slope"],
-        "order": o4["order"],
-        "predicted": predicted,
-        "pairwise_orders": pairwise,
-        "residual": o4["residual"],
-    }
-
-
 def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
-    if only is not None and only not in CHECK_NAMES:
-        raise UsageError(f"--only must be one of {CHECK_NAMES}")
-    records, timings = _run_checks(cfg, only)
+    if only is not None and only not in checks.CHECKS:
+        raise UsageError(f"--only must be one of {list(checks.CHECKS)}")
+    records, timings = checks.run(checks.RunContext(cfg), only)
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "config": {k: cfg[k] for k in sorted(cfg)},
         "checks": records,
-        "all_passed": all(r["passed"] for r in records),
+        "all_passed": all(r["passed"] for r in records if r["status"] != "skip"),
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
@@ -444,8 +162,7 @@ def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
         json.dump({k: round(v, 3) for k, v in timings.items()}, fh, indent=2)
         fh.write("\n")
     for r in records:
-        status = "PASS" if r["passed"] else "FAIL"
-        print(f"{status}: {r['name']} (diff={r['diff']}, tol={r['tolerance']})")
+        print(f"{r['status'].upper()}: {r['name']} (diff={r['diff']}, tol={r['tolerance']})")
     print(f"report written to {path}")
     return 0 if report["all_passed"] else 1
 
@@ -453,11 +170,11 @@ def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
 def cmd_lvalue(cfg: dict, s: float) -> int:
     """Rows report L_{f,g}(s); at s = 0 they report L'_{f,g}(0) = Phi(0)
     (the value L(0) itself vanishes)."""
-    from .lseries import G_factor, L_direct, RankinSeries, afe_eval
+    from .lseries import G_factor, L_direct, afe_eval
     from .specialfn import PoleError
 
-    _, _, fe, ge = _forms(cfg)
-    rs = RankinSeries.build(fe, ge)
+    ctx = checks.RunContext(cfg)
+    rs = ctx.rs
     rows = []
     if s >= 1.3:
         r = L_direct(rs, s)
@@ -475,8 +192,7 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
     if s == 0.0 and not rs.isogenous:
         from .domain import regulator_integral
 
-        r = regulator_integral(fe, ge, rs.N, depth=int(cfg["depth"]),
-                               y_cut=float(cfg["y_cut"]), workers=int(cfg["workers"]))
+        r = regulator_integral(ctx.fe, ctx.ge, rs.N, depth=ctx.depth, y_cut=ctx.y_cut)
         rows.append(("regulator", s, r.value.real, r.abs_error_bound))
     print("pipeline,s,value,error")
     for row in rows:
@@ -487,11 +203,9 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
 def cmd_petersson(cfg: dict) -> int:
     from .domain import petersson
 
-    c1, c2, fe, ge = _forms(cfg)
-    N = math.lcm(c1.conductor, c2.conductor)
-    r = petersson(fe, ge, N, depth=int(cfg["depth"]), y_cut=float(cfg["y_cut"]),
-                  workers=int(cfg["workers"]))
-    print(f"(f_{c1.label}, f_{c2.label})_N={N} = {r.value!r} +- {r.abs_error_bound:.3e}")
+    ctx = checks.RunContext(cfg)
+    r = petersson(ctx.fe, ctx.ge, ctx.N, depth=ctx.depth, y_cut=ctx.y_cut)
+    print(f"(f_{ctx.c1.label}, f_{ctx.c2.label})_N={ctx.N} = {r.value!r} +- {r.abs_error_bound:.3e}")
     return 0
 
 
@@ -515,10 +229,12 @@ def cmd_report(cfg: dict) -> int:
         raise UsageError(f"no report at {path}; run verify first")
     with open(path) as fh:
         rep = json.load(fh)
+    if any("status" not in r for r in rep["checks"]):
+        raise UsageError(f"{path} has no check status; run verify again")
     print(f"{'check':28s} {'status':6s} {'diff':>12s} {'tol':>9s}")
     for r in rep["checks"]:
         d = "-" if r["diff"] is None else f"{r['diff']:.3e}"
-        print(f"{r['name']:28s} {'PASS' if r['passed'] else 'FAIL':6s} {d:>12s} {r['tolerance']:>9.0e}")
+        print(f"{r['name']:28s} {r['status'].upper():6s} {d:>12s} {r['tolerance']:>9.0e}")
     print("all passed" if rep["all_passed"] else "FAILURES present")
     return 0 if rep["all_passed"] else 1
 
@@ -528,7 +244,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     parser.add_argument("--only", default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="ignored: every run is single-threaded")
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ap")
@@ -544,10 +261,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.set)
-        if args.workers is not None:
-            cfg["workers"] = str(args.workers)
         if args.out is not None:
             cfg["out"] = args.out
+        validate_config(cfg, args.command)
         if args.command == "ap":
             return cmd_ap(cfg)
         if args.command == "verify":

@@ -70,8 +70,9 @@ class CurveModel:
         bad = {p for p in prime_divisors(abs(self.discriminant)) if p <= p_limit}
         claimed = {p for p in prime_divisors(self.conductor) if p <= p_limit}
         # primes dividing disc but not the conductor must still be good
-        # (non-minimal models are not used here, but check anyway)
-        for p in sorted(bad):
+        # (non-minimal models are not used here, but check anyway); a
+        # claimed prime not dividing disc is good, so it fails here
+        for p in sorted(bad | claimed):
             info = reduce_mod_p(self, p)
             if (info.kind == "good") != (p not in claimed):
                 return False
@@ -372,19 +373,12 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0]
 
 
-def ap_table(curve: CurveModel, p_max: int, workers: int = 1) -> dict[int, ReductionInfo]:
-    """ReductionInfo for every prime <= p_max, merged in prime order."""
+def ap_table(curve: CurveModel, p_max: int) -> dict[int, ReductionInfo]:
+    """ReductionInfo for every prime <= p_max, in prime order."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    ps = [int(p) for p in primes_up_to(p_max)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            infos = list(ex.map(lambda p: reduce_mod_p(curve, p, p_max=max(p_max, DEFAULT_P_MAX)), ps))
-    else:
-        infos = [reduce_mod_p(curve, p, p_max=max(p_max, DEFAULT_P_MAX)) for p in ps]
-    return {p: info for p, info in zip(ps, infos)}
+    return {p: reduce_mod_p(curve, p, p_max=max(p_max, DEFAULT_P_MAX))
+            for p in primes_up_to(p_max).tolist()}
 
 
 @dataclass

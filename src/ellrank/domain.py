@@ -29,7 +29,7 @@ per (N, L); for 11a/14a at N = 154 it replaces 288 boosted evaluations
 per form by psi(11) = 12 and psi(14) = 24.
 
 Summation: per-rep partial sums in fixed rep order, combined with
-math.fsum; identical results for any worker count.
+math.fsum.
 """
 
 from __future__ import annotations
@@ -274,21 +274,15 @@ def check_invariance(N: int, H, tol: float = 1e-7, seed: int = 7):
             raise InvarianceError(f"integrand not Gamma_0({N})-invariant at element {g}")
 
 
-def _sweep(grid: QuadratureGrid, H, workers: int = 1) -> complex:
-    def one(rep):
-        wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, grid.xs, grid.ys)
-        vals = H(wx, wy)
-        return complex(np.sum(vals * grid.ws))
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(one, grid.reps))
-    else:
-        partials = [one(rep) for rep in grid.reps]
-    return complex(math.fsum(p.real for p in partials),
-                   math.fsum(p.imag for p in partials))
+def _sum_over_reps(one, *per_rep) -> dict:
+    """Integral per key: the partial integrals one(*args) of the reps,
+    taken in rep order and combined key by key with math.fsum."""
+    partials = [one(*args) for args in zip(*per_rep)]
+    return {
+        k: complex(math.fsum(p[k].real for p in partials),
+                   math.fsum(p[k].imag for p in partials))
+        for k in partials[0]
+    }
 
 
 _GRID_CACHE: dict = {}
@@ -316,9 +310,20 @@ def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float,
             * math.exp(-rate * y_cut))
 
 
+def _depth_doubling(sweep, grid: QuadratureGrid, fine: dict | None = None) -> dict:
+    """Each integrand of sweep(grid) with its depth-doubling error: the
+    distance to the same sweep on the grid one depth coarser.  fine,
+    when given, is sweep(grid) already computed; only the keys of the
+    coarse sweep are returned."""
+    if fine is None:
+        fine = sweep(grid)
+    coarse = sweep(_grid_pair(grid.level, grid.depth - 1, grid.y_cut))
+    return {k: EvalResult(fine[k], abs(fine[k] - c)) for k, c in coarse.items()}
+
+
 def integrate_invariant(N: int, H, grid: QuadratureGrid | None = None,
                         depth: int = 2, y_cut: float = 12.0,
-                        check: bool = True, workers: int = 1) -> EvalResult:
+                        check: bool = True) -> EvalResult:
     """Int_{X_0(N)} H dmu by coset sweep.
 
     Error estimate: depth-doubling difference.  The cusp-truncation tail
@@ -328,28 +333,32 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid | None = None,
         grid = _grid_pair(N, depth, y_cut)
     if check:
         check_invariance(N, H)
-    fine = _sweep(grid, H, workers=workers)
-    coarse_grid = _grid_pair(N, grid.depth - 1, grid.y_cut)
-    coarse = _sweep(coarse_grid, H, workers=workers)
-    return EvalResult(fine, abs(fine - coarse))
+
+    def sweep(g):
+        def one(rep):
+            wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, g.xs, g.ys)
+            return {"H": complex(np.sum(H(wx, wy) * g.ws))}
+        return _sum_over_reps(one, g.reps)
+
+    return _depth_doubling(sweep, grid)["H"]
 
 
 def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int,
               grid: QuadratureGrid | None = None, depth: int = 2,
-              y_cut: float = 12.0, workers: int = 1) -> EvalResult:
-    """(f, g) = (1/psi(N)) Int_{X_0(N)} f conj(g) y^2 dmu."""
+              y_cut: float = 12.0, fam: dict | None = None) -> EvalResult:
+    """(f, g) = (1/psi(N)) Int_{X_0(N)} f conj(g) y^2 dmu.  fam, when
+    given, is a sweep_pair_family result for (fe, ge, N) on the grid; it
+    replaces the fine sweep."""
     if N % fe.level or N % ge.level:
         raise ValueError("both levels must divide N")
     check_invariance(N, lambda x, y: (eval_form_array(fe, x, y)
                                       * np.conj(eval_form_array(ge, x, y)) * y**2))
     if grid is None:
         grid = _grid_pair(N, depth, y_cut)
-    coarse_grid = _grid_pair(N, grid.depth - 1, grid.y_cut)
-    fine = sweep_pair_family(fe, ge, N, grid, workers=workers)["pet_fg"]
-    coarse = sweep_pair_family(fe, ge, N, coarse_grid, workers=workers)["pet_fg"]
+    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g), grid, fam)["pet_fg"]
     psi = index_psi(N)
     tail = pair_tail_bound(fe, ge, N, grid.y_cut)
-    return EvalResult(fine / psi, (abs(fine - coarse) + tail) / psi)
+    return EvalResult(r.value / psi, (r.abs_error_bound + tail) / psi)
 
 
 # ------------------------------------------------- multi-integrand sweep
@@ -371,8 +380,7 @@ def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
 def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                       grid: QuadratureGrid, s_values: tuple = (),
                       want_regulator: bool = False, want_cnf: bool = False,
-                      want_norms: bool = False, workers: int = 1,
-                      tol: float = 1e-11) -> dict:
+                      want_norms: bool = False, tol: float = 1e-11) -> dict:
     """One pass over the coset sweep computing, simultaneously:
 
       'pet_fg'             Int f conj(g) y^2 dmu
@@ -416,23 +424,11 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
             out["cnf_deep_measure"] = complex(np.sum(grid.ws * deep))
         return out
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(one, grid.reps, fs, gs))
-    else:
-        partials = [one(*t) for t in zip(grid.reps, fs, gs)]
-    keys = partials[0].keys()
-    return {
-        k: complex(math.fsum(p[k].real for p in partials),
-                   math.fsum(p[k].imag for p in partials))
-        for k in keys
-    }
+    return _sum_over_reps(one, grid.reps, fs, gs)
 
 
 def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
-                      depth: int = 2, y_cut: float = 12.0, workers: int = 1,
+                      depth: int = 2, y_cut: float = 12.0,
                       rs=None, fam: dict | None = None) -> dict:
     """Rankin-Selberg unfolding identity at s > 1:
 
@@ -453,8 +449,7 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
     if rs is None:
         rs = RankinSeries.build(fe, ge)
     if fam is None:
-        fam = sweep_pair_family(fe, ge, N, _grid_pair(N, depth, y_cut),
-                                s_values=(s,), workers=workers)
+        fam = sweep_pair_family(fe, ge, N, _grid_pair(N, depth, y_cut), s_values=(s,))
     conv = math.pi**s / _gamma_raw(s)     # E = pi^s/Gamma(s) E*
     J = {d: conv * fam[("eis", s, d)] for d in divisors(N)}
     lhs = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0) * L_direct(rs, s).value
@@ -476,21 +471,17 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
 
 
 def regulator_integral(fe: CuspFormEval, ge: CuspFormEval, N: int,
-                       depth: int = 2, y_cut: float = 12.0,
-                       workers: int = 1) -> EvalResult:
+                       depth: int = 2, y_cut: float = 12.0) -> EvalResult:
     """-(pi/3) Int_{X_0(N)} log|Delta_N(z)| f conj(g) y^2 dmu  (= Phi(0)
     for coprime square-free levels with at least two primes dividing N)."""
-    grid = _grid_pair(N, depth, y_cut)
-    fam = sweep_pair_family(fe, ge, N, grid, want_regulator=True, workers=workers)
-    coarse = sweep_pair_family(fe, ge, N, _grid_pair(N, depth - 1, y_cut),
-                               want_regulator=True, workers=workers)
-    val = -(math.pi / 3.0) * fam["regulator"]
-    err = abs(val - (-(math.pi / 3.0) * coarse["regulator"]))
-    return EvalResult(val, err + 1e-12 * abs(val))
+    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g, want_regulator=True),
+                        _grid_pair(N, depth, y_cut))["regulator"]
+    val = -(math.pi / 3.0) * r.value
+    return EvalResult(val, (math.pi / 3.0) * r.abs_error_bound + 1e-12 * abs(val))
 
 
 def cnf_rhs(fe: CuspFormEval, ge: CuspFormEval, N: int, depth: int = 2,
-            y_cut: float = 12.0, workers: int = 1) -> dict:
+            y_cut: float = 12.0) -> dict:
     """Cyclotomic q-logarithm side of the class-number formula, without
     the H(0) prefactor:
 
@@ -504,16 +495,12 @@ def cnf_rhs(fe: CuspFormEval, ge: CuspFormEval, N: int, depth: int = 2,
     if N <= 1:
         raise ValueError("cnf_rhs needs N > 1 (no primitive residues otherwise)")
     grid = _grid_pair(N, depth, y_cut)
-    fam = sweep_pair_family(fe, ge, N, grid, want_cnf=True, workers=workers)
-    coarse = sweep_pair_family(fe, ge, N, _grid_pair(N, depth - 1, y_cut),
-                               want_cnf=True, workers=workers)
-    val = -4.0 * math.pi * fam["cnf"]
-    err = abs(val - (-4.0 * math.pi * coarse["cnf"]))
+    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g, want_cnf=True), grid)
     total_measure = len(grid.reps) * (math.pi / 3.0 - 1.0 / y_cut)
     return {
-        "value": val,
-        "error": err,
-        "deep_fraction": fam["cnf_deep_measure"].real / total_measure,
+        "value": -4.0 * math.pi * r["cnf"].value,
+        "error": 4.0 * math.pi * r["cnf"].abs_error_bound,
+        "deep_fraction": r["cnf_deep_measure"].value.real / total_measure,
     }
 
 

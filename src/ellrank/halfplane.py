@@ -13,7 +13,6 @@ exactly to lattice vectors of norm^2 below Q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,19 +134,6 @@ def _lagrange_reduce(u_re, u_im, v_re, v_im):
 _COMBOS = [(al, be) for al in range(-2, 3) for be in range(-2, 3) if (al, be) != (0, 0)]
 
 
-class BoostContext:
-    """Precomputed data for height maximization at one level."""
-
-    def __init__(self, level: int, allowed_q=None):
-        if not is_squarefree(level):
-            raise ValueError("boosting implemented for square-free level only")
-        self.level = level
-        self.qs = list(divisors(level)) if allowed_q is None else list(allowed_q)
-
-    def floor(self) -> float:
-        return math.sqrt(3.0) / (2.0 * self.level)
-
-
 def boost_array(level: int, x, y, allowed_q=None, max_iter: int = 220):
     """Maximize Im over the orbit of Gamma_0(level) joined with the
     Atkin-Lehner involutions w_Q for Q in allowed_q (all of them by
@@ -157,7 +143,9 @@ def boost_array(level: int, x, y, allowed_q=None, max_iter: int = 220):
     det = detQ (an exact divisor of the level) mapping input points to
     the boosted ones.
     """
-    ctx = BoostContext(level, allowed_q)
+    if not is_squarefree(level):
+        raise ValueError("boosting implemented for square-free level only")
+    qs = list(divisors(level)) if allowed_q is None else list(allowed_q)
     L = level
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
@@ -177,7 +165,7 @@ def boost_array(level: int, x, y, allowed_q=None, max_iter: int = 220):
         best_d = np.zeros(n, dtype=np.int64)
         best_q = np.zeros(n, dtype=np.int64)
 
-        for Q in ctx.qs:
+        for Q in qs:
             lfac = L // Q
             cu, du, cv, dv = _lagrange_reduce(L * x, L * y, np.full(n, float(Q)), np.zeros(n))
             for al, be in _COMBOS:

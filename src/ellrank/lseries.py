@@ -390,8 +390,8 @@ def order_of_vanishing(F, s0: float, h0: float = 0.32, levels: int = 4) -> dict:
 
 
 def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
-                workers: int = 1, deg_phi: int | None = None,
-                manin_c: int = 1, pet: EvalResult | None = None) -> dict:
+                deg_phi: int | None = None, manin_c: int = 1,
+                pet: EvalResult | None = None, rs: RankinSeries | None = None) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
       residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), rationally
@@ -399,8 +399,9 @@ def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
       sym2_edge       H(1) * Res_{s=1} L_{f,f}  (the following ratio to
                       the period area/pi is reported, never asserted)
 
-    deg_phi and manin_c are report-only config inputs.  pet, when given,
-    is petersson(fe, fe, level) at this depth and y_cut, already computed.
+    deg_phi and manin_c are report-only config inputs.  pet and rs, when
+    given, are petersson(fe, fe, level) at this depth and y_cut and
+    RankinSeries.build(fe, fe), already computed.
     """
     from .arith import recognize_rational, best_rational
     from .curves import period_lattice
@@ -409,10 +410,11 @@ def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
     if not is_squarefree(curve.conductor):
         raise ValueError("square-free conductor required")
     N = curve.conductor
-    rs = RankinSeries.build(fe, fe)
+    if rs is None:
+        rs = RankinSeries.build(fe, fe)
     res = residue_at_1(rs)
     if pet is None:
-        pet = petersson(fe, fe, N, depth=depth, y_cut=y_cut, workers=workers)
+        pet = petersson(fe, fe, N, depth=depth, y_cut=y_cut)
     if not pet.value.real > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)

@@ -243,11 +243,6 @@ class BoostedPoint:
     matrix: tuple[int, int, int, int]
     det: int                 # exact divisor Q of the level
 
-    @property
-    def jfactor(self) -> complex:
-        _, _, c, d = self.matrix
-        return c * self.original.z + d
-
 
 def al_boost(level: int, z: UHPoint) -> BoostedPoint:
     """Maximize Im over the Gamma_0(level)+Atkin-Lehner orbit of z."""

@@ -2,36 +2,36 @@ import numpy as np
 import pytest
 
 from ellrank.curves import curve_by_label
-from ellrank.modular import CuspFormEval
 
 
 @pytest.fixture(scope="session")
-def form_11a():
-    return CuspFormEval.from_curve(curve_by_label("11a"), n_max=4200)
+def run_ctx():
+    """The default verify context (11a/14a, n_max 4200, depth 2): forms,
+    Rankin series and sweeps built once and shared with the CLI checks."""
+    from ellrank.checks import RunContext
+    from ellrank.cli import DEFAULT_CONFIG
+
+    return RunContext(dict(DEFAULT_CONFIG))
 
 
 @pytest.fixture(scope="session")
-def form_14a():
-    return CuspFormEval.from_curve(curve_by_label("14a"), n_max=4200)
+def form_11a(run_ctx):
+    return run_ctx.fe
 
 
 @pytest.fixture(scope="session")
-def form_15a():
-    return CuspFormEval.from_curve(curve_by_label("15a"), n_max=4200)
+def form_14a(run_ctx):
+    return run_ctx.ge
 
 
 @pytest.fixture(scope="session")
-def rs_11_14(form_11a, form_14a):
-    from ellrank.lseries import RankinSeries
-
-    return RankinSeries.build(form_11a, form_14a)
+def rs_11_14(run_ctx):
+    return run_ctx.rs
 
 
 @pytest.fixture(scope="session")
-def rs_11_11(form_11a):
-    from ellrank.lseries import RankinSeries
-
-    return RankinSeries.build(form_11a, form_11a)
+def rs_11_11(run_ctx):
+    return run_ctx.rs_ff
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def big_tables():
     out = {}
     for label in ("11a", "14a"):
         curve = curve_by_label(label)
-        ap = ap_table(curve, n_max, workers=4)
+        ap = ap_table(curve, n_max)
         out[label] = an_table(curve.conductor, ap, n_max)
     return out
 

@@ -11,18 +11,15 @@ import os
 import numpy as np
 import pytest
 
+from ellrank import checks
 from ellrank.arith import best_rational, divisors, moebius, recognize_rational
 from ellrank.curves import ap_table, curve_by_label
-from ellrank.domain import (index_psi, rs_identity_check, sweep_pair_family,
-                            _grid_pair, unfolding_check)
+from ellrank.domain import index_psi, sweep_pair_family, _grid_pair, unfolding_check
 from ellrank.eisenstein import (epstein_completed, epstein_residue,
                                 epstein_star_array, epstein_star_theta,
                                 kronecker_limit_check)
 from ellrank.halfplane import UHPoint
-from ellrank.lseries import (G_factor, L_direct, Phi, RankinSeries, afe_eval,
-                             assemble_LH2, bad_factor_H, order_of_vanishing,
-                             residue_at_1, sym2_report)
-from ellrank.specialfn import _gamma_raw, _zeta_raw
+from ellrank.lseries import assemble_LH2, order_of_vanishing, residue_at_1, sym2_report
 
 
 def _line(num, ok, text):
@@ -31,15 +28,13 @@ def _line(num, ok, text):
 
 
 @pytest.fixture(scope="module")
-def family_154(form_11a, form_14a):
-    """One coset sweep over X_0(154) shared by criteria 6, 8 and 9."""
-    grid = _grid_pair(154, 2, 12.0)
-    fine = sweep_pair_family(form_11a, form_14a, 154, grid, s_values=(2.0,),
-                             want_regulator=True, want_cnf=True, want_norms=True)
+def family_154(run_ctx, form_11a, form_14a):
+    """The X_0(154) sweeps at depth 2 (the run context's, which criteria
+    6 and 9 read through the registry) and depth 1 (the regulator only,
+    for criterion 8's error)."""
     coarse = sweep_pair_family(form_11a, form_14a, 154, _grid_pair(154, 1, 12.0),
-                               s_values=(2.0,), want_regulator=True,
-                               want_cnf=True, want_norms=True)
-    return fine, coarse
+                               want_regulator=True)
+    return run_ctx.fam, coarse
 
 
 def brute_count_oracle(curve, p):
@@ -121,23 +116,14 @@ def test_criterion_05_kronecker_limit():
                  f"constant offset z-spread {spread:.2e} < 1e-8 (offset ~ {diffs[0]:.1e})")
 
 
-def test_criterion_06_rankin_selberg(form_11a, form_14a, rs_11_14, rs_11_11, family_154):
-    fine, _ = family_154
-    s, N = 2.0, 154
-    conv = math.pi**s / _gamma_raw(s)
-    lhs = 2.0 * (4 * math.pi) ** (-s - 1) * _gamma_raw(s + 1) * L_direct(rs_11_14, s).value
-    variants = {
-        "N^-s d^-s": float(N) ** (-s) * sum(
-            moebius(d) * float(d) ** (-s) * conv * fine[("eis", s, d)].real for d in divisors(N)),
-        "d^-s": sum(moebius(d) * float(d) ** (-s) * conv * fine[("eis", s, d)].real for d in divisors(N)),
-        "d^-2s": sum(moebius(d) * float(d) ** (-2 * s) * conv * fine[("eis", s, d)].real for d in divisors(N)),
-    }
-    diffs = {k: abs(lhs - v) / abs(lhs) for k, v in variants.items()}
-    resolved = min(diffs, key=diffs.get)
-    chk11 = rs_identity_check(form_11a, form_11a, 11, 2.0, depth=2, rs=rs_11_11)
-    ok = diffs[resolved] < 1e-3 and chk11["diff"] < 1e-3 and resolved == "N^-s d^-s"
+def test_criterion_06_rankin_selberg(run_ctx):
+    pair, iso = checks.check_rankin_selberg(run_ctx)
+    diffs = pair["extra"]["rel_diffs"]
+    resolved = pair["extra"]["resolved_exponent"]
+    iso_diff = iso["diff"] / abs(iso["lhs"])
+    ok = diffs[resolved] < 1e-3 and iso_diff < 1e-3 and resolved == "N^-s d^-s"
     _line(6, ok, f"Rankin-Selberg identity s=2: (11a,14a,N=154) rel {diffs[resolved]:.2e}, "
-                 f"(11a,11a,N=11) rel {chk11['diff']:.2e}; resolved exponent "
+                 f"(11a,11a,N=11) rel {iso_diff:.2e}; resolved exponent "
                  f"'{resolved}' (the rejected d^-2s convention is off by {diffs['d^-2s']:.1e})")
 
 
@@ -153,18 +139,18 @@ def test_criterion_07_residue_law(form_11a, rs_11_11):
                          f"2 pi (sum mu/d) psi (f,f) = {rhs:.8f}, rel {rel:.2e} < 1e-3")
 
 
-def test_criterion_08_main_theorem(rs_11_14, family_154):
-    fine, coarse = family_154
-    phi0 = afe_eval(rs_11_14, 0.0)
-    reg = -(math.pi / 3.0) * fine["regulator"].real
+def test_criterion_08_main_theorem(run_ctx, family_154):
+    _, coarse = family_154
+    ab, ca, _ = checks.check_class_number_formula(run_ctx)
+    phi0 = run_ctx.phi0
+    reg = ab["rhs"]
     reg_err = abs(reg - (-(math.pi / 3.0) * coarse["regulator"].real))
-    cnf = -4.0 * math.pi * fine["cnf"].real
-    rel_ab = abs(phi0.value - reg) / abs(phi0.value)
-    ratio_ca = cnf / phi0.value
+    rel_ab = ab["diff"] / abs(phi0.value)
+    ratio_ca = ca["lhs"]
     br = best_rational(ratio_ca, 48)
     recognized = recognize_rational(ratio_ca, 48, 1e-4)
     nonvanish = abs(phi0.value) > 10.0 * (phi0.error + reg_err)
-    deep = fine["cnf_deep_measure"].real / (index_psi(154) * (math.pi / 3 - 1 / 12.0))
+    deep = ca["extra"]["deep_fraction"]
     ok = (rel_ab < 1e-3 and recognized is not None and br.denominator <= 48
           and nonvanish)
     _line(8, ok,
@@ -175,12 +161,9 @@ def test_criterion_08_main_theorem(rs_11_14, family_154):
           f"|value| > 10x error; cyclotomic pipeline eta-fallback measure {deep:.1%}")
 
 
-def test_criterion_09_orthogonality(family_154):
-    fine, _ = family_154
-    psi = index_psi(154)
-    cross = abs(fine["pet_fg"]) / psi
-    ff = fine["pet_ff"].real / psi
-    gg = fine["pet_gg"].real / psi
+def test_criterion_09_orthogonality(run_ctx):
+    (rec,) = checks.check_orthogonality(run_ctx)
+    cross, ff, gg = rec["lhs"], rec["extra"]["ff"], rec["extra"]["gg"]
     ok = cross < 1e-6 and ff > 0 and gg > 0
     _line(9, ok, f"orthogonality: |(f_11a, f_14a)| = {cross:.2e} < 1e-6 while "
                  f"(f,f) = {ff:.6f} > 0 and (g,g) = {gg:.6f} > 0")
@@ -207,26 +190,13 @@ def test_criterion_11_sym2_recognition(form_11a):
                   f"(area ratio {rep['area_ratio']:.6f} recorded)")
 
 
-def test_criterion_12_triple_product(form_11a, form_14a, form_15a):
-    pairs = [RankinSeries.build(a, b) for a, b in
-             ((form_11a, form_14a), (form_11a, form_15a), (form_14a, form_15a))]
-
-    def LH4(s):
-        u = s - 2.0
-        out = _zeta_raw(u) ** 3
-        for rr in pairs:
-            out *= Phi(rr, u).value / G_factor(rr, u) * bad_factor_H(rr, u)
-        return out
-
-    o4 = order_of_vanishing(LH4, 3.0)
-    pairwise = [order_of_vanishing(
-        lambda s: Phi(rr, s - 2.0).value / G_factor(rr, s - 2.0), 3.0)["order"]
-        for rr in pairs]
-    predicted = -(3 - sum(pairwise))
-    ok = o4["order"] == predicted and o4["residual"] < 0.3
-    _line(12, ok, f"L(H^4) order at the Tate point: {o4['order']} (slope residual "
-                  f"{o4['residual']:.3f} < 0.3) matches 3 from zeta^3 plus pairwise "
-                  f"orders {pairwise}")
+def test_criterion_12_triple_product(run_ctx):
+    (rec,) = checks.check_triple_product(run_ctx)
+    t = rec["extra"]
+    ok = t["order"] == t["predicted"] and t["residual"] < 0.3
+    _line(12, ok, f"L(H^4) order at the Tate point: {t['order']} (slope residual "
+                  f"{t['residual']:.3f} < 0.3) matches 3 from zeta^3 plus pairwise "
+                  f"orders {t['pairwise_orders']}")
 
 
 def test_criterion_13_determinism(tmp_path):
@@ -239,7 +209,8 @@ def test_criterion_13_determinism(tmp_path):
                    "--set", "depth=1", "verify"])
         assert rc == 0
         outs.append(open(os.path.join(out, "report.json"), "rb").read())
-    # strip the config (it records out/workers); checks must be identical bytes
+    # strip the config (it records out); checks must be identical bytes;
+    # --workers is accepted and ignored
     recs = [json.loads(o)["checks"] for o in outs]
     raw = [json.dumps(r, sort_keys=True) for r in recs]
     ok = raw[0] == raw[1] == raw[2]

@@ -100,6 +100,11 @@ def test_usage_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
     assert main(["--config", str(cfg), "ap"]) == 2
+    # a report without record status (written before status existed)
+    (tmp_path / "report.json").write_text(json.dumps(
+        {"checks": [{"name": "ap", "diff": 0.0, "tolerance": 0.5, "passed": True}],
+         "all_passed": True}))
+    assert main(["--out", str(tmp_path), "report"]) == 2
 
 
 def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
@@ -116,3 +121,99 @@ def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
     rc = main(["--out", str(tmp_path), "--only", "ap", "--set", "p_max=200", "verify"])
     assert rc == 0
     assert seen == [200, 200]
+
+
+_ISOGENOUS_PAIR = ["--set", "curve2.label=11a", "--set", "curve2.ainvs=0,-1,1,-10,-20",
+                   "--set", "curve2.conductor=11"]
+
+
+def test_skipped_check_is_reported_as_skip(tmp_path, capsys):
+    # the triple product needs the 11a/14a pair: with 11a/11a it is skipped,
+    # which is neither a pass nor a failure
+    out = str(tmp_path)
+    rc = main(["--out", out, *_ISOGENOUS_PAIR, "--only", "triple_product", "verify"])
+    assert rc == 0
+    rep = json.load(open(os.path.join(out, "report.json")))
+    (rec,) = rep["checks"]
+    assert rec["status"] == "skip" and rec["passed"] is False
+    assert "SKIP: triple_product" in capsys.readouterr().out
+    assert main(["--out", out, "report"]) == 0
+    assert "SKIP" in capsys.readouterr().out
+
+
+def test_bad_number_exits_2(capsys):
+    assert main(["--set", "depth=abc", "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: depth = 'abc' is not a number")
+
+
+def test_non_squarefree_conductor_exits_2(capsys):
+    rc = main(["--set", "curve2.label=36a", "--set", "curve2.ainvs=0,0,0,0,1",
+               "--set", "curve2.conductor=36", "verify"])
+    assert rc == 2
+    assert "conductor 36 is not square-free" in capsys.readouterr().err
+
+
+def test_ainvs_not_matching_conductor_exits_2(capsys):
+    rc = main(["--set", "curve1.ainvs=0,-1,1,-10,-21", "petersson"])
+    assert rc == 2
+    assert "do not have conductor 11" in capsys.readouterr().err
+
+
+def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
+    import ellrank.domain
+
+    swept = []
+    real = ellrank.domain.sweep_pair_family
+
+    def counting(fe, ge, N, grid, **kw):
+        swept.append((fe.level, ge.level, N, grid.depth))
+        return real(fe, ge, N, grid, **kw)
+
+    monkeypatch.setattr(ellrank.domain, "sweep_pair_family", counting)
+    out = str(tmp_path)
+    assert main(["--out", out, "--set", "depth=1", "verify"]) == 0
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert [r["name"] for r in rep["checks"]] == [
+        "ap", "unfolding", "epstein", "epstein_residue", "kronecker",
+        "rankin_selberg", "rankin_selberg_isogenous", "residue_law", "orthogonality",
+        "cnf_a_vs_b", "cnf_c_ratio", "cnf_nonvanishing", "pole_orders", "sym2",
+        "triple_product"]
+    assert all(r["status"] == "pass" for r in rep["checks"])
+    assert len(swept) == len(set(swept)) == 3
+    timing = json.load(open(os.path.join(out, "timing.json")))
+    assert list(timing) == [
+        "ap", "unfolding", "epstein", "epstein_residue", "kronecker", "sweep_pair_family",
+        "rankin_selberg", "residue_law", "orthogonality", "class_number_formula",
+        "pole_orders", "sym2", "triple_product"]
+
+
+def test_benchmark_tracer_still_binds():
+    # the benchmark wraps package layers by rebinding module names; run in a
+    # subprocess because installing the wrappers changes the package
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import contextlib, io, sys, tempfile
+        import tracer, worker
+        from ellrank import cli
+        tracer.install(tracer.Tracer())
+        probe = {"primes": 0, "seconds": 0.0}
+        worker._ap_probe(probe)
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["--out", out, "--only", "ap", "--set", "p_max=100",
+                           "--set", "n_max=100", "verify"])
+        assert rc == 0, rc
+        # 25 primes up to 100 per curve, tabulated for each form and again
+        # by the ap check: the probe must see all four tables
+        assert probe["primes"] == 100 and probe["seconds"] > 0, probe
+    """)
+    paths = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

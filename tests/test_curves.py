@@ -117,6 +117,15 @@ def test_reduction_type_matches_conductor():
             assert (info.kind == "good") == (e.conductor % p != 0), (label, p)
 
 
+def test_validate_conductor():
+    for label in ("11a", "14a", "15a", "36a", "37a"):
+        assert curve_by_label(label).validate_conductor(), label
+    # a claimed prime of good reduction (2 for 11a) and a conductor prime
+    # that misses the bad primes {3, 60497} are both rejected
+    assert not CurveModel(0, -1, 1, -10, -20, conductor=22).validate_conductor()
+    assert not CurveModel(0, -1, 1, -10, -21, conductor=11).validate_conductor()
+
+
 def test_ogg_pm1():
     assert check_ogg_pm1(curve_by_label("11a"))["all_pm1"] is True
     rep = check_ogg_pm1(curve_by_label("14a"))
