@@ -34,14 +34,12 @@ DEFAULT_CONFIG = {
     "y_cut": "12.0",
     "out": ".",
     "deg_phi1": "",
-    "deg_phi2": "",
     "manin_c1": "1",
-    "manin_c2": "1",
 }
 
 _NUMBER_KEYS = {"n_max": int, "p_max": int, "depth": int, "y_cut": float,
                 "curve1.conductor": int, "curve2.conductor": int,
-                "manin_c1": int, "manin_c2": int, "deg_phi1": int, "deg_phi2": int}
+                "manin_c1": int, "deg_phi1": int}
 _CURVE_COMMANDS = ("ap", "verify", "lvalue", "petersson")
 _FORM_COMMANDS = ("verify", "lvalue", "petersson")
 
@@ -71,13 +69,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def validate_config(cfg: dict, command: str) -> None:
-    """Raise UsageError unless the numeric keys parse and, for the
-    subcommands that use the two curves, each curve's ainvs have its
-    stated conductor; subcommands that build cusp forms also need a
-    square-free conductor."""
+    """Raise UsageError unless every key is one of DEFAULT_CONFIG's, the
+    numeric keys parse and, for the subcommands that use the two curves,
+    each curve's ainvs have its stated conductor; subcommands that build
+    cusp forms also need a square-free conductor."""
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(DEFAULT_CONFIG)}")
     for key, kind in _NUMBER_KEYS.items():
         value = cfg[key]
-        if value == "" and key.startswith("deg_phi"):
+        if value == "" and key == "deg_phi1":
             continue        # optional, empty means unset
         try:
             kind(value)
@@ -175,6 +177,9 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
 
     ctx = checks.RunContext(cfg)
     rs = ctx.rs
+    if -0.5 <= s <= 2.75 and rs.M != 1 and not rs.isogenous:
+        raise UsageError(f"the AFE needs coprime levels or an isogenous pair; levels "
+                         f"{rs.N1} and {rs.N2} share the factor {rs.M}")
     rows = []
     if s >= 1.3:
         r = L_direct(rs, s)

@@ -65,14 +65,17 @@ class CurveModel:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def validate_conductor(self, p_limit: int = 1000) -> bool:
-        """Check that primes of bad reduction below p_limit are exactly
-        the primes dividing the stated conductor."""
-        bad = {p for p in prime_divisors(abs(self.discriminant)) if p <= p_limit}
-        claimed = {p for p in prime_divisors(self.conductor) if p <= p_limit}
+        """Check that every prime dividing the stated conductor, at any
+        size, divides the discriminant, and that below p_limit the primes
+        of bad reduction are exactly the claimed ones."""
+        claimed = set(prime_divisors(self.conductor))
+        # a claimed prime not dividing disc is good: it fails with no count
+        if any(self.discriminant % p for p in claimed):
+            return False
         # primes dividing disc but not the conductor must still be good
-        # (non-minimal models are not used here, but check anyway); a
-        # claimed prime not dividing disc is good, so it fails here
-        for p in sorted(bad | claimed):
+        # (non-minimal models are not used here, but check anyway); the
+        # claimed primes below p_limit are among these
+        for p in sorted(p for p in prime_divisors(abs(self.discriminant)) if p <= p_limit):
             info = reduce_mod_p(self, p)
             if (info.kind == "good") != (p not in claimed):
                 return False

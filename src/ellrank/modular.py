@@ -255,6 +255,9 @@ def al_boost(level: int, z: UHPoint) -> BoostedPoint:
     )
 
 
+_FORM_CACHE: dict = {}
+
+
 @dataclass
 class CuspFormEval:
     """Evaluator for a weight-2 newform given by its coefficient table.
@@ -279,14 +282,22 @@ class CuspFormEval:
         self._coeffs_f = self.table.coefficients.astype(float)
 
     @classmethod
-    def from_curve(cls, curve: CurveModel, n_max: int = 4000,
-                   ap: dict | None = None) -> "CuspFormEval":
-        if ap is None:
-            ap = ap_table(curve, n_max)
-        table = an_table(curve.conductor, ap, n_max)
+    def from_curve(cls, curve: CurveModel, n_max: int = 4000) -> "CuspFormEval":
+        """The form of `curve` with coefficients to n_max, built once per
+        process: a later call with the same (ainvs, conductor, n_max)
+        returns the same object.  Its coefficient arrays are read-only;
+        callers must not mutate it."""
+        key = (curve.ainvs, curve.conductor, n_max)
+        form = _FORM_CACHE.get(key)
+        if form is not None:
+            return form
+        table = an_table(curve.conductor, ap_table(curve, n_max), n_max)
         form = cls(table=table, level=curve.conductor, al_signs={p: 1 for p in prime_divisors(curve.conductor)})
         signs = {p: _determine_al_sign(form, p) for p in prime_divisors(curve.conductor)}
         form.al_signs = signs
+        table.coefficients.flags.writeable = False
+        form._coeffs_f.flags.writeable = False
+        _FORM_CACHE[key] = form
         return form
 
     def sign_for(self, Q: int) -> int:

@@ -217,3 +217,67 @@ def test_benchmark_tracer_still_binds():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_CURVES = {"11a": "0,-1,1,-10,-20", "14a": "1,0,1,4,-6", "15a": "1,1,1,-10,-10"}
+
+
+def _pair(a, b):
+    return ["--set", f"curve1.label={a}", "--set", f"curve1.ainvs={_CURVES[a]}",
+            "--set", f"curve1.conductor={a[:2]}",
+            "--set", f"curve2.label={b}", "--set", f"curve2.ainvs={_CURVES[b]}",
+            "--set", f"curve2.conductor={b[:2]}"]
+
+
+def test_lvalue_loop_tabulates_each_curve_once(monkeypatch, capsys):
+    # 24 lvalue calls in one interpreter over N = 154, 165, 210, a third
+    # of them repeats: each curve's a_p are tabulated once
+    import ellrank.modular
+
+    tabulated = []
+    real = ellrank.modular.ap_table
+
+    def counting(curve, p_max):
+        tabulated.append((curve.ainvs, p_max))
+        return real(curve, p_max)
+
+    monkeypatch.setattr(ellrank.modular, "_FORM_CACHE", {})
+    monkeypatch.setattr(ellrank.modular, "ap_table", counting)
+    pairs = [("11a", "14a"), ("11a", "15a"), ("14a", "15a")]
+    s_values = [-0.35, 0.2, 0.45, 0.8, 1.35, 2.1, 0.2, 1.35]
+    for i in range(24):
+        assert main(_pair(*pairs[i % 3]) + ["lvalue", "-s", str(s_values[i % 8])]) == 0
+    assert "afe," in capsys.readouterr().out
+    assert sorted(tabulated) == sorted((tuple(int(t) for t in _CURVES[c].split(",")), 4200)
+                                       for c in _CURVES)
+
+
+def test_lvalue_non_coprime_levels_exit_2(capsys):
+    # 14a and 21a share the level factor 7 and are not isogenous
+    rc = main(["--set", "curve1.label=14a", "--set", "curve1.ainvs=1,0,1,4,-6",
+               "--set", "curve1.conductor=14", "--set", "curve2.label=21a",
+               "--set", "curve2.ainvs=1,0,0,-4,-1", "--set", "curve2.conductor=21",
+               "lvalue", "-s", "0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "levels 14 and 21" in err[0]
+
+
+def test_conductor_with_large_wrong_prime_exits_2(tmp_path, capsys):
+    # 11 * 1009: 1009 is above the counted range and does not divide the
+    # discriminant of 11a's model
+    rc = main(["--out", str(tmp_path), "--set", "curve1.conductor=11099", "verify"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "do not have conductor 11099" in err[0]
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a key nothing reads is refused rather than silently ignored
+    assert main(["--set", "manin_c2=3", "ap"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key(s) manin_c2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("deg_phi2 = 5\n")
+    assert main(["--config", str(cfg), "eisenstein"]) == 2
+    assert "deg_phi2" in capsys.readouterr().err

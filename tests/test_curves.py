@@ -126,6 +126,21 @@ def test_validate_conductor():
     assert not CurveModel(0, -1, 1, -10, -21, conductor=11).validate_conductor()
 
 
+def test_validate_conductor_checks_claimed_primes_above_p_limit(monkeypatch):
+    import ellrank.curves
+
+    # 1009 > p_limit does not divide 11a's discriminant -11^5: rejected,
+    # and without counting points at 1009
+    counted = []
+    real = ellrank.curves.reduce_mod_p
+    monkeypatch.setattr(ellrank.curves, "reduce_mod_p",
+                        lambda curve, p, *a: counted.append(p) or real(curve, p, *a))
+    assert not CurveModel(0, -1, 1, -10, -20, conductor=11 * 1009).validate_conductor()
+    assert 1009 not in counted
+    # a claimed prime above p_limit that divides the discriminant is bad
+    assert CurveModel(0, -1, 1, -10, -20, conductor=11).validate_conductor(p_limit=5)
+
+
 def test_ogg_pm1():
     assert check_ogg_pm1(curve_by_label("11a"))["all_pm1"] is True
     rep = check_ogg_pm1(curve_by_label("14a"))

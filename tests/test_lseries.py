@@ -190,3 +190,25 @@ def test_sym2_report_and_rejection_path(form_11a):
     # rejection path: a 1% perturbation no longer recognizes at the
     # true denominator scale
     assert recognize_rational(rep["residue_ratio"] * 1.01, 11, 1e-4) is None
+
+
+def test_interpolated_afe_weights_match_quadrature(run_ctx):
+    """The Chebyshev fit of log w against the 180-node quadrature at
+    every k, over the sigma band of the AFE and N = 154, 165, 210."""
+    from ellrank import lseries
+    from ellrank.modular import CuspFormEval
+
+    he = CuspFormEval.from_curve(curve_by_label("15a"), run_ctx.n_max)
+    worst = 0.0
+    for fe, ge in ((run_ctx.fe, run_ctx.ge), (run_ctx.fe, he), (run_ctx.ge, he)):
+        rs = RankinSeries.build(fe, ge)
+        for sigma in (-1.75, -0.5, 0.2345, 1.16, 2.75):
+            for T in (0.5, 1.0, 2.0):
+                w = lseries.afe_weight(rs, sigma, T)
+                keff = lseries._k_effective(rs, T)
+                assert keff > lseries._W_NODES and not w[keff:].any()
+                beta = rs.A_const * np.arange(1, keff + 1) * T
+                ref = T**sigma * lseries._weights_numeric_sigma(sigma, beta)
+                big = np.abs(ref) > 1e-17
+                worst = max(worst, float(np.max(np.abs(w[:keff][big] / ref[big] - 1.0))))
+    assert worst < 2e-12, worst

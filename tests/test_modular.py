@@ -310,3 +310,19 @@ def test_series_length_monotone():
     assert series_length(0.5, 1e-12) < series_length(0.05, 1e-12)
     with pytest.raises(ValueError):
         series_length(1e-9, 1e-300)
+
+
+def test_from_curve_builds_each_form_once():
+    from ellrank.modular import CuspFormEval
+
+    curve = curve_by_label("37a")
+    f = CuspFormEval.from_curve(curve, 300)
+    assert CuspFormEval.from_curve(curve_by_label("37a"), 300) is f
+    g = CuspFormEval.from_curve(curve, 400)
+    assert g is not f and g.table.nmax == 400
+    assert np.array_equal(g.table.coefficients[:301], f.table.coefficients)
+    # the shared object is read-only
+    with pytest.raises(ValueError):
+        f.table.coefficients[2] = 0
+    with pytest.raises(ValueError):
+        f._coeffs_f[2] = 0.0
