@@ -9,27 +9,32 @@ subdivision in y starting at the arc |z| = 1; node weights carry the
 hyperbolic measure dx dy / y^2.  Cusp truncation tail: every pair
 integrand decays like C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp
 (w = cusp width <= the form's level), so the neglected mass beyond
-y_cut = 12 is below 1e-7 for the levels used here; the reported error
-bound is the depth-doubling difference plus that tail estimate.
+y_cut = 12 is below 1e-7 in absolute terms for the levels used here
+(about 2e-6 relative to (f, f)); the reported error bound is the
+depth-doubling difference plus that tail estimate.
 
-Level classes: a weight-2 form f of level L | N is evaluated once per
-Gamma_0(L) coset, not once per Gamma_0(N) coset.  Each Gamma_0(N) rep
-gamma_j falls in the level-L class of some rep gamma_k (same bottom row
-in P^1(Z/L)), so delta = gamma_j gamma_k^{-1} lies in Gamma_0(L) and
+Upper-triangular classes (Cohen, GTM 138; Cremona, Algorithms for
+Modular Elliptic Curves): no layer searches a point's orbit.  Each runs
+at U w, U = [alpha beta; 0 delta] the exact Hermite form of
+diag(m, 1) gamma_j = sigma U (sigma in SL2(Z), 0 <= beta < delta):
 
-    f(gamma_j w) = (c_delta tau + d_delta)^2 f(tau),   tau = gamma_k w.
+  - m = N/d, d | N.  E* and h(z) = log|Delta(z)| + 6 log Im z are
+    SL2(Z)-invariant, so E*(N gamma_j w/d, s) = E*(U w, s) and
+    log|Delta_N(gamma_j w)| = sum_d mu(d) h(U_{j,d} w) - 6 Lambda(N).
+    At N = 154 the 2304 pairs (j, d) form sum_{m|N} sigma_1(m) = 468
+    classes, each evaluated once.
+  - m = Q = N / gcd(c_j, N).  sigma^{-1} diag(Q, 1) lies in W_Q Gamma_0(N)
+    (N square-free), so the cyclotomic sum C = log|Delta_N| / 24 has
+    C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4 (Lambda(N) = 0
+    unless N is prime), and a form f of level L (Q, U at level L) has
+    (f|gamma_j)(w) = eps_f(Q) Q delta^{-2} f(U w).  Two reps share U
+    exactly when they share a Gamma_0(L) coset, so f runs once per
+    level-L class (12 and 24 times for 11a and 14a at N = 154).
 
-By the cocycle rule c_delta tau + d_delta = j(gamma_j, w) / j(gamma_k, w)
-with j(gamma, w) = c w + d, i.e. the slashed form f|gamma_j = f|gamma_k
-depends on the class only.  The sweep works with f|gamma_k(w) directly:
-in f(gamma w) conj(g(gamma w)) Im(gamma w)^2 the j factors cancel, which
-also spares the deep image points gamma_j w (and their rounding) in the
-form values.  The rep -> class map is exact integer bookkeeping cached
-per (N, L); for 11a/14a at N = 154 it replaces 288 boosted evaluations
-per form by psi(11) = 12 and psi(14) = 24.
-
-Summation: per-rep partial sums in fixed rep order, combined with
-math.fsum.
+Im(U w) = alpha y / delta >= sqrt(3) / (2N): for N <= 346 no cyclotomic
+node reaches the eta fallback below 0.0025.  The classes are streamed
+(their arrays folded into per-rep scalars, then dropped); each key's
+scalars are combined with math.fsum.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, moebius
+from .arith import divisors, is_squarefree, moebius, prime_divisors
 from .halfplane import apply_moebius
 from .modular import (
     CuspFormEval,
+    _qseries,
     cyclotomic_qlog_sum_array,
     eval_form_array,
-    log_abs_delta_N_array,
+    log_abs_delta_array,
 )
 from .specialfn import EvalResult, _gamma_raw
 
@@ -124,14 +130,10 @@ def _ext_gcd(p: int, q: int):
     return g, t, s - (p // q) * t
 
 
-def _isprime(p: int) -> bool:
-    return p > 1 and all(p % k for k in range(2, int(math.isqrt(p)) + 1))
-
-
 def index_psi(N: int) -> int:
     """[SL2(Z) : Gamma_0(N)] = N prod_{p|N} (1 + 1/p)."""
     psi = N
-    for p in {p for p in range(2, N + 1) if N % p == 0 and _isprime(p)}:
+    for p in prime_divisors(N):
         psi = psi // p * (p + 1)
     return psi
 
@@ -149,20 +151,24 @@ def reduce_to_rep(N: int, mat: tuple[int, int, int, int]) -> CosetRep:
     return _class_to_rep(N)[_class_of(c % N, d % N, N)]
 
 
+def _hermite(m: int, rep: CosetRep) -> tuple[int, int, int]:
+    """(alpha, beta, delta) of the Hermite form U = [alpha beta; 0 delta]
+    of diag(m, 1) rep: sigma U = diag(m, 1) rep with sigma in SL2(Z),
+    alpha delta = m and 0 <= beta < delta."""
+    alpha, x, y = _ext_gcd(m * rep.a, rep.c)      # x m a + y c = alpha
+    delta = m // alpha
+    return alpha, (x * m * rep.b + y * rep.d) % delta, delta
+
+
 @lru_cache(maxsize=None)
-def _class_map(N: int, L: int) -> tuple[int, ...]:
-    """For each Gamma_0(N) rep gamma_j, the index k of the Gamma_0(L) rep
-    gamma_k of its level-L class.  delta = gamma_j gamma_k^{-1} is formed
-    exactly in integers and checked to lie in Gamma_0(L)."""
-    index = {rep: k for k, rep in enumerate(coset_reps(L))}
-    out = []
-    for g in coset_reps(N):
-        r = reduce_to_rep(L, (g.a, g.b, g.c, g.d))
-        # lower-left entry of delta = g r^{-1}, r^{-1} = [d, -b; -c, a]
-        if (g.c * r.d - g.d * r.c) % L:
-            raise ArithmeticError(f"{g} and {r} are not Gamma_0({L})-equivalent")
-        out.append(index[r])
-    return tuple(out)
+def _hermite_classes(N: int, reps: tuple) -> dict:
+    """Each Hermite class U over its (index j in reps, d | N) pairs, U the
+    Hermite form of diag(N/d, 1) gamma_j."""
+    classes: dict = {}
+    for j, rep in enumerate(reps):
+        for d in divisors(N):
+            classes.setdefault(_hermite(N // d, rep), []).append((j, d))
+    return classes
 
 
 # ------------------------------------------------------------------ grid
@@ -274,15 +280,16 @@ def check_invariance(N: int, H, tol: float = 1e-7, seed: int = 7):
             raise InvarianceError(f"integrand not Gamma_0({N})-invariant at element {g}")
 
 
-def _sum_over_reps(one, *per_rep) -> dict:
-    """Integral per key: the partial integrals one(*args) of the reps,
-    taken in rep order and combined key by key with math.fsum."""
-    partials = [one(*args) for args in zip(*per_rep)]
-    return {
-        k: complex(math.fsum(p[k].real for p in partials),
-                   math.fsum(p[k].imag for p in partials))
-        for k in partials[0]
-    }
+def _fsum_parts(parts: dict) -> dict:
+    """Each key's list of complex partial integrals, summed with math.fsum."""
+    return {k: complex(math.fsum(p.real for p in v), math.fsum(p.imag for p in v))
+            for k, v in parts.items()}
+
+
+def _upper_image(U: tuple[int, int, int], grid: "QuadratureGrid"):
+    """U w = (alpha w + beta) / delta on the grid nodes w."""
+    alpha, beta, delta = U
+    return (alpha * grid.xs + beta) / delta, alpha * grid.ys / delta
 
 
 _GRID_CACHE: dict = {}
@@ -337,8 +344,8 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid | None = None,
     def sweep(g):
         def one(rep):
             wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, g.xs, g.ys)
-            return {"H": complex(np.sum(H(wx, wy) * g.ws))}
-        return _sum_over_reps(one, g.reps)
+            return complex(np.sum(H(wx, wy) * g.ws))
+        return _fsum_parts({"H": [one(rep) for rep in g.reps]})
 
     return _depth_doubling(sweep, grid)["H"]
 
@@ -366,15 +373,21 @@ def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int,
 def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
                     tol: float = 1e-11) -> list:
     """(f|gamma_j)(w) = (c_j w + d_j)^{-2} f(gamma_j w) on the grid nodes w,
-    for every Gamma_0(grid.level) rep gamma_j, from one evaluation of f per
-    Gamma_0(form.level) coset (see the module docstring).  Entry j is the
-    array of its level class, shared, not copied."""
-    w = grid.xs + 1j * grid.ys
-    per_class = []
-    for r in coset_reps(form.level):
-        tx, ty = apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys)
-        per_class.append(eval_form_array(form, tx, ty, tol) / (r.c * w + r.d) ** 2)
-    return [per_class[k] for k in _class_map(grid.level, form.level)]
+    for every Gamma_0(grid.level) rep gamma_j, as eps_f(Q) Q delta^{-2}
+    f(U w) with Q = L / gcd(c_j, L) (module docstring): one q-series per
+    level-L class; entry j is the array of its class, shared, not copied."""
+    L = form.level
+    per_class: dict = {}
+    out = []
+    for r in grid.reps:
+        Q = L // math.gcd(r.c, L)
+        U = _hermite(Q, r)
+        if U not in per_class:
+            ux, uy = _upper_image(U, grid)
+            per_class[U] = (form.sign_for(Q) * Q / U[2] ** 2
+                            * _qseries(form._coeffs_f, ux, uy, tol))
+        out.append(per_class[U])
+    return out
 
 
 def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
@@ -391,40 +404,56 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
       'cnf_deep_measure'   hyperbolic measure of nodes on the eta fallback
 
     Values are plain complex integrals over X_0(N) (no 1/psi).  The
-    forms are evaluated once per coset of their own level, before the
-    per-rep loop.
+    forms are evaluated once per coset of their own level; E*, h and
+    the cyclotomic sum once per Hermite class (module docstring).
     """
     from .eisenstein import epstein_star_array
-    from .halfplane import boost_array
 
-    divs = [d for d in divisors(N)] if s_values else []
+    if want_cnf and not is_squarefree(N):
+        raise ValueError("the cyclotomic sum needs square-free N")
     fs = slash_on_cosets(fe, grid, tol)
     gs = fs if ge is fe else slash_on_cosets(ge, grid, tol)
     # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2
     measure = grid.ys**2 * grid.ws
+    parts: dict = {}
 
-    def one(rep, F, G):
-        out = {}
-        base = F * np.conj(G) * measure
-        out["pet_fg"] = complex(np.sum(base))
+    def add(key, value):
+        parts.setdefault(key, []).append(complex(value))
+
+    for F, G in zip(fs, gs):
+        add("pet_fg", np.sum(F * np.conj(G) * measure))
         if want_norms:
-            out["pet_ff"] = complex(np.sum(F * np.conj(F) * measure))
-            out["pet_gg"] = complex(np.sum(G * np.conj(G) * measure))
-        wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, grid.xs, grid.ys)
-        for s in s_values:
-            for d in divs:
-                estar = epstein_star_array(N * wx / d, N * wy / d, s)
-                out[("eis", s, d)] = complex(np.sum(base * estar))
+            add("pet_ff", np.sum(F * np.conj(F) * measure))
+            add("pet_gg", np.sum(G * np.conj(G) * measure))
+    # Lambda(N) = sum_d mu(d) log(N/d), von Mangoldt
+    lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
+    if want_regulator:
+        parts["regulator"] = [-6.0 * lam * p for p in parts["pet_fg"]]
+    # rep j's cyclotomic sum runs on its class for d = gcd(c_j, N)
+    cusp = {(j, math.gcd(r.c, N)) for j, r in enumerate(grid.reps)} if want_cnf else set()
+    mu = {d: moebius(d) for d in divisors(N)}
+    for U, members in _hermite_classes(N, grid.reps).items():
+        if not (s_values or want_regulator):
+            members = [jd for jd in members if jd in cusp]
+        if not members:
+            continue
+        ux, uy = _upper_image(U, grid)
+        estar = {s: epstein_star_array(ux, uy, s) for s in s_values}
         if want_regulator:
-            out["regulator"] = complex(np.sum(base * log_abs_delta_N_array(wx, wy, N)))
-        if want_cnf:
-            rx, ry, _, _ = boost_array(N, wx, wy, allowed_q=[1])
-            vals, deep = cyclotomic_qlog_sum_array(rx, ry, N)
-            out["cnf"] = complex(np.sum(base * vals))
-            out["cnf_deep_measure"] = complex(np.sum(grid.ws * deep))
-        return out
-
-    return _sum_over_reps(one, grid.reps, fs, gs)
+            h = log_abs_delta_array(ux, uy) + 6.0 * np.log(uy)
+        if cusp.intersection(members):
+            cvals, deep = cyclotomic_qlog_sum_array(ux, uy, N)
+        for j, d in members:
+            b = fs[j] * np.conj(gs[j]) * measure
+            for s in s_values:
+                add(("eis", s, d), np.sum(b * estar[s]))
+            if want_regulator and mu[d]:
+                add("regulator", mu[d] * np.sum(b * h))
+            if (j, d) in cusp:      # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
+                mq = mu[N // d]
+                add("cnf", np.sum(b * (mq * cvals + (mq - 1) * lam / 4.0)))
+                add("cnf_deep_measure", np.sum(grid.ws * deep))
+    return _fsum_parts(parts)
 
 
 def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
@@ -489,8 +518,10 @@ def cnf_rhs(fe: CuspFormEval, ge: CuspFormEval, N: int, depth: int = 2,
           = -4 pi Int_{X_0(N)} [sum_k qlog(z, xi^k)] f conj(g) y^2 dmu,
 
     the k-sum evaluated through cyclotomic polynomials (head) plus the
-    closed geometric tail; 'deep_fraction' reports how much hyperbolic
-    measure fell back to the eta route near the cusps.
+    closed geometric tail, at U w for each rep's cusp matrix U, so at
+    height sqrt(3)/(2N) or above.  'deep_fraction' reports how much
+    hyperbolic measure fell back to the eta route below height 0.0025;
+    it is 0 for N <= 346.
     """
     if N <= 1:
         raise ValueError("cnf_rhs needs N > 1 (no primitive residues otherwise)")

@@ -134,10 +134,9 @@ def _lagrange_reduce(u_re, u_im, v_re, v_im):
 _COMBOS = [(al, be) for al in range(-2, 3) for be in range(-2, 3) if (al, be) != (0, 0)]
 
 
-def boost_array(level: int, x, y, allowed_q=None, max_iter: int = 220):
-    """Maximize Im over the orbit of Gamma_0(level) joined with the
-    Atkin-Lehner involutions w_Q for Q in allowed_q (all of them by
-    default; pass [1] for plain Gamma_0(level) reduction).
+def boost_array(level: int, x, y, max_iter: int = 220):
+    """Maximize Im over the orbit of Gamma_0(level) joined with all its
+    Atkin-Lehner involutions w_Q.
 
     Returns (xb, yb, (A, B, C, D), detQ): integral matrices with
     det = detQ (an exact divisor of the level) mapping input points to
@@ -145,7 +144,7 @@ def boost_array(level: int, x, y, allowed_q=None, max_iter: int = 220):
     """
     if not is_squarefree(level):
         raise ValueError("boosting implemented for square-free level only")
-    qs = list(divisors(level)) if allowed_q is None else list(allowed_q)
+    qs = divisors(level)
     L = level
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)

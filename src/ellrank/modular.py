@@ -206,7 +206,8 @@ def cyclotomic_qlog_sum_array(x, y, N: int, head: int = 48,
             qn[n] = qn[n - 1] * q
         val = np.zeros_like(qn) + coeffs[-1]
         for c in coeffs[-2::-1]:
-            val = val * qn + c
+            val *= qn
+            val += c
         for row in np.log(np.abs(val)):
             acc = acc + row
         # geometric tails: sum_{n>head} log|1-(q^e)^n| per divisor e = N/d
@@ -318,10 +319,6 @@ def _al_matrix(level: int, Q: int) -> tuple[int, int, int, int]:
     return Q, -v, level, Q * u
 
 
-def _direct_series(form: CuspFormEval, x, y, tol=1e-12):
-    return _qseries(form._coeffs_f, x, y, tol)
-
-
 def _determine_al_sign(form: CuspFormEval, Q: int) -> int:
     """Eigen-sign of w_Q from three independent test points: the ratio
     f(w_Q z) * Q / ((c z + d)^2 f(z)) must be the same +-1 at all three."""
@@ -334,8 +331,8 @@ def _determine_al_sign(form: CuspFormEval, Q: int) -> int:
         y0 = tscale * math.sqrt(Q) / L
         z = complex(x0 + 0.031 * tscale, y0)
         w = (a * z + b) / (c * z + d)
-        fz = complex(_direct_series(form, np.array([z.real]), np.array([z.imag]), 1e-12)[0])
-        fw = complex(_direct_series(form, np.array([w.real]), np.array([w.imag]), 1e-12)[0])
+        fz = complex(_qseries(form._coeffs_f, np.array([z.real]), np.array([z.imag]), 1e-12)[0])
+        fw = complex(_qseries(form._coeffs_f, np.array([w.real]), np.array([w.imag]), 1e-12)[0])
         ratio = fw * Q / ((c * z + d) ** 2 * fz)
         if abs(ratio.imag) > 1e-6 or abs(abs(ratio.real) - 1.0) > 1e-6:
             raise ValueError(f"AL sign determination unstable at Q={Q}: ratio {ratio}")

@@ -246,9 +246,11 @@ def _build_xk1_table():
 
 
 def xk1_fast(x: np.ndarray) -> np.ndarray:
-    """x*K_1(x), cubic-Hermite interpolation on a precomputed log grid
-    (absolute accuracy ~1e-12 relative for 0.05 <= x <= 1400; exact
-    quadrature fallback outside, zero beyond 1400)."""
+    """x*K_1(x): exact quadrature below 0.05; cubic-Hermite interpolation
+    on a precomputed log grid up to 600 (about 4e-14 relative, measured);
+    the two-term asymptotic sqrt(pi x/2) e^-x (1 + 3/(8x)) below 740
+    (at most 3.3e-7 relative while the value is a normal double, up to
+    x ~ 705); zero from 740 on."""
     global _XK1_TABLE
     if _XK1_TABLE is None:
         _XK1_TABLE = _build_xk1_table()

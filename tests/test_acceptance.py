@@ -215,3 +215,21 @@ def test_criterion_13_determinism(tmp_path):
     raw = [json.dumps(r, sort_keys=True) for r in recs]
     ok = raw[0] == raw[1] == raw[2]
     _line(13, ok, "verify twice with workers 1 and 8: byte-identical check records")
+
+
+def test_second_pair_11a_15a_depth1():
+    # the whole battery on 11a/15a (N = 165) at depth 1, today's
+    # tolerances: guards the coset bookkeeping against tuning to N = 154
+    from ellrank.cli import DEFAULT_CONFIG
+
+    cfg = dict(DEFAULT_CONFIG, depth="1", **{"curve2.label": "15a",
+                                             "curve2.ainvs": "1,1,1,-10,-10",
+                                             "curve2.conductor": "15"})
+    ctx = checks.RunContext(cfg)
+    assert ctx.N == 165
+    records, _ = checks.run(ctx)
+    ran = [r for r in records if r["status"] != "skip"]
+    assert [r["name"] for r in records if r["status"] == "skip"] == ["triple_product"]
+    assert all(r["status"] == "pass" for r in ran), [r["name"] for r in ran if not r["passed"]]
+    (ca,) = [r for r in records if r["name"] == "cnf_c_ratio"]
+    assert ca["extra"]["deep_fraction"] == 0.0

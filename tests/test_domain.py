@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellrank.arith import divisors, moebius
 from ellrank.domain import (InvarianceError, build_grid, check_invariance,
                             coset_reps, dump_grid, index_psi,
                             integrate_invariant, load_grid, petersson,
@@ -191,3 +192,111 @@ def test_petersson_154_matches_direct_sweep(form_11a, form_14a):
     assert abs(ff.value - 0.003908338232145922) < 1e-9 * 0.003908338232145922
     gg = petersson(form_14a, form_14a, 154, depth=1)
     assert abs(gg.value - 0.0027717522322518433) < 1e-9 * 0.0027717522322518433
+
+
+def _random_f(rng, n):
+    """n random points of the fundamental domain F (y < 3)."""
+    x = rng.uniform(-0.5, 0.5, n)
+    y = np.sqrt(1.0 - x * x) + rng.uniform(0.0, 3.0, n)
+    return x, y
+
+
+def _upper(U, x, y):
+    alpha, beta, delta = U
+    return (alpha * x + beta) / delta, alpha * y / delta
+
+
+@pytest.mark.parametrize("N", [154, 165, 210])
+def test_hermite_class_count(N):
+    # one class per upper-triangular [alpha beta; 0 delta], alpha delta = m,
+    # 0 <= beta < delta, for each m | N: sum_{m|N} sigma_1(m) of them
+    from ellrank.domain import _hermite_classes
+
+    classes = _hermite_classes(N, coset_reps(N))
+    assert len(classes) == sum(sum(divisors(m)) for m in divisors(N))
+    assert sum(len(v) for v in classes.values()) == index_psi(N) * len(divisors(N))
+    for (alpha, beta, delta), members in classes.items():
+        assert alpha > 0 and 0 <= beta < delta
+        assert all(alpha * delta == N // d for _, d in members)
+
+
+def test_hermite_classes_carry_eisenstein_and_regulator(rng):
+    # E*(N gamma w / d, s) = E*(U w, s) and
+    # log|Delta_N(gamma w)| = sum_d mu(d) h(U_{j,d} w) - 6 Lambda(N)
+    from ellrank.domain import _hermite
+    from ellrank.eisenstein import epstein_star_array
+    from ellrank.halfplane import apply_moebius
+    from ellrank.modular import log_abs_delta_array, log_abs_delta_N_array
+
+    N = 154
+    reps = coset_reps(N)
+    x, y = _random_f(rng, 12)
+    for j in rng.choice(len(reps), 24, replace=False):
+        rep = reps[j]
+        gx, gy = apply_moebius(rep.a, rep.b, rep.c, rep.d, x, y)
+        hsum = np.zeros_like(x)
+        for d in divisors(N):
+            ux, uy = _upper(_hermite(N // d, rep), x, y)
+            a = epstein_star_array(N * gx / d, N * gy / d, 2.0)
+            b = epstein_star_array(ux, uy, 2.0)
+            assert np.max(np.abs(a / b - 1.0)) < 1e-11, (rep, d)
+            hsum += moebius(d) * (log_abs_delta_array(ux, uy) + 6.0 * np.log(uy))
+        ref = log_abs_delta_N_array(gx, gy, N)
+        assert np.max(np.abs(hsum - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref))), rep
+
+
+@pytest.mark.parametrize("N", [154, 210])
+def test_cusp_matrix_atkin_lehner_covariance(N, rng):
+    # M = U gamma^{-1} is an exact integer matrix of det Q in W_Q Gamma_0(N)
+    # (shape [Q x, y; N z, Q w]) with M gamma = U upper triangular; the
+    # cyclotomic sum C = log|Delta_N| / 24 obeys C(gamma w) = mu(Q) C(U w)
+    from ellrank.domain import _hermite
+    from ellrank.halfplane import apply_moebius
+    from ellrank.modular import cyclotomic_qlog_sum_array, log_abs_delta_N_array
+
+    g = build_grid(N, depth=0, y_cut=12.0)
+    x, y = _random_f(rng, 8)
+    for rep in coset_reps(N):
+        Q = N // math.gcd(rep.c, N)
+        alpha, beta, delta = U = _hermite(Q, rep)
+        m = (alpha * rep.d - beta * rep.c, beta * rep.a - alpha * rep.b,
+             -delta * rep.c, delta * rep.a)
+        assert m[0] * m[3] - m[1] * m[2] == Q == alpha * delta
+        assert m[0] % Q == 0 and m[2] % N == 0 and m[3] % Q == 0
+        # M gamma = U
+        assert (m[0] * rep.a + m[1] * rep.c, m[0] * rep.b + m[1] * rep.d,
+                m[2] * rep.a + m[3] * rep.c, m[2] * rep.b + m[3] * rep.d) == (alpha, beta, 0, delta)
+        assert np.min(_upper(U, g.xs, g.ys)[1]) >= math.sqrt(3.0) / (2.0 * N)
+        gx, gy = apply_moebius(rep.a, rep.b, rep.c, rep.d, x, y)
+        c, deep = cyclotomic_qlog_sum_array(*_upper(U, x, y), N)
+        assert not deep.any()
+        ref = log_abs_delta_N_array(gx, gy, N) / 24.0
+        assert np.max(np.abs(moebius(Q) * c - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref))), rep
+
+
+@pytest.mark.parametrize("N", [11, 22])
+def test_sweep_matches_per_point_integrals(N, form_11a):
+    # the class-streamed sweep against integrate_invariant on the same grid,
+    # every integrand evaluated pointwise at gamma_j w; at prime N the
+    # cyclotomic sum carries the Lambda(N) constant of W_N
+    from ellrank.domain import integrate_invariant, sweep_pair_family
+    from ellrank.eisenstein import epstein_star_array
+    from ellrank.modular import eval_form_array, log_abs_delta_N_array
+
+    grid = build_grid(N, depth=0, y_cut=12.0)
+    fam = sweep_pair_family(form_11a, form_11a, N, grid, s_values=(2.0,),
+                            want_regulator=True, want_cnf=True)
+
+    def pointwise(weight):
+        def H(x, y):
+            return np.abs(eval_form_array(form_11a, x, y)) ** 2 * y**2 * weight(x, y)
+        return integrate_invariant(N, H, grid=grid, check=False).value
+
+    want = {"regulator": pointwise(lambda x, y: log_abs_delta_N_array(x, y, N)),
+            "cnf": pointwise(lambda x, y: log_abs_delta_N_array(x, y, N) / 24.0)}
+    for d in divisors(N):
+        want[("eis", 2.0, d)] = pointwise(
+            lambda x, y: epstein_star_array(N * x / d, N * y / d, 2.0))
+    scale = abs(fam["pet_fg"])
+    for key, v in want.items():
+        assert abs(fam[key] - v) < 1e-12 * max(abs(v), scale), (key, fam[key], v)

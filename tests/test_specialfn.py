@@ -134,3 +134,21 @@ def test_completed_zeta_reflection():
 def test_eval_result_requires_finite_bound():
     with pytest.raises(ValueError):
         EvalResult(1.0, float("inf"))
+
+
+def test_xk1_fast_regimes_against_mpmath():
+    from ellrank.specialfn import xk1_fast
+
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def rel_err(x):
+        ref = np.array([float(mp.mpf(t) * mp.besselk(1, t)) for t in x])
+        return np.max(np.abs(xk1_fast(x) / ref - 1.0))
+
+    # interpolation: measured 4.6e-14 on a log and a linear sweep
+    x = np.concatenate([np.geomspace(0.05, 600.0, 150), np.linspace(0.05, 600.0, 150)])
+    assert rel_err(x) < 1e-13
+    # two-term asymptotic while the value is a normal double
+    assert rel_err(np.linspace(600.001, 705.0, 60)) <= 3.3e-7
+    assert np.all(xk1_fast(np.array([740.0, 800.0, 1400.0])) == 0.0)
