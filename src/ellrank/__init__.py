@@ -18,8 +18,7 @@ from .eisenstein import (
     kronecker_limit_check,
     level_eisenstein,
 )
-from .modular import (CuspFormEval, BoostedPoint, eval_form, al_boost, al_sign, eta,
-                      log_abs_delta_N, qlog)
+from .modular import CuspFormEval, eval_form, al_sign, eta, log_abs_delta_N, qlog
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, rs_identity_check,
                      regulator_integral, cnf_rhs, unfolding_check, index_psi)
@@ -35,7 +34,7 @@ __all__ = [
     "UHPoint",
     "epstein_lattice", "epstein_completed", "epstein_residue",
     "kronecker_limit_check", "level_eisenstein",
-    "CuspFormEval", "BoostedPoint", "eval_form", "al_boost", "al_sign", "eta",
+    "CuspFormEval", "eval_form", "al_sign", "eta",
     "log_abs_delta_N", "qlog",
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
     "integrate_invariant", "petersson", "rs_identity_check",

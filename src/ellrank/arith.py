@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -123,6 +124,7 @@ def _div_binomial(coeffs: list[int], k: int) -> list[int]:
     return q
 
 
+@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
     """n-th cyclotomic polynomial by exact Moebius inversion,
 
@@ -130,6 +132,7 @@ def cyclotomic(n: int) -> IntPolynomial:
 
     realized as one dense product for mu = +1 divided exactly by the
     product for mu = -1.  Coefficients are exact Python integers.
+    Built once per n and process; the result is frozen, so callers share it.
     """
     if n < 1:
         raise ValueError("cyclotomic needs n >= 1")

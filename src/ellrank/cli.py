@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -218,9 +219,19 @@ def cmd_eisenstein(cfg: dict, z: str, s: float) -> int:
     from .eisenstein import epstein_completed, epstein_lattice
     from .halfplane import UHPoint
 
-    x, y = (float(t) for t in z.split(","))
+    try:
+        x, y = (float(t) for t in z.split(","))
+    except ValueError:
+        raise UsageError(f"--z {z!r} is not of the form x,y") from None
+    if not (math.isfinite(x) and math.isfinite(y) and y > 0):
+        raise UsageError(f"--z {z!r} is not a point of the upper half-plane (finite x, y > 0)")
+    if not math.isfinite(s):
+        raise UsageError(f"-s {s!r} is not a finite number")
     pt = UHPoint(x, y)
-    star = epstein_completed(pt, s)
+    try:
+        star = epstein_completed(pt, s)
+    except ValueError as exc:       # includes PoleError
+        raise UsageError(f"-s {s!r}: {exc}") from None
     print(f"E*(z,s)   = {star.value!r} +- {star.abs_error_bound:.3e}")
     if s > 1.0:
         lat = epstein_lattice(pt, s, tol=1e-12)

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, is_squarefree, moebius, prime_divisors
-from .halfplane import apply_moebius
+from .halfplane import apply_moebius, ext_gcd, hermite
 from .modular import (
     CuspFormEval,
     _qseries,
@@ -92,11 +92,6 @@ def _p1_classes(N: int) -> tuple:
     return tuple(sorted(classes))
 
 
-def _class_of(c: int, d: int, N: int) -> tuple[int, int]:
-    units = [u for u in range(1, N) if math.gcd(u, N) == 1] or [1]
-    return min(((u * c) % N, (u * d) % N) for u in units)
-
-
 @lru_cache(maxsize=None)
 def coset_reps(N: int) -> tuple[CosetRep, ...]:
     """Representatives of Gamma_0(N) \\ SL2(Z), exactly psi(N) of them,
@@ -116,18 +111,11 @@ def coset_reps(N: int) -> tuple[CosetRep, ...]:
                     break
         c, d = lift
         # a d - b c = 1
-        g, a, negb = _ext_gcd(d, c)
+        g, a, negb = ext_gcd(d, c)
         assert g == 1
         reps.append(CosetRep(a, -negb, c, d))
     assert len(reps) == index_psi(N)
     return tuple(reps)
-
-
-def _ext_gcd(p: int, q: int):
-    if q == 0:
-        return (p, 1, 0) if p >= 0 else (-p, -1, 0)
-    g, s, t = _ext_gcd(q, p % q)
-    return g, t, s - (p // q) * t
 
 
 def index_psi(N: int) -> int:
@@ -139,35 +127,13 @@ def index_psi(N: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _class_to_rep(N: int) -> dict:
-    return {_class_of(rep.c % N, rep.d % N, N): rep for rep in coset_reps(N)}
-
-
-def reduce_to_rep(N: int, mat: tuple[int, int, int, int]) -> CosetRep:
-    """The unique coset representative equivalent to the given matrix."""
-    a, b, c, d = mat
-    if a * d - b * c != 1:
-        raise ValueError("not unimodular")
-    return _class_to_rep(N)[_class_of(c % N, d % N, N)]
-
-
-def _hermite(m: int, rep: CosetRep) -> tuple[int, int, int]:
-    """(alpha, beta, delta) of the Hermite form U = [alpha beta; 0 delta]
-    of diag(m, 1) rep: sigma U = diag(m, 1) rep with sigma in SL2(Z),
-    alpha delta = m and 0 <= beta < delta."""
-    alpha, x, y = _ext_gcd(m * rep.a, rep.c)      # x m a + y c = alpha
-    delta = m // alpha
-    return alpha, (x * m * rep.b + y * rep.d) % delta, delta
-
-
-@lru_cache(maxsize=None)
 def _hermite_classes(N: int, reps: tuple) -> dict:
     """Each Hermite class U over its (index j in reps, d | N) pairs, U the
     Hermite form of diag(N/d, 1) gamma_j."""
     classes: dict = {}
     for j, rep in enumerate(reps):
         for d in divisors(N):
-            classes.setdefault(_hermite(N // d, rep), []).append((j, d))
+            classes.setdefault(hermite(N // d, rep.a, rep.b, rep.c, rep.d), []).append((j, d))
     return classes
 
 
@@ -222,22 +188,6 @@ def build_grid(level: int, depth: int = 2, y_cut: float = 12.0,
         y_cut=y_cut,
         depth=depth,
     )
-
-
-def dump_grid(grid: QuadratureGrid, path: str):
-    with open(path, "w") as fh:
-        for x, y, w in zip(grid.xs, grid.ys, grid.ws):
-            fh.write(f"{float(x)!r} {float(y)!r} {float(w)!r}\n")
-
-
-def load_grid(path: str, level: int, y_cut: float = 12.0, depth: int = -1) -> QuadratureGrid:
-    xs, ys, ws = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            x, y, w = (float(t) for t in line.split())
-            xs.append(x); ys.append(y); ws.append(w)
-    return QuadratureGrid(level, coset_reps(level), np.array(xs), np.array(ys),
-                          np.array(ws), y_cut, depth)
 
 
 def random_gamma0_elements(N: int, count: int, seed: int = 7,
@@ -381,7 +331,7 @@ def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
     out = []
     for r in grid.reps:
         Q = L // math.gcd(r.c, L)
-        U = _hermite(Q, r)
+        U = hermite(Q, r.a, r.b, r.c, r.d)
         if U not in per_class:
             ux, uy = _upper_image(U, grid)
             per_class[U] = (form.sign_for(Q) * Q / U[2] ** 2

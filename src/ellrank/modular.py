@@ -1,12 +1,13 @@
 """Weight-2 cusp forms from q-expansions, Dedekind eta, the modular
-unit Delta_N, the q-logarithm, and Atkin-Lehner height boosting.
+unit Delta_N, the q-logarithm, and the summed cyclotomic q-logarithm.
 
-Evaluation strategy for f(z) = sum a_n q^n: push z to the top of its
-Gamma_0(level)+Atkin-Lehner orbit (guaranteed height sqrt(3)/(2 level)
-for square-free level), run the truncated q-series there, transport
-back through the weight-2 automorphy factor and the numerically
-determined eigen-sign.  Truncation uses |a_n| <= 2n (Hasse plus divisor
-slack), so the tail after M terms is below
+Evaluation strategy for f(z) = sum a_n q^n at square-free level L: map
+z by its Atkin-Lehner cusp matrix M in W_Q Gamma_0(L)
+(halfplane.boost_array) to height at least sqrt(3)/(2L), run the
+truncated q-series there, transport back through the weight-2
+automorphy factor and the numerically determined eigen-sign eps(Q).
+Truncation uses |a_n| <= 2n (Hasse plus divisor slack), so the tail
+after M terms is below
 2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y}.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .arith import divisors, is_squarefree, moebius, prime_divisors, totient, cyclotomic
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
-from .halfplane import UHPoint, boost_array, ext_gcd_array, sl2z_reduce
+from .halfplane import UHPoint, boost_array, ext_gcd, sl2z_reduce
 from .specialfn import EvalResult
 
 TWO_PI = 2.0 * math.pi
@@ -235,27 +236,6 @@ def cyclotomic_qlog_sum_array(x, y, N: int, head: int = 48,
     return out, deep
 
 
-# --------------------------------------------------- Atkin-Lehner boosting
-
-@dataclass(frozen=True)
-class BoostedPoint:
-    original: UHPoint
-    boosted: UHPoint
-    matrix: tuple[int, int, int, int]
-    det: int                 # exact divisor Q of the level
-
-
-def al_boost(level: int, z: UHPoint) -> BoostedPoint:
-    """Maximize Im over the Gamma_0(level)+Atkin-Lehner orbit of z."""
-    xb, yb, (A, B, C, D), Q = boost_array(level, np.array([z.x]), np.array([z.y]))
-    return BoostedPoint(
-        original=z,
-        boosted=UHPoint(float(xb[0]), float(yb[0])),
-        matrix=(int(A[0]), int(B[0]), int(C[0]), int(D[0])),
-        det=int(Q[0]),
-    )
-
-
 _FORM_CACHE: dict = {}
 
 
@@ -312,10 +292,9 @@ def _al_matrix(level: int, Q: int) -> tuple[int, int, int, int]:
     """A representative [Q, b; level, Q d] with determinant Q.
 
     Needs Q u + (level/Q) v = 1; then det(Q, -v; level, Q u) = Q."""
-    g, s, t = ext_gcd_array(np.array([Q]), np.array([level // Q]))
-    if int(g[0]) != 1:
+    g, u, v = ext_gcd(Q, level // Q)
+    if g != 1:
         raise ValueError("Q must exactly divide the level")
-    u, v = int(s[0]), int(t[0])
     return Q, -v, level, Q * u
 
 
@@ -343,9 +322,10 @@ def _determine_al_sign(form: CuspFormEval, Q: int) -> int:
 
 
 def eval_form_array(form: CuspFormEval, x, y, tol: float = 1e-11) -> np.ndarray:
-    """f at arbitrary points: boost to the orbit top, evaluate the
-    q-series, transport back:  f(z) = eps(Q) * Q * j^{-2} * f(z_boost),
-    j = c z + d for the boosting matrix [a,b;c,d] of determinant Q."""
+    """f at arbitrary points: move z by its cusp matrix M in
+    W_Q Gamma_0(level) to height >= sqrt(3)/(2 level), evaluate the
+    q-series there, transport back:  f(z) = eps(Q) * Q * j^{-2} * f(M z),
+    j = c z + d for M = [a,b;c,d] of determinant Q."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xb, yb, (A, B, C, D), Q = boost_array(form.level, x, y)

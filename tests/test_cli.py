@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 from ellrank.cli import main
@@ -91,6 +92,25 @@ def test_eisenstein_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "6.02681" in out
+
+
+def test_eisenstein_bad_input_exits_2(capsys):
+    for argv, msg in ((["--z", "0,-1"], "upper half-plane"),
+                      (["--z", "1,2,3"], "x,y"),
+                      (["--z", "0.1,abc"], "x,y"),
+                      (["-s", "1"], "poles"),
+                      (["-s", "nan"], "finite")):
+        assert main(["eisenstein", *argv]) == 2, argv
+        assert msg in capsys.readouterr().err, argv
+
+
+def test_eisenstein_deep_point(capsys):
+    # the lattice sum runs at the SL2(Z)-reduced point, so a point at
+    # height 1e-40 costs what its image in F costs; E = pi^2 E* at s = 2
+    assert main(["eisenstein", "--z", "0.1,1e-40", "-s", "2"]) == 0
+    star, lat = (float(line.split("=")[1].split("+-")[0])
+                 for line in capsys.readouterr().out.splitlines())
+    assert abs(lat / (math.pi**2 * star) - 1.0) < 1e-10
 
 
 def test_usage_errors(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ellrank.curves import curve_by_label
-from ellrank.halfplane import UHPoint, apply_moebius
-from ellrank.modular import (al_boost, al_sign, cyclotomic_qlog_sum_array, delta,
+from ellrank.halfplane import UHPoint, apply_moebius, boost_array
+from ellrank.modular import (al_sign, cyclotomic_qlog_sum_array, delta,
                              delta_qseries, eta, eval_form, eval_form_array,
                              log_abs_delta_N, log_abs_delta_N_array, log_abs_eta,
                              qlog, series_length)
@@ -91,29 +91,40 @@ def test_eval_form_requires_table_length(form_11a):
         eval_form(short, UHPoint(0.2, 0.9), tol=1e-14)
 
 
-def test_al_boost_examples(form_11a):
-    bp = al_boost(11, UHPoint(0.0, 10.0))
-    assert bp.boosted.y == 10.0 and bp.det == 1       # already maximal
-    bp = al_boost(11, UHPoint(0.0, 1.0 / 11.0))
-    assert bp.boosted.y >= math.sqrt(3.0) / 22.0
-    # idempotence
-    bp2 = al_boost(11, bp.boosted)
-    assert abs(bp2.boosted.y - bp.boosted.y) < 1e-12
-    # transport reproduces the boosted point
-    a, b, c, d = bp.matrix
+def _boost_one(level, x, y):
+    xb, yb, m, Q = boost_array(level, np.array([x]), np.array([y]))
+    return float(xb[0]), float(yb[0]), tuple(int(e[0]) for e in m), int(Q[0])
+
+
+def test_al_boost_examples():
+    xb, yb, _, Q = _boost_one(11, 0.0, 10.0)
+    assert (xb, yb, Q) == (0.0, 10.0, 1)              # already high: unchanged
+    xb, yb, (a, b, c, d), Q = _boost_one(11, 0.0, 1.0 / 11.0)
+    assert yb >= math.sqrt(3.0) / 22.0
+    # boosting the boosted point keeps its height
+    assert abs(_boost_one(11, xb, yb)[1] - yb) < 1e-12
+    # M maps z to the boosted point
     xn, yn = apply_moebius(a, b, c, d, np.array([0.0]), np.array([1.0 / 11.0]))
-    assert abs(xn[0] - bp.boosted.x) < 1e-12
-    assert abs(yn[0] - bp.boosted.y) < 1e-12 * bp.boosted.y
+    assert abs(xn[0] - xb) < 1e-12
+    assert abs(yn[0] - yb) < 1e-12 * yb
 
 
 def test_boost_floor_guarantee(rng):
-    from ellrank.halfplane import boost_array
-
-    for N in (11, 14, 154):
+    # M = [A B; C D] lies in W_Q Gamma_0(N) (det Q, Q | A, N | C, Q | D),
+    # maps z to the boosted point and lifts it to sqrt(3)/(2N) or above
+    for N in (11, 14, 154, 210):
         x = rng.uniform(-0.5, 0.5, 1000)
         y = np.exp(rng.uniform(math.log(1e-4), 0.0, 1000))
-        _, yb, _, _ = boost_array(N, x, y)
+        xb, yb, (A, B, C, D), Q = boost_array(N, x, y)
         assert yb.min() >= math.sqrt(3.0) / (2.0 * N) * (1.0 - 1e-9), N
+        assert np.all(N % Q == 0) and np.all(A * D - B * C == Q), N
+        assert np.all(A % Q == 0) and np.all(C % N == 0) and np.all(D % Q == 0), N
+        xn, yn = apply_moebius(A, B, C, D, x, y)
+        assert np.max(np.abs(yn - yb) / yb) < 1e-12, N
+        assert np.max(np.abs(xn - xb) / np.hypot(xb, yb)) < 1e-12, N
+    # a reduction matrix past int64 raises instead of wrapping
+    with pytest.raises(OverflowError):
+        boost_array(11, np.array([1.2345e-5]), np.array([1e-45]))
 
 
 def test_al_signs(form_11a, form_14a):
@@ -293,7 +304,6 @@ def test_cyclotomic_qlog_batched_head_bit_identical(rng, head):
 
 def test_eval_form_sign_table_bit_identical(form_14a, rng):
     # the Atkin-Lehner sign lookup table gives exactly the per-point signs
-    from ellrank.halfplane import boost_array
     from ellrank.modular import _qseries
 
     x = rng.uniform(-0.5, 0.5, 400)
