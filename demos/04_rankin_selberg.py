@@ -7,8 +7,9 @@ X_0(N).  The analytic continuation (approximate functional equation)
 gives values inside the critical strip, residues and pole orders.
 """
 
-from ellrank import (RankinSeries, assemble_LH2, curve_by_label, order_of_vanishing,
-                     residue_at_1, rs_identity_check, unfolding_check)
+from ellrank import (RankinSeries, assemble_LH2, build_grid, curve_by_label,
+                     order_of_vanishing, residue_at_1, rs_identity_check,
+                     sweep_pair_family, unfolding_check)
 from ellrank.lseries import L_direct, afe_eval
 from ellrank.modular import CuspFormEval
 
@@ -21,7 +22,9 @@ u = unfolding_check(f11, f11, 2.0)
 print(f"strip unfolding at s=2: rel diff {u['rel_diff']:.2e}")
 
 print("\nRankin-Selberg identity at s=2, N=11 (series vs quadrature):")
-chk = rs_identity_check(f11, f11, 11, 2.0, depth=2, rs=rs_iso)
+# one sweep of X_0(11) at depth 2 gives the Eisenstein integrals J_d at s = 2
+fam = sweep_pair_family(f11, f11, 11, build_grid(11, depth=2), s_values=(2.0,))
+chk = rs_identity_check(f11, f11, 11, 2.0, rs_iso, fam)
 for k, v in chk["rel_diffs"].items():
     print(f"  exponent {k:10s}: rel diff {v:.2e}")
 print(f"  resolved exponent: {chk['resolved_exponent']}")

@@ -6,7 +6,7 @@ where exactness matters (Hecke eigenvalues, cyclotomic polynomials,
 coset representatives).
 """
 
-from .arith import moebius, totient, divisors, cyclotomic, recognize_rational
+from .arith import moebius, totient, divisors, cyclotomic, recognize_rational, index_psi
 from .curves import (CurveModel, curve_by_label, reduce_mod_p, ap_table, an_table,
                      period_lattice, check_ogg_pm1)
 from .specialfn import EvalResult, PoleError, gamma, zeta, zeta_depleted, bessel_k
@@ -20,14 +20,14 @@ from .eisenstein import (
 )
 from .modular import CuspFormEval, eval_form, al_sign, eta, log_abs_delta_N, qlog
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
-                     integrate_invariant, petersson, rs_identity_check,
-                     regulator_integral, cnf_rhs, unfolding_check, index_psi)
+                     integrate_invariant, petersson, sweep_pair_family,
+                     rs_identity_check, unfolding_check)
 from .lseries import (RankinSeries, LValueResult, L_direct, Phi, afe_eval,
-                      L_derivative_at_0, bad_factor_H, assemble_LH2,
-                      order_of_vanishing, residue_at_1, sym2_report)
+                      bad_factor_H, assemble_LH2, order_of_vanishing,
+                      residue_at_1, sym2_report)
 
 __all__ = [
-    "moebius", "totient", "divisors", "cyclotomic", "recognize_rational",
+    "moebius", "totient", "divisors", "cyclotomic", "recognize_rational", "index_psi",
     "CurveModel", "curve_by_label", "reduce_mod_p", "ap_table", "an_table",
     "period_lattice", "check_ogg_pm1",
     "EvalResult", "PoleError", "gamma", "zeta", "zeta_depleted", "bessel_k",
@@ -37,9 +37,9 @@ __all__ = [
     "CuspFormEval", "eval_form", "al_sign", "eta",
     "log_abs_delta_N", "qlog",
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
-    "integrate_invariant", "petersson", "rs_identity_check",
-    "regulator_integral", "cnf_rhs", "unfolding_check", "index_psi",
+    "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
+    "unfolding_check",
     "RankinSeries", "LValueResult", "L_direct", "Phi", "afe_eval",
-    "L_derivative_at_0", "bad_factor_H", "assemble_LH2",
-    "order_of_vanishing", "residue_at_1", "sym2_report",
+    "bad_factor_H", "assemble_LH2", "order_of_vanishing", "residue_at_1",
+    "sym2_report",
 ]

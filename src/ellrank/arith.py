@@ -60,6 +60,14 @@ def totient(n: int) -> int:
     return t
 
 
+def index_psi(N: int) -> int:
+    """[SL2(Z) : Gamma_0(N)] = N prod_{p|N} (1 + 1/p)."""
+    psi = N
+    for p in prime_divisors(N):
+        psi = psi // p * (p + 1)
+    return psi
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]

@@ -9,7 +9,12 @@ same functions.
 
 Every record has name, lhs, rhs, diff, tolerance, status ('pass',
 'fail' or 'skip'), passed (status == 'pass') and pipelines, and may
-have extra.
+have extra.  A check that does not apply to the configured pair
+returns skip records (_skip) that give the reason under
+extra['skipped'].
+
+The X_0(N) quantities come normalised from domain.sweep_pair_family;
+no check here applies a factor to them.
 
 The layers are called through their modules (``curves.ap_table``, not a
 name imported into this module), so a replacement set on the layer
@@ -64,13 +69,17 @@ class RunContext:
     def rs_ff(self):
         return lseries.RankinSeries.build(self.fe, self.fe)
 
+    def grid(self, level: int) -> domain.QuadratureGrid:
+        """The X_0(level) grid at the configured depth and y_cut."""
+        return domain._grid_pair(level, self.depth, self.y_cut)
+
     @cached_property
     def fam(self) -> dict:
-        """Every (f, g) integral over X_0(N) on the depth grid, one sweep."""
+        """Every (f, g) quantity over X_0(N) on the depth grid, one sweep."""
         t0 = time.perf_counter()
-        fam = domain.sweep_pair_family(
-            self.fe, self.ge, self.N, domain._grid_pair(self.N, self.depth, self.y_cut),
-            s_values=(S_RS,), want_regulator=True, want_cnf=True, want_norms=True)
+        fam = domain.sweep_pair_family(self.fe, self.ge, self.N, self.grid(self.N),
+                                       s_values=(S_RS,), want_regulator=True,
+                                       want_cnf=True, want_norms=True)
         self.timings["sweep_pair_family"] = time.perf_counter() - t0
         return fam
 
@@ -79,14 +88,12 @@ class RunContext:
         """(f, f) integrals at the first curve's level on the depth grid:
         the Eisenstein integrals at s = 2 and the Petersson norm."""
         L = self.c1.conductor
-        return domain.sweep_pair_family(self.fe, self.fe, L,
-                                        domain._grid_pair(L, self.depth, self.y_cut),
-                                        s_values=(S_RS,))
+        return domain.sweep_pair_family(self.fe, self.fe, L, self.grid(L), s_values=(S_RS,))
 
     @cached_property
     def pet_ff(self):
-        return domain.petersson(self.fe, self.fe, self.c1.conductor, depth=self.depth,
-                                y_cut=self.y_cut, fam=self.fam_ff)
+        L = self.c1.conductor
+        return domain.petersson(self.fe, self.fe, L, self.grid(L), fam=self.fam_ff)
 
     @cached_property
     def phi0(self):
@@ -109,6 +116,13 @@ def _record(name, lhs, rhs, tolerance, extra=None, pipelines="") -> dict:
     if extra:
         rec["extra"] = extra
     return rec
+
+
+def _skip(name, reason, pipelines) -> dict:
+    """The record of a check that does not apply to the configured pair."""
+    return {"name": name, "lhs": None, "rhs": None, "diff": None, "tolerance": None,
+            "status": "skip", "passed": False, "pipelines": pipelines,
+            "extra": {"skipped": reason}}
 
 
 def _num(v):
@@ -183,9 +197,8 @@ def check_kronecker(ctx: RunContext) -> list[dict]:
 def check_rankin_selberg(ctx: RunContext) -> list[dict]:
     """The unfolding identity at s = 2 for (f, g) at N and, isogenous,
     for (f, f) at the first curve's own level."""
-    chk = domain.rs_identity_check(ctx.fe, ctx.ge, ctx.N, S_RS, rs=ctx.rs, fam=ctx.fam)
-    iso = domain.rs_identity_check(ctx.fe, ctx.fe, ctx.c1.conductor, S_RS,
-                                   rs=ctx.rs_ff, fam=ctx.fam_ff)
+    chk = domain.rs_identity_check(ctx.fe, ctx.ge, ctx.N, S_RS, ctx.rs, ctx.fam)
+    iso = domain.rs_identity_check(ctx.fe, ctx.fe, ctx.c1.conductor, S_RS, ctx.rs_ff, ctx.fam_ff)
     return [
         _record("rankin_selberg", chk["lhs"], chk["rhs"][chk["resolved_exponent"]],
                 1e-3 * abs(chk["lhs"]),
@@ -202,28 +215,36 @@ def check_residue_law(ctx: RunContext) -> list[dict]:
     L = ctx.c1.conductor
     res = lseries.residue_at_1(ctx.rs_ff)
     mu_over_d = sum(arith.moebius(d) / d for d in arith.divisors(L))
-    rhs = 2.0 * math.pi * mu_over_d * domain.index_psi(L) * ctx.pet_ff.value.real
+    rhs = 2.0 * math.pi * mu_over_d * arith.index_psi(L) * ctx.pet_ff.value.real
     return [_record("residue_law", res["residue"], rhs, 1e-3 * abs(rhs),
                     pipelines="afe,quadrature")]
 
 
 def check_orthogonality(ctx: RunContext) -> list[dict]:
-    fam, psi = ctx.fam, domain.index_psi(ctx.N)
-    return [_record("orthogonality", abs(fam["pet_fg"]) / psi, 0.0, 1e-6,
-                    extra={"ff": _num(fam["pet_ff"].real / psi),
-                           "gg": _num(fam["pet_gg"].real / psi),
+    fam = ctx.fam
+    return [_record("orthogonality", abs(fam["pet_fg"]), 0.0, 1e-6,
+                    extra={"ff": _num(fam["pet_ff"].real),
+                           "gg": _num(fam["pet_gg"].real),
                            "norms_positive": fam["pet_ff"].real > 0 and fam["pet_gg"].real > 0},
                     pipelines="quadrature")]
 
 
 def check_class_number_formula(ctx: RunContext) -> list[dict]:
     """Phi(0) by the AFE against the regulator integral and the
-    cyclotomic q-logarithm sum, plus Phi(0) != 0 beyond its errors."""
+    cyclotomic q-logarithm sum, plus Phi(0) != 0 beyond its errors.
+    Skipped where the AFE cannot give Phi(0): levels that share a factor
+    and are not isogenous, or f = g, where Phi has a pole at 0."""
+    why = ("Phi has a pole at s = 0 for an isogenous pair" if ctx.rs.isogenous
+           else lseries.afe_unsupported(ctx.rs))
+    if why:
+        return [_skip("cnf_a_vs_b", why, "afe,regulator"),
+                _skip("cnf_c_ratio", why, "cyclotomic-qlog,afe"),
+                _skip("cnf_nonvanishing", why, "afe")]
     fam, phi0 = ctx.fam, ctx.phi0
-    reg = -(math.pi / 3.0) * fam["regulator"].real
-    ratio = -4.0 * math.pi * fam["cnf"].real / phi0.value
+    reg = fam["regulator"].real
+    ratio = fam["cnf"].real / phi0.value
     br = arith.best_rational(ratio, 48)
-    deep = fam["cnf_deep_measure"].real / (domain.index_psi(ctx.N) * (math.pi / 3 - 1 / ctx.y_cut))
+    deep = fam["deep_fraction"]
     nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg))
     return [
         _record("cnf_a_vs_b", phi0.value, reg, 1e-3 * abs(phi0.value), pipelines="afe,regulator"),
@@ -235,6 +256,8 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
 
 
 def check_pole_orders(ctx: RunContext) -> list[dict]:
+    if why := lseries.afe_unsupported(ctx.rs):
+        return [_skip("pole_orders", why, "afe,log-slope")]
     o_iso = lseries.order_of_vanishing(lambda s: lseries.assemble_LH2(ctx.rs_ff, s), 2.0)
     o_pair = lseries.order_of_vanishing(lambda s: lseries.assemble_LH2(ctx.rs, s), 2.0)
     ok = (o_iso["order"] == -3 and o_pair["order"] == -2
@@ -245,10 +268,9 @@ def check_pole_orders(ctx: RunContext) -> list[dict]:
 
 def check_sym2(ctx: RunContext) -> list[dict]:
     deg_phi = ctx.cfg.get("deg_phi1", "")
-    rep = lseries.sym2_report(ctx.c1, ctx.fe, depth=ctx.depth, y_cut=ctx.y_cut,
+    rep = lseries.sym2_report(ctx.c1, ctx.pet_ff, ctx.rs_ff,
                               deg_phi=int(deg_phi) if deg_phi else None,
-                              manin_c=int(ctx.cfg.get("manin_c1", "1")),
-                              pet=ctx.pet_ff, rs=ctx.rs_ff)
+                              manin_c=int(ctx.cfg.get("manin_c1", "1")))
     return [_record("sym2", rep["residue_ratio_residual"], 0.0, 1e-4,
                     extra={k: _num(v) for k, v in rep.items() if not isinstance(v, dict)},
                     pipelines="afe,quadrature,agm")]
@@ -259,10 +281,8 @@ def check_triple_product(ctx: RunContext) -> list[dict]:
     11a, 14a and the built-in 15a, against the order predicted from
     zeta^3 and the three pairwise orders."""
     if (ctx.c1.label, ctx.c2.label) != ("11a", "14a"):
-        return [{"name": "triple_product", "lhs": None, "rhs": None, "diff": None,
-                 "tolerance": 0.3, "status": "skip", "passed": False,
-                 "pipelines": "afe,log-slope",
-                 "extra": {"skipped": "needs the default 11a/14a pair plus built-in 15a"}}]
+        return [_skip("triple_product", "needs the default 11a/14a pair plus built-in 15a",
+                      "afe,log-slope")]
     he = modular.CuspFormEval.from_curve(curves.curve_by_label("15a"), ctx.n_max)
     pairs = [ctx.rs, lseries.RankinSeries.build(ctx.fe, he), lseries.RankinSeries.build(ctx.ge, he)]
 

@@ -173,14 +173,13 @@ def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
 def cmd_lvalue(cfg: dict, s: float) -> int:
     """Rows report L_{f,g}(s); at s = 0 they report L'_{f,g}(0) = Phi(0)
     (the value L(0) itself vanishes)."""
-    from .lseries import G_factor, L_direct, afe_eval
+    from .lseries import G_factor, L_direct, afe_eval, afe_unsupported
     from .specialfn import PoleError
 
     ctx = checks.RunContext(cfg)
     rs = ctx.rs
-    if -0.5 <= s <= 2.75 and rs.M != 1 and not rs.isogenous:
-        raise UsageError(f"the AFE needs coprime levels or an isogenous pair; levels "
-                         f"{rs.N1} and {rs.N2} share the factor {rs.M}")
+    if -0.5 <= s <= 2.75 and (why := afe_unsupported(rs)):
+        raise UsageError(why)
     rows = []
     if s >= 1.3:
         r = L_direct(rs, s)
@@ -196,9 +195,11 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
         except PoleError as exc:
             print(f"warning,{s},pole,{exc}")
     if s == 0.0 and not rs.isogenous:
-        from .domain import regulator_integral
+        from .domain import _depth_doubling, sweep_pair_family
 
-        r = regulator_integral(ctx.fe, ctx.ge, rs.N, depth=ctx.depth, y_cut=ctx.y_cut)
+        r = _depth_doubling(lambda g: sweep_pair_family(ctx.fe, ctx.ge, ctx.N, g,
+                                                        want_regulator=True),
+                            ctx.grid(ctx.N))["regulator"]
         rows.append(("regulator", s, r.value.real, r.abs_error_bound))
     print("pipeline,s,value,error")
     for row in rows:
@@ -210,7 +211,7 @@ def cmd_petersson(cfg: dict) -> int:
     from .domain import petersson
 
     ctx = checks.RunContext(cfg)
-    r = petersson(ctx.fe, ctx.ge, ctx.N, depth=ctx.depth, y_cut=ctx.y_cut)
+    r = petersson(ctx.fe, ctx.ge, ctx.N, ctx.grid(ctx.N))
     print(f"(f_{ctx.c1.label}, f_{ctx.c2.label})_N={ctx.N} = {r.value!r} +- {r.abs_error_bound:.3e}")
     return 0
 
@@ -250,7 +251,8 @@ def cmd_report(cfg: dict) -> int:
     print(f"{'check':28s} {'status':6s} {'diff':>12s} {'tol':>9s}")
     for r in rep["checks"]:
         d = "-" if r["diff"] is None else f"{r['diff']:.3e}"
-        print(f"{r['name']:28s} {r['status'].upper():6s} {d:>12s} {r['tolerance']:>9.0e}")
+        t = "-" if r["tolerance"] is None else f"{r['tolerance']:.0e}"
+        print(f"{r['name']:28s} {r['status'].upper():6s} {d:>12s} {t:>9s}")
     print("all passed" if rep["all_passed"] else "FAILURES present")
     return 0 if rep["all_passed"] else 1
 

@@ -10,8 +10,17 @@ hyperbolic measure dx dy / y^2.  Cusp truncation tail: every pair
 integrand decays like C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp
 (w = cusp width <= the form's level), so the neglected mass beyond
 y_cut = 12 is below 1e-7 in absolute terms for the levels used here
-(about 2e-6 relative to (f, f)); the reported error bound is the
+(about 2e-6 relative to (f, f)); petersson's error bound is the
 depth-doubling difference plus that tail estimate.
+
+One primitive, sweep_pair_family, computes every pair integral over
+X_0(N) and returns the paper's quantities, each normalised there and
+nowhere else: the Petersson products (1/psi(N)), the regulator side
+of the class-number formula (-pi/3), its cyclotomic q-logarithm side
+(-4 pi) and the share of the domain on the eta fallback.  Any key's
+error is _depth_doubling over the same sweep.  The grid, the Rankin
+series and any sweep a function only reads are the caller's to build
+(checks.RunContext builds each once per run).
 
 Upper-triangular classes (Cohen, GTM 138; Cremona, Algorithms for
 Modular Elliptic Curves): no layer searches a point's orbit.  Each runs
@@ -45,8 +54,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, is_squarefree, moebius, prime_divisors
+from .arith import divisors, index_psi, is_squarefree, moebius, prime_divisors
+from .eisenstein import epstein_star_array
 from .halfplane import apply_moebius, ext_gcd, hermite
+from .lseries import L_direct
 from .modular import (
     CuspFormEval,
     _qseries,
@@ -116,14 +127,6 @@ def coset_reps(N: int) -> tuple[CosetRep, ...]:
         reps.append(CosetRep(a, -negb, c, d))
     assert len(reps) == index_psi(N)
     return tuple(reps)
-
-
-def index_psi(N: int) -> int:
-    """[SL2(Z) : Gamma_0(N)] = N prod_{p|N} (1 + 1/p)."""
-    psi = N
-    for p in prime_divisors(N):
-        psi = psi // p * (p + 1)
-    return psi
 
 
 @lru_cache(maxsize=None)
@@ -252,19 +255,17 @@ def _grid_pair(N: int, depth: int, y_cut: float):
     return _GRID_CACHE[key]
 
 
-def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float,
-                    extra_linear: float = 0.0) -> float:
-    """Cusp-truncation bound for integrands f conj(g) y^2 * (weight):
-    the slowest decay over the cusps of X_0(N) is
+def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float) -> float:
+    """Cusp-truncation bound on the Petersson product (f, g) of level N
+    beyond y_cut: the slowest decay over the cusps of X_0(N) is
     exp(-2 pi y (1/level_f + 1/level_g)) with leading coefficients
-    <= 1/level each; extra_linear adds a factor (1 + extra_linear*y)
-    for logarithmically/linearly growing weights (log|Delta_N|)."""
+    <= 1/level each, one cusp family per divisor of N; divided by
+    psi(N), as the product is."""
     # leading local Fourier mass at the slowest cusp family integrates to
-    # ~(1/4 pi) e^{-rate y}; one family per divisor of N, factor 4 slack
-    # (empirically ~25x above the measured tail for the 11a/14a pairs)
+    # ~(1/4 pi) e^{-rate y}; factor 4 slack (empirically ~25x above the
+    # measured tail for the 11a/14a pairs)
     rate = 2.0 * math.pi * (1.0 / fe.level + 1.0 / ge.level)
-    return (len(divisors(N)) * (1.0 + extra_linear * y_cut)
-            * math.exp(-rate * y_cut))
+    return len(divisors(N)) * math.exp(-rate * y_cut) / index_psi(N)
 
 
 def _depth_doubling(sweep, grid: QuadratureGrid, fine: dict | None = None) -> dict:
@@ -278,16 +279,16 @@ def _depth_doubling(sweep, grid: QuadratureGrid, fine: dict | None = None) -> di
     return {k: EvalResult(fine[k], abs(fine[k] - c)) for k, c in coarse.items()}
 
 
-def integrate_invariant(N: int, H, grid: QuadratureGrid | None = None,
-                        depth: int = 2, y_cut: float = 12.0,
-                        check: bool = True) -> EvalResult:
-    """Int_{X_0(N)} H dmu by coset sweep.
+def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> EvalResult:
+    """Int_{X_0(N)} H dmu by coset sweep, H evaluated pointwise at every
+    coset image gamma_j w, with its depth-doubling error (the
+    cusp-truncation tail beyond y_cut is integrand specific and not
+    included).
 
-    Error estimate: depth-doubling difference.  The cusp-truncation tail
-    beyond y_cut is integrand specific and not included here; the pair
-    operations add pair_tail_bound."""
-    if grid is None:
-        grid = _grid_pair(N, depth, y_cut)
+    The battery does not call it: it is the per-point reference that
+    the class-streamed sweep_pair_family is tested against
+    (test_sweep_matches_per_point_integrals, test_area_constant_integrand),
+    and the benchmark's tracer binds its name."""
     if check:
         check_invariance(N, H)
 
@@ -300,22 +301,18 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid | None = None,
     return _depth_doubling(sweep, grid)["H"]
 
 
-def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int,
-              grid: QuadratureGrid | None = None, depth: int = 2,
-              y_cut: float = 12.0, fam: dict | None = None) -> EvalResult:
-    """(f, g) = (1/psi(N)) Int_{X_0(N)} f conj(g) y^2 dmu.  fam, when
+def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int, grid: QuadratureGrid,
+              fam: dict | None = None) -> EvalResult:
+    """(f, g) = (1/psi(N)) Int_{X_0(N)} f conj(g) y^2 dmu on grid, with
+    the depth-doubling error plus the cusp-truncation tail.  fam, when
     given, is a sweep_pair_family result for (fe, ge, N) on the grid; it
     replaces the fine sweep."""
     if N % fe.level or N % ge.level:
         raise ValueError("both levels must divide N")
     check_invariance(N, lambda x, y: (eval_form_array(fe, x, y)
                                       * np.conj(eval_form_array(ge, x, y)) * y**2))
-    if grid is None:
-        grid = _grid_pair(N, depth, y_cut)
     r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g), grid, fam)["pet_fg"]
-    psi = index_psi(N)
-    tail = pair_tail_bound(fe, ge, N, grid.y_cut)
-    return EvalResult(r.value / psi, (r.abs_error_bound + tail) / psi)
+    return EvalResult(r.value, r.abs_error_bound + pair_tail_bound(fe, ge, N, grid.y_cut))
 
 
 # ------------------------------------------------- multi-integrand sweep
@@ -344,23 +341,32 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                       grid: QuadratureGrid, s_values: tuple = (),
                       want_regulator: bool = False, want_cnf: bool = False,
                       want_norms: bool = False, tol: float = 1e-11) -> dict:
-    """One pass over the coset sweep computing, simultaneously:
+    """One pass over the coset sweep of X_0(N) (truncated at grid.y_cut)
+    computing, simultaneously, the paper's quantities, each normalised
+    here and nowhere else:
 
-      'pet_fg'             Int f conj(g) y^2 dmu
-      'pet_ff', 'pet_gg'   the two norms (want_norms)
+      'pet_fg'             (f, g) = (1/psi(N)) Int f conj(g) y^2 dmu
+      'pet_ff', 'pet_gg'   (f, f) and (g, g), likewise (want_norms)
       ('eis', s, d)        Int f conj(g) y^2 E*(N z / d, s) dmu per d | N
-      'regulator'          Int log|Delta_N| f conj(g) y^2 dmu
-      'cnf'                Int [sum_k qlog(., xi^k)] f conj(g) y^2 dmu
-      'cnf_deep_measure'   hyperbolic measure of nodes on the eta fallback
+      'regulator'          -(pi/3) Int log|Delta_N| f conj(g) y^2 dmu,
+                           Phi(0) = L'_{f,g}(0) for coprime square-free
+                           levels with at least two primes dividing N
+      'cnf'                -4 pi Int C f conj(g) y^2 dmu, C(z) the sum of
+                           qlog(z, xi^k) over primitive k mod N: the
+                           cyclotomic q-logarithm side of the
+                           class-number formula without H(0),
+                           sum_k (1/2 pi i) Int log_q(xi^k) f conj(g)
+                           dq/q dqbar/qbar (want_cnf)
+      'deep_fraction'      share of the truncated domain's hyperbolic
+                           measure on the eta fallback of C, a float; 0
+                           for N <= 346 (want_cnf)
 
-    Values are plain complex integrals over X_0(N) (no 1/psi).  The
-    forms are evaluated once per coset of their own level; E*, h and
-    the cyclotomic sum once per Hermite class (module docstring).
+    The forms are evaluated once per coset of their own level; E*, h and
+    the cyclotomic sum once per Hermite class (module docstring).  Each
+    key's error is _depth_doubling over this sweep.
     """
-    from .eisenstein import epstein_star_array
-
-    if want_cnf and not is_squarefree(N):
-        raise ValueError("the cyclotomic sum needs square-free N")
+    if want_cnf and (N <= 1 or not is_squarefree(N)):
+        raise ValueError("the cyclotomic sum needs square-free N > 1")
     fs = slash_on_cosets(fe, grid, tol)
     gs = fs if ge is fe else slash_on_cosets(ge, grid, tol)
     # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2
@@ -402,13 +408,22 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
             if (j, d) in cusp:      # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
                 mq = mu[N // d]
                 add("cnf", np.sum(b * (mq * cvals + (mq - 1) * lam / 4.0)))
-                add("cnf_deep_measure", np.sum(grid.ws * deep))
-    return _fsum_parts(parts)
+                add("deep_fraction", np.sum(grid.ws * deep))
+    out = _fsum_parts(parts)
+    psi = len(grid.reps)            # psi(N), one rep per coset
+    for key in ("pet_fg", "pet_ff", "pet_gg"):
+        if key in out:
+            out[key] /= psi
+    if want_regulator:
+        out["regulator"] *= -math.pi / 3.0
+    if want_cnf:
+        out["cnf"] *= -4.0 * math.pi
+        out["deep_fraction"] = out["deep_fraction"].real / (psi * (math.pi / 3.0 - 1.0 / grid.y_cut))
+    return out
 
 
 def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
-                      depth: int = 2, y_cut: float = 12.0,
-                      rs=None, fam: dict | None = None) -> dict:
+                      rs, fam: dict) -> dict:
     """Rankin-Selberg unfolding identity at s > 1:
 
         lhs = 2 (4 pi)^{-s-1} Gamma(s+1) L_{f,g}(s)         (series side)
@@ -417,18 +432,11 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
 
     The two printed exponent conventions (d^{-2s}, and d^{-s} with no
     N^{-s}) are evaluated alongside; the dict reports all three and
-    which one closes.  fam, when given, is a sweep_pair_family result
-    for (fe, ge, N) on the depth/y_cut grid with s among its s_values;
-    it replaces the sweep this check would otherwise run.
+    which one closes.  rs is RankinSeries.build(fe, ge) and fam a
+    sweep_pair_family result for (fe, ge, N) with s among its s_values.
     """
-    from .lseries import L_direct, RankinSeries
-
     if not 1.2 < s <= 3.0:
         raise ValueError("rs identity checked for s in (1.2, 3]")
-    if rs is None:
-        rs = RankinSeries.build(fe, ge)
-    if fam is None:
-        fam = sweep_pair_family(fe, ge, N, _grid_pair(N, depth, y_cut), s_values=(s,))
     conv = math.pi**s / _gamma_raw(s)     # E = pi^s/Gamma(s) E*
     J = {d: conv * fam[("eis", s, d)] for d in divisors(N)}
     lhs = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0) * L_direct(rs, s).value
@@ -446,42 +454,6 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
         "rel_diffs": diffs,
         "resolved_exponent": resolved,
         "diff": diffs[resolved],
-    }
-
-
-def regulator_integral(fe: CuspFormEval, ge: CuspFormEval, N: int,
-                       depth: int = 2, y_cut: float = 12.0) -> EvalResult:
-    """-(pi/3) Int_{X_0(N)} log|Delta_N(z)| f conj(g) y^2 dmu  (= Phi(0)
-    for coprime square-free levels with at least two primes dividing N)."""
-    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g, want_regulator=True),
-                        _grid_pair(N, depth, y_cut))["regulator"]
-    val = -(math.pi / 3.0) * r.value
-    return EvalResult(val, (math.pi / 3.0) * r.abs_error_bound + 1e-12 * abs(val))
-
-
-def cnf_rhs(fe: CuspFormEval, ge: CuspFormEval, N: int, depth: int = 2,
-            y_cut: float = 12.0) -> dict:
-    """Cyclotomic q-logarithm side of the class-number formula, without
-    the H(0) prefactor:
-
-        sum_{(k,N)=1} (1/2 pi i) Int log_q(xi^k) f conj(g) dq/q dqbar/qbar
-          = -4 pi Int_{X_0(N)} [sum_k qlog(z, xi^k)] f conj(g) y^2 dmu,
-
-    the k-sum evaluated through cyclotomic polynomials (head) plus the
-    closed geometric tail, at U w for each rep's cusp matrix U, so at
-    height sqrt(3)/(2N) or above.  'deep_fraction' reports how much
-    hyperbolic measure fell back to the eta route below height 0.0025;
-    it is 0 for N <= 346.
-    """
-    if N <= 1:
-        raise ValueError("cnf_rhs needs N > 1 (no primitive residues otherwise)")
-    grid = _grid_pair(N, depth, y_cut)
-    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g, want_cnf=True), grid)
-    total_measure = len(grid.reps) * (math.pi / 3.0 - 1.0 / y_cut)
-    return {
-        "value": -4.0 * math.pi * r["cnf"].value,
-        "error": 4.0 * math.pi * r["cnf"].abs_error_bound,
-        "deep_fraction": r["cnf_deep_measure"].value.real / total_measure,
     }
 
 

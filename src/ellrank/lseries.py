@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_squarefree, prime_divisors
+from .arith import index_psi, is_squarefree, prime_divisors
 from .curves import CoefficientTable
 from .modular import CuspFormEval
 from .specialfn import EvalResult, PoleError, _gamma_raw, _zeta_raw, bessel_k_array, zeta_depleted
@@ -200,10 +200,16 @@ def _weights_interpolated(sigma: float, beta: np.ndarray) -> np.ndarray:
 _WEIGHT_CACHE: dict = {}
 
 
+def _weight_envelope(rs: RankinSeries, k: int, T: float) -> float:
+    """Bound on |C_k| times the AFE weight at k and split T: |C_k| <=
+    4 k^(1/4) d(k), and the weight is below 2 e^{-4 pi sqrt(k T / N)}."""
+    return 128.0 * k**0.75 * math.exp(-4.0 * math.pi * math.sqrt(k * T / rs.N))
+
+
 def _k_effective(rs: RankinSeries, T: float) -> int:
     """Largest k whose weight envelope exceeds 1e-17 (beyond: zeros)."""
     k = 16
-    while k < rs.k_max and 128.0 * k**0.75 * math.exp(-4.0 * math.pi * math.sqrt(k * T / rs.N)) > 1e-17:
+    while k < rs.k_max and _weight_envelope(rs, k, T) > 1e-17:
         k *= 2
     return min(rs.k_max, k)
 
@@ -266,16 +272,28 @@ def _afe_sum(rs: RankinSeries, s: float, X: float, coeffs: np.ndarray) -> float:
     return float(np.sum(C * (w1 + w2)))
 
 
-def _afe_tail_ok(rs: RankinSeries, Tmin: float) -> float:
-    """Bound the dropped k > k_max mass: |C_k| <= 4 k^(1/4) d(k) and the
-    weight is below 2 e^{-4 pi sqrt(k T/N)}; returns the bound."""
-    k = rs.k_max
-    envelope = 128.0 * k ** 0.75 * math.exp(-4.0 * math.pi * math.sqrt(k * Tmin / rs.N))
-    return envelope
-
-
 def pole_term(s: float, X: float) -> float:
     return X ** (1.0 - s) / (1.0 - s) + X ** (-s) / s
+
+
+def _two_split(rs: RankinSeries, s: float, X1: float, X2: float) -> tuple[float, float]:
+    """Phi+(s) and the residue R+ from the Phi+ sums V1, V2 at splits X1
+    and X2 (f = g): each is Phi+(s) + R+ pole_term(s, X), so
+    R+ = (V1 - V2) / (g1 - g2) and Phi+(s) = V1 - R+ g1."""
+    plus = _plus_coefficients(rs)
+    V1 = _afe_sum(rs, s, X1, plus)
+    V2 = _afe_sum(rs, s, X2, plus)
+    g1 = pole_term(s, X1)
+    Rplus = (V1 - V2) / (g1 - pole_term(s, X2))
+    return V1 - Rplus * g1, Rplus
+
+
+def afe_unsupported(rs: RankinSeries) -> str | None:
+    """Why afe_eval cannot continue Phi for this pair, or None."""
+    if rs.M != 1 and not rs.isogenous:
+        return (f"the AFE needs coprime levels or an isogenous pair; levels "
+                f"{rs.N1} and {rs.N2} share the factor {rs.M}")
+    return None
 
 
 def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
@@ -288,26 +306,20 @@ def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
     """
     if not -0.5 <= s <= 2.75:
         raise ValueError("afe_eval supports s in [-0.5, 2.75]")
-    tail = _afe_tail_ok(rs, min(1.0 / split, split) * 0.5)
+    tail = _weight_envelope(rs, rs.k_max, min(1.0 / split, split) * 0.5)
     if tail > 3e-8:
         raise ValueError(f"k_max={rs.k_max} too small for the AFE tail ({tail:.2g})")
+    if why := afe_unsupported(rs):
+        raise ValueError(why)
     if rs.isogenous:
         if s in (0.0, 1.0):
             raise PoleError("Phi has a pole at s in {0,1} for f = g")
-        plus = _plus_coefficients(rs)
-        X1, X2 = split, 2.0 * split
-        V1 = _afe_sum(rs, s, X1, plus)
-        V2 = _afe_sum(rs, s, X2, plus)
-        g1, g2 = pole_term(s, X1), pole_term(s, X2)
-        Rplus = (V1 - V2) / (g1 - g2)
-        phi_plus = V1 - Rplus * g1
+        phi_plus, Rplus = _two_split(rs, s, split, 2.0 * split)
         A = 1.0
         for p in prime_divisors(rs.N):
             A /= 1.0 - float(p) ** (-s)
         val = phi_plus / A
         return LValueResult(val, tail + 1e-11 * (abs(val) + abs(Rplus)), "afe")
-    if rs.M != 1:
-        raise ValueError("AFE supports coprime levels or f = g only")
     val = _afe_sum(rs, s, split, rs.U)
     return LValueResult(val, tail + 1e-12 * abs(val), "afe")
 
@@ -317,13 +329,7 @@ def residue_at_1(rs: RankinSeries, s_probe: float = 0.5) -> dict:
     (the sum itself is entire; only the pole terms carry X)."""
     if not rs.isogenous:
         raise ValueError("residue extraction applies to f = g")
-    plus = _plus_coefficients(rs)
-    vals = {}
-    for X1, X2 in ((1.0, 2.0), (1.0, 4.0), (1.5, 3.0)):
-        V1 = _afe_sum(rs, s_probe, X1, plus)
-        V2 = _afe_sum(rs, s_probe, X2, plus)
-        R = (V1 - V2) / (pole_term(s_probe, X1) - pole_term(s_probe, X2))
-        vals[(X1, X2)] = R
+    vals = {X: _two_split(rs, s_probe, *X)[1] for X in ((1.0, 2.0), (1.0, 4.0), (1.5, 3.0))}
     Rplus = vals[(1.0, 4.0)]
     spread = max(abs(v - Rplus) for v in vals.values())
     A1 = 1.0
@@ -355,16 +361,6 @@ def phi_functional_check(rs: RankinSeries, s: float, split: float = 1.6) -> floa
         return v
 
     return abs(plus(s) - plus(1.0 - s))
-
-
-def L_derivative_at_0(rs: RankinSeries) -> LValueResult:
-    """L'_{f,g}(0) = Phi(0) for non-isogenous, coprime square-free levels."""
-    if rs.isogenous:
-        raise ValueError("L'(0) = Phi(0) needs a non-isogenous pair")
-    if rs.M != 1:
-        raise ValueError("coprime levels required")
-    r = afe_eval(rs, 0.0)
-    return LValueResult(r.value, r.error, "afe")
 
 
 def bad_factor_H(rs: RankinSeries, s: float, reduction: dict | None = None) -> float:
@@ -422,9 +418,8 @@ def order_of_vanishing(F, s0: float, h0: float = 0.32, levels: int = 4) -> dict:
     }
 
 
-def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
-                deg_phi: int | None = None, manin_c: int = 1,
-                pet: EvalResult | None = None, rs: RankinSeries | None = None) -> dict:
+def sym2_report(curve, pet: EvalResult, rs: RankinSeries,
+                deg_phi: int | None = None, manin_c: int = 1) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
       residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), rationally
@@ -432,22 +427,17 @@ def sym2_report(curve, fe: CuspFormEval, depth: int = 2, y_cut: float = 12.0,
       sym2_edge       H(1) * Res_{s=1} L_{f,f}  (the following ratio to
                       the period area/pi is reported, never asserted)
 
-    deg_phi and manin_c are report-only config inputs.  pet and rs, when
-    given, are petersson(fe, fe, level) at this depth and y_cut and
-    RankinSeries.build(fe, fe), already computed.
+    pet is the Petersson norm (f, f) at the curve's level and rs the
+    Rankin series of (f, f).  deg_phi and manin_c are report-only config
+    inputs.
     """
     from .arith import recognize_rational, best_rational
     from .curves import period_lattice
-    from .domain import index_psi, petersson
 
     if not is_squarefree(curve.conductor):
         raise ValueError("square-free conductor required")
     N = curve.conductor
-    if rs is None:
-        rs = RankinSeries.build(fe, fe)
     res = residue_at_1(rs)
-    if pet is None:
-        pet = petersson(fe, fe, N, depth=depth, y_cut=y_cut)
     if not pet.value.real > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)

@@ -5,36 +5,23 @@ exponents, ratio constants), the value is printed and pinned by
 rational recognition."""
 
 import json
-import math
 import os
 
 import numpy as np
-import pytest
 
 from ellrank import checks
-from ellrank.arith import best_rational, divisors, moebius, recognize_rational
+from ellrank.arith import best_rational, recognize_rational
 from ellrank.curves import ap_table, curve_by_label
-from ellrank.domain import index_psi, sweep_pair_family, _grid_pair, unfolding_check
+from ellrank.domain import _depth_doubling, sweep_pair_family, unfolding_check
 from ellrank.eisenstein import (epstein_completed, epstein_residue,
                                 epstein_star_array, epstein_star_theta,
                                 kronecker_limit_check)
 from ellrank.halfplane import UHPoint
-from ellrank.lseries import assemble_LH2, order_of_vanishing, residue_at_1, sym2_report
 
 
 def _line(num, ok, text):
     print(f"{'PASS' if ok else 'FAIL'}: criterion {num} - {text}")
     assert ok, text
-
-
-@pytest.fixture(scope="module")
-def family_154(run_ctx, form_11a, form_14a):
-    """The X_0(154) sweeps at depth 2 (the run context's, which criteria
-    6 and 9 read through the registry) and depth 1 (the regulator only,
-    for criterion 8's error)."""
-    coarse = sweep_pair_family(form_11a, form_14a, 154, _grid_pair(154, 1, 12.0),
-                               want_regulator=True)
-    return run_ctx.fam, coarse
 
 
 def brute_count_oracle(curve, p):
@@ -127,24 +114,22 @@ def test_criterion_06_rankin_selberg(run_ctx):
                  f"'{resolved}' (the rejected d^-2s convention is off by {diffs['d^-2s']:.1e})")
 
 
-def test_criterion_07_residue_law(form_11a, rs_11_11):
-    from ellrank.domain import petersson
-
-    res = residue_at_1(rs_11_11)
-    pet = petersson(form_11a, form_11a, 11, depth=2)
-    mu_over_d = sum(moebius(d) / d for d in divisors(11))
-    rhs = 2.0 * math.pi * mu_over_d * index_psi(11) * pet.value.real
-    rel = abs(res["residue"] - rhs) / abs(rhs)
-    _line(7, rel < 1e-3, f"residue law: Res Phi = {res['residue']:.8f} vs "
+def test_criterion_07_residue_law(run_ctx):
+    (rec,) = checks.check_residue_law(run_ctx)
+    res, rhs = rec["lhs"], rec["rhs"]
+    rel = rec["diff"] / abs(rhs)
+    _line(7, rel < 1e-3, f"residue law: Res Phi = {res:.8f} vs "
                          f"2 pi (sum mu/d) psi (f,f) = {rhs:.8f}, rel {rel:.2e} < 1e-3")
 
 
-def test_criterion_08_main_theorem(run_ctx, family_154):
-    _, coarse = family_154
+def test_criterion_08_main_theorem(run_ctx):
     ab, ca, _ = checks.check_class_number_formula(run_ctx)
     phi0 = run_ctx.phi0
     reg = ab["rhs"]
-    reg_err = abs(reg - (-(math.pi / 3.0) * coarse["regulator"].real))
+    # the regulator's depth-doubling error over the run context's sweep
+    reg_err = _depth_doubling(
+        lambda g: sweep_pair_family(run_ctx.fe, run_ctx.ge, run_ctx.N, g, want_regulator=True),
+        run_ctx.grid(run_ctx.N), run_ctx.fam)["regulator"].abs_error_bound
     rel_ab = ab["diff"] / abs(phi0.value)
     ratio_ca = ca["lhs"]
     br = best_rational(ratio_ca, 48)
@@ -169,9 +154,9 @@ def test_criterion_09_orthogonality(run_ctx):
                  f"(f,f) = {ff:.6f} > 0 and (g,g) = {gg:.6f} > 0")
 
 
-def test_criterion_10_pole_orders(rs_11_14, rs_11_11):
-    o_iso = order_of_vanishing(lambda s: assemble_LH2(rs_11_11, s), 2.0)
-    o_pair = order_of_vanishing(lambda s: assemble_LH2(rs_11_14, s), 2.0)
+def test_criterion_10_pole_orders(run_ctx):
+    (rec,) = checks.check_pole_orders(run_ctx)
+    o_iso, o_pair = rec["extra"]["isogenous"], rec["extra"]["pair"]
     ok = (o_iso["order"] == -3 and o_iso["residual"] < 0.2
           and o_pair["order"] == -2 and o_pair["residual"] < 0.2)
     _line(10, ok, f"L(H^2) pole orders at s=2: isogenous {o_iso['order']} "
@@ -179,8 +164,9 @@ def test_criterion_10_pole_orders(rs_11_14, rs_11_11):
                   f"(residual {o_pair['residual']:.3f})")
 
 
-def test_criterion_11_sym2_recognition(form_11a):
-    rep = sym2_report(curve_by_label("11a"), form_11a, depth=2)
+def test_criterion_11_sym2_recognition(run_ctx):
+    (record,) = checks.check_sym2(run_ctx)
+    rep = record["extra"]
     rec = rep["residue_ratio_recognized"]
     ok = (rec is not None and rec[1] <= 576
           and rep["residue_ratio_residual"] < 1e-4)

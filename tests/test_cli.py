@@ -301,3 +301,39 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("deg_phi2 = 5\n")
     assert main(["--config", str(cfg), "eisenstein"]) == 2
     assert "deg_phi2" in capsys.readouterr().err
+
+
+def test_afe_checks_skip_levels_sharing_a_factor(tmp_path, capsys):
+    # 15a and 30a share the level factor 15 and are not isogenous: the AFE
+    # gives no Phi there, so the checks built on it are skipped with the reason
+    pair = ["--set", "depth=1", "--set", "curve1.label=15a",
+            "--set", "curve1.ainvs=1,1,1,-10,-10", "--set", "curve1.conductor=15",
+            "--set", "curve2.label=30a", "--set", "curve2.ainvs=1,0,1,1,2",
+            "--set", "curve2.conductor=30"]
+    for only, names in (("class_number_formula", ["cnf_a_vs_b", "cnf_c_ratio", "cnf_nonvanishing"]),
+                        ("pole_orders", ["pole_orders"])):
+        out = str(tmp_path / only)
+        rc = main(["--out", out, *pair, "--only", only, "verify"])
+        captured = capsys.readouterr()
+        assert rc == 0, only
+        assert "Traceback" not in captured.err
+        assert f"SKIP: {names[0]}" in captured.out
+        rep = json.load(open(os.path.join(out, "report.json")))
+        assert [r["name"] for r in rep["checks"]] == names
+        for rec in rep["checks"]:
+            assert rec["status"] == "skip" and rec["passed"] is False
+            assert "share the factor 15" in rec["extra"]["skipped"]
+        assert main(["--out", out, "report"]) == 0
+        assert "SKIP" in capsys.readouterr().out
+
+
+def test_lvalue_at_0_regulator_row(capsys):
+    # L'_{f,g}(0) = Phi(0) by the AFE against the regulator integral of the
+    # depth-1 sweep, whose depth-doubling error covers their difference
+    assert main(["--set", "depth=1", "lvalue", "-s", "0"]) == 0
+    rows = {line.split(",")[0]: line.split(",")
+            for line in capsys.readouterr().out.strip().splitlines()[1:]}
+    assert set(rows) == {"afe", "regulator"}
+    afe, reg, reg_err = float(rows["afe"][2]), float(rows["regulator"][2]), float(rows["regulator"][3])
+    assert abs(afe - reg) < 1e-3 * abs(afe)
+    assert math.isfinite(reg_err) and abs(afe - reg) <= reg_err

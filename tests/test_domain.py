@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ellrank.arith import divisors, moebius
+from ellrank.arith import divisors, index_psi, moebius
 from ellrank.domain import (InvarianceError, build_grid, check_invariance,
-                            coset_reps, index_psi, integrate_invariant,
-                            petersson, rs_identity_check, unfolding_check)
+                            coset_reps, integrate_invariant, petersson,
+                            rs_identity_check, sweep_pair_family, unfolding_check)
 
 
 def test_coset_counts():
@@ -55,9 +55,9 @@ def test_grid_nodes_in_domain():
 
 def test_area_constant_integrand():
     one = lambda x, y: np.ones_like(np.asarray(x))
-    r = integrate_invariant(1, one, depth=2, check=False)
+    r = integrate_invariant(1, one, build_grid(1, depth=2), check=False)
     assert abs(r.value.real - (math.pi / 3.0 - 1.0 / 12.0)) < 1e-9
-    r11 = integrate_invariant(11, one, depth=2, check=False)
+    r11 = integrate_invariant(11, one, build_grid(11, depth=2), check=False)
     assert abs(r11.value.real - 12.0 * (math.pi / 3.0 - 1.0 / 12.0)) < 1e-8
 
 
@@ -68,7 +68,7 @@ def test_invariance_gate_catches_bad_integrand():
 
 
 def test_petersson_positivity_and_hermitian(form_11a):
-    p = petersson(form_11a, form_11a, 11, depth=2)
+    p = petersson(form_11a, form_11a, 11, build_grid(11, depth=2))
     assert p.value.real > 0
     assert abs(p.value.imag) < 1e-10
     # converged value (residue law pins the same number independently)
@@ -76,22 +76,22 @@ def test_petersson_positivity_and_hermitian(form_11a):
 
 
 def test_petersson_depth_stability(form_11a):
-    p2 = petersson(form_11a, form_11a, 11, depth=2)
-    p3 = petersson(form_11a, form_11a, 11, depth=3)
+    p2 = petersson(form_11a, form_11a, 11, build_grid(11, depth=2))
+    p3 = petersson(form_11a, form_11a, 11, build_grid(11, depth=3))
     assert abs(p2.value.real - p3.value.real) < 1e-6 * p3.value.real
 
 
 def test_truncation_tail_honesty(form_11a):
     # raising y_cut from 8 to 16 moves the value by less than the
     # reported bound at y_cut = 8
-    p8 = petersson(form_11a, form_11a, 11, depth=3, y_cut=8.0)
-    p16 = petersson(form_11a, form_11a, 11, depth=3, y_cut=16.0)
+    p8 = petersson(form_11a, form_11a, 11, build_grid(11, depth=3, y_cut=8.0))
+    p16 = petersson(form_11a, form_11a, 11, build_grid(11, depth=3, y_cut=16.0))
     assert abs(p8.value.real - p16.value.real) <= p8.abs_error_bound
 
 
 def test_levels_must_divide(form_11a, form_14a):
     with pytest.raises(ValueError):
-        petersson(form_11a, form_14a, 11)
+        petersson(form_11a, form_14a, 11, build_grid(11, depth=0))
 
 
 def test_unfolding_identity(form_11a, form_14a):
@@ -103,8 +103,9 @@ def test_unfolding_identity(form_11a, form_14a):
     assert u["rel_diff"] < 1e-10
 
 
-def test_rs_identity_N11(form_11a, rs_11_11):
-    chk = rs_identity_check(form_11a, form_11a, 11, 2.0, depth=2, rs=rs_11_11)
+def test_rs_identity_N11(run_ctx):
+    # the run context's (f, f) sweep at the first curve's level, 11
+    chk = rs_identity_check(run_ctx.fe, run_ctx.fe, 11, 2.0, run_ctx.rs_ff, run_ctx.fam_ff)
     assert chk["resolved_exponent"] == "N^-s d^-s"
     assert chk["diff"] < 1e-4
     # the two printed conventions are far off
@@ -112,35 +113,31 @@ def test_rs_identity_N11(form_11a, rs_11_11):
 
 
 def test_rs_identity_degenerate_s25(form_11a, rs_11_11):
-    chk = rs_identity_check(form_11a, form_11a, 11, 2.5, depth=2, rs=rs_11_11)
+    fam = sweep_pair_family(form_11a, form_11a, 11, build_grid(11, depth=2), s_values=(2.5,))
+    chk = rs_identity_check(form_11a, form_11a, 11, 2.5, rs_11_11, fam)
     assert chk["diff"] < 1e-4
 
 
-def test_rs_identity_rejects_bad_s(form_11a, rs_11_11):
+def test_rs_identity_rejects_bad_s(run_ctx):
     with pytest.raises(ValueError):
-        rs_identity_check(form_11a, form_11a, 11, 1.1, rs=rs_11_11)
+        rs_identity_check(run_ctx.fe, run_ctx.fe, 11, 1.1, run_ctx.rs_ff, run_ctx.fam_ff)
 
 
 def test_regulator_plumbing(form_11a):
-    from ellrank.domain import regulator_integral
-
-    r = regulator_integral(form_11a, form_11a, 11, depth=1)
-    assert abs(r.value.imag) < 1e-8 * abs(r.value.real)
-    r2 = regulator_integral(form_11a, form_11a, 11, depth=2)
-    assert abs(r.value.real - r2.value.real) < 1e-3 * abs(r2.value.real)
+    r, r2 = (sweep_pair_family(form_11a, form_11a, 11, build_grid(11, depth=depth),
+                               want_regulator=True)["regulator"] for depth in (1, 2))
+    assert abs(r.imag) < 1e-8 * abs(r.real)
+    assert abs(r.real - r2.real) < 1e-3 * abs(r2.real)
 
 
 def test_cnf_guard_N1(form_11a):
-    from ellrank.domain import cnf_rhs
-
+    # no primitive residues mod 1: the cyclotomic sum is refused
     with pytest.raises(ValueError):
-        cnf_rhs(form_11a, form_11a, 1)
+        sweep_pair_family(form_11a, form_11a, 1, build_grid(1, depth=0), want_cnf=True)
 
 
 def test_regulator_conjugate_symmetry(form_11a, form_14a):
     # value(f, g) = conj(value(g, f)) on the same sweep
-    from ellrank.domain import sweep_pair_family, build_grid
-
     grid = build_grid(154, depth=0, y_cut=8.0)
     a = sweep_pair_family(form_11a, form_14a, 154, grid, want_regulator=True)
     b = sweep_pair_family(form_14a, form_11a, 154, grid, want_regulator=True)
@@ -173,12 +170,13 @@ def test_petersson_154_matches_direct_sweep(form_11a, form_14a):
     # values of the per-coset sweep (every form evaluated at all 288 coset
     # images), depth 1: (f, g) is a zero at rounding level, the norms and
     # the error bound (dominated by the cusp tail) are pinned
-    p = petersson(form_11a, form_14a, 154, depth=1)
+    grid = build_grid(154, depth=1)
+    p = petersson(form_11a, form_14a, 154, grid)
     assert abs(p.value) < 1e-15
     assert abs(p.abs_error_bound - 1.3425963781909777e-07) < 1e-9 * 1.3425963781909777e-07
-    ff = petersson(form_11a, form_11a, 154, depth=1)
+    ff = petersson(form_11a, form_11a, 154, grid)
     assert abs(ff.value - 0.003908338232145922) < 1e-9 * 0.003908338232145922
-    gg = petersson(form_14a, form_14a, 154, depth=1)
+    gg = petersson(form_14a, form_14a, 154, grid)
     assert abs(gg.value - 0.0027717522322518433) < 1e-9 * 0.0027717522322518433
 
 
@@ -265,7 +263,6 @@ def test_sweep_matches_per_point_integrals(N, form_11a):
     # the class-streamed sweep against integrate_invariant on the same grid,
     # every integrand evaluated pointwise at gamma_j w; at prime N the
     # cyclotomic sum carries the Lambda(N) constant of W_N
-    from ellrank.domain import integrate_invariant, sweep_pair_family
     from ellrank.eisenstein import epstein_star_array
     from ellrank.modular import eval_form_array, log_abs_delta_N_array
 
@@ -278,11 +275,16 @@ def test_sweep_matches_per_point_integrals(N, form_11a):
             return np.abs(eval_form_array(form_11a, x, y)) ** 2 * y**2 * weight(x, y)
         return integrate_invariant(N, H, grid=grid, check=False).value
 
-    want = {"regulator": pointwise(lambda x, y: log_abs_delta_N_array(x, y, N)),
-            "cnf": pointwise(lambda x, y: log_abs_delta_N_array(x, y, N) / 24.0)}
+    # the sweep's normalisations: 1/psi(N), -pi/3 and -4 pi
+    pet = pointwise(lambda x, y: 1.0)
+    scale = abs(pet)
+    want = {"pet_fg": pet / index_psi(N),
+            "regulator": -(math.pi / 3.0) * pointwise(
+                lambda x, y: log_abs_delta_N_array(x, y, N)),
+            "cnf": -4.0 * math.pi * pointwise(
+                lambda x, y: log_abs_delta_N_array(x, y, N) / 24.0)}
     for d in divisors(N):
         want[("eis", 2.0, d)] = pointwise(
             lambda x, y: epstein_star_array(N * x / d, N * y / d, 2.0))
-    scale = abs(fam["pet_fg"])
     for key, v in want.items():
         assert abs(fam[key] - v) < 1e-12 * max(abs(v), scale), (key, fam[key], v)

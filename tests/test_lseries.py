@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellrank.curves import curve_by_label
-from ellrank.lseries import (G_factor, L_derivative_at_0, L_direct, Phi,
+from ellrank.lseries import (G_factor, L_direct, Phi,
                              RankinSeries, afe_eval, assemble_LH2, bad_factor_H,
                              order_of_vanishing, phi_functional_check,
                              residue_at_1, sym2_report)
@@ -96,13 +96,12 @@ def test_phi_pipelines_and_pole(rs_11_14, rs_11_11):
         Phi(rs_11_11, 1.0)
 
 
-def test_residue_isogenous(rs_11_11, form_11a):
-    from ellrank.domain import index_psi, petersson
+def test_residue_isogenous(run_ctx, rs_11_11):
+    from ellrank.arith import index_psi
 
     res = residue_at_1(rs_11_11)
     assert res["spread"] < 1e-9
-    pet = petersson(form_11a, form_11a, 11, depth=2)
-    want = 2.0 * math.pi * (10.0 / 11.0) * index_psi(11) * pet.value.real
+    want = 2.0 * math.pi * (10.0 / 11.0) * index_psi(11) * run_ctx.pet_ff.value.real
     assert abs(res["residue"] - want) < 1e-3 * want
     # (s-1) Phi(s) extrapolates to the same residue
     vals = [(s - 1.0) * afe_eval(rs_11_11, s).value for s in (1.2, 1.1, 1.05)]
@@ -118,11 +117,12 @@ def test_L_value_at_1_nonvanishing(rs_11_14):
 
 
 def test_L_derivative_at_0(rs_11_14, rs_11_11):
-    r = L_derivative_at_0(rs_11_14)
+    # L'_{f,g}(0) = Phi(0) by the AFE; f = g has a pole there
+    r = afe_eval(rs_11_14, 0.0)
     assert abs(r.value) > 10.0 * r.error
     assert r.pipeline == "afe"
-    with pytest.raises(ValueError):
-        L_derivative_at_0(rs_11_11)
+    with pytest.raises(PoleError):
+        afe_eval(rs_11_11, 0.0)
     # sign stability under doubling the split (truncation knob)
     r2 = afe_eval(rs_11_14, 0.0, split=2.0)
     assert np.sign(r2.value) == np.sign(r.value)
@@ -180,10 +180,10 @@ def test_assemble_and_pole_orders(rs_11_14, rs_11_11):
     assert o["order"] == -2
 
 
-def test_sym2_report_and_rejection_path(form_11a):
+def test_sym2_report_and_rejection_path(run_ctx):
     from ellrank.arith import recognize_rational
 
-    rep = sym2_report(curve_by_label("11a"), form_11a, depth=2)
+    rep = sym2_report(curve_by_label("11a"), run_ctx.pet_ff, run_ctx.rs_ff)
     assert rep["residue_ratio_recognized"] == (10, 11)
     assert rep["residue_ratio_residual"] < 1e-4
     assert rep["petersson_ff"] > 0
