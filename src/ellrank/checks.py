@@ -221,6 +221,11 @@ def check_residue_law(ctx: RunContext) -> list[dict]:
 
 
 def check_orthogonality(ctx: RunContext) -> list[dict]:
+    """(f, g) = 0 for non-isogenous newforms; skipped for an isogenous
+    pair, where f = g and (f, g) is the norm."""
+    if ctx.rs.isogenous:
+        return [_skip("orthogonality", "f = g for an isogenous pair, so (f, g) = (f, f) > 0",
+                      "quadrature")]
     fam = ctx.fam
     return [_record("orthogonality", abs(fam["pet_fg"]), 0.0, 1e-6,
                     extra={"ff": _num(fam["pet_ff"].real),
@@ -256,6 +261,11 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
 
 
 def check_pole_orders(ctx: RunContext) -> list[dict]:
+    """L(H^2) has order -3 at s = 2 for (f, f) and -2 for the pair;
+    skipped for an isogenous pair (order -3) or where the AFE does not apply."""
+    if ctx.rs.isogenous:
+        return [_skip("pole_orders", "the pair is isogenous, so its L(H^2) has the order -3 of (f, f)",
+                      "afe,log-slope")]
     if why := lseries.afe_unsupported(ctx.rs):
         return [_skip("pole_orders", why, "afe,log-slope")]
     o_iso = lseries.order_of_vanishing(lambda s: lseries.assemble_LH2(ctx.rs_ff, s), 2.0)

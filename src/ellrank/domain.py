@@ -41,7 +41,9 @@ diag(m, 1) gamma_j = sigma U (sigma in SL2(Z), 0 <= beta < delta):
     level-L class (12 and 24 times for 11a and 14a at N = 154).
 
 Im(U w) = alpha y / delta >= sqrt(3) / (2N): for N <= 346 no cyclotomic
-node reaches the eta fallback below 0.0025.  The classes are streamed
+node reaches the eta fallback below 0.0025, so C runs through the Moebius
+factorisation log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}| at every
+node, independently of the eta product.  The classes are streamed
 (their arrays folded into per-rep scalars, then dropped); each key's
 scalars are combined with math.fsum.
 """

@@ -9,6 +9,10 @@ automorphy factor and the numerically determined eigen-sign eps(Q).
 Truncation uses |a_n| <= 2n (Hasse plus divisor slack), so the tail
 after M terms is below
 2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y}.
+
+The summed cyclotomic q-logarithm runs through the Moebius factorisation
+log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|: per divisor, a direct
+head of ceil(sqrt(40/r)) terms and a Lambert tail cut below e^{-40}.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, is_squarefree, moebius, prime_divisors, totient, cyclotomic
+from .arith import divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
 from .halfplane import UHPoint, boost_array, ext_gcd, sl2z_reduce
 from .specialfn import EvalResult
@@ -105,24 +109,6 @@ def delta(z: UHPoint) -> EvalResult:
     return EvalResult(e.value**24, 24 * abs(e.value) ** 23 * e.abs_error_bound)
 
 
-def delta_qseries(z: UHPoint, n_terms: int = 60) -> complex:
-    """Independent Delta oracle: tau(n) coefficients generated from the
-    recursive expansion of q prod (1-q^n)^24 by repeated polynomial
-    multiplication (exact integers)."""
-    coeffs = [0] * (n_terms + 1)
-    coeffs[0] = 1
-    for m in range(1, n_terms + 1):
-        # multiply by (1 - q^m)^24
-        for _ in range(24):
-            for k in range(n_terms, m - 1, -1):
-                coeffs[k] -= coeffs[k - m]
-    q = cmath.exp(TWO_PI * 1j * z.z)
-    acc = 0.0 + 0.0j
-    for k in range(n_terms, -1, -1):
-        acc = acc * q + coeffs[k]
-    return q * acc
-
-
 def log_abs_delta_array(x, y) -> np.ndarray:
     return 24.0 * log_abs_eta_array(x, y)
 
@@ -167,19 +153,38 @@ def qlog(z: UHPoint, t: complex) -> float:
     return acc
 
 
-def cyclotomic_qlog_sum_array(x, y, N: int, head: int = 48,
-                              deep_threshold: float = 0.0025):
-    """sum over primitive k mod N of qlog(z, xi^k), evaluated pointwise:
+def _powers(u: np.ndarray, n: int) -> np.ndarray:
+    """Rows u^1 .. u^n of a 1-d array u, by doubling: rows k+1 .. 2k are
+    rows 1 .. k times u^k."""
+    P = np.empty((n,) + u.shape, dtype=complex)
+    P[0] = u
+    k = 1
+    while k < n:
+        t = min(k, n - k)
+        np.multiply(P[:t], P[k - 1], out=P[k:k + t])
+        k += t
+    return P
 
-        phi(N)/24 * log|q| + sum_{n>=1} log|Phi_N(q^n)|
 
-    with the first `head` terms through the exact cyclotomic polynomial
-    (Horner) and the remainder through the closed geometric form of
-    log Phi_N(X) = sum_{d|N} mu(d) log(1 - X^{N/d}).  Points should be
+def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
+    """sum over primitive k mod N of qlog(z, xi^k), evaluated pointwise
+    through the Moebius factorisation of the cyclotomic polynomial,
+    log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|:
+
+        phi(N)/24 * log|q| + sum_{d|N} mu(d) sum_{n>=1} log|1 - u^n|,
+
+    u = q^e, e = N/d.  Points are processed in octaves of y.  In a
+    bucket of lowest height y0, |u| <= e^{-r} with r = 2 pi e y0; for
+    L = 40/r the first h = ceil(sqrt(L)) terms are summed directly as
+    log|prod_{n<=h} (1 - u^n)|, and the rest by the Lambert series
+
+        sum_{n>h} log|1 - u^n| = -Re sum_{j>=1} u^{j(h+1)} / (j (1 - u^j))
+
+    up to J = floor(L/(h+1)) + 1, the first j with j(h+1) > L, so every
+    omitted term has |u|^{j(h+1)} < e^{-40}.  Points should be
     Gamma_0(N)-reduced by the caller (the function is an invariant);
     points with y below deep_threshold take the eta-product route
-    instead (reported via the returned mask).  Points are processed in
-    octaves of y so the geometric-tail length is set per bucket.
+    instead (reported via the returned mask).
 
     Returns (values, deep_mask).
     """
@@ -189,49 +194,24 @@ def cyclotomic_qlog_sum_array(x, y, N: int, head: int = 48,
     deep = y < deep_threshold
     if deep.any():
         out[deep] = log_abs_delta_N_array(x[deep], y[deep], N) / 24.0
-    coeffs = np.array(cyclotomic(N).coefficients, dtype=float)
     phiN = totient(N)
-    octs = np.where(deep, 99, np.floor(np.log2(y)).astype(int))
-    for o in np.unique(octs):
-        if o == 99:
-            continue
-        m = octs == o
+    octs = np.floor(np.log2(y)).astype(int)
+    mus = [(N // d, moebius(d)) for d in divisors(N) if moebius(d)]
+    for o in np.unique(octs[~deep]):
+        m = (octs == o) & ~deep
         xm, ym = x[m], y[m]
-        q = np.exp(TWO_PI * (1j * xm - ym))
+        z = TWO_PI * (1j * xm - ym)
         acc = -TWO_PI * ym * phiN / 24.0
-        # rows q^1 .. q^head by sequential products, then one Horner pass
-        # over all rows at once
-        qn = np.empty((head,) + q.shape, dtype=complex)
-        qn[0] = q
-        for n in range(1, head):
-            qn[n] = qn[n - 1] * q
-        val = np.zeros_like(qn) + coeffs[-1]
-        for c in coeffs[-2::-1]:
-            val *= qn
-            val += c
-        for row in np.log(np.abs(val)):
-            acc = acc + row
-        # geometric tails: sum_{n>head} log|1-(q^e)^n| per divisor e = N/d
-        ymin = float(ym.min())
-        for d in divisors(N):
-            mu = moebius(d)
-            if mu == 0:
-                continue
-            e = N // d
-            u = q**e
-            jmax = max(2, int(40.0 / (TWO_PI * ymin * e * (head + 1))) + 2)
-            t = np.zeros_like(acc)
-            uj = np.ones_like(q)
-            ujh = u**head
-            upow = np.ones_like(q)
-            for j in range(1, jmax + 1):
-                uj = uj * u          # u^j
-                upow = upow * ujh    # u^{j*head}
-                num = uj * upow      # u^{j(head+1)}
-                t -= np.real(num / (1.0 - uj)) / j
-                if np.all(np.abs(num) < 1e-17):
-                    break
-            acc = acc + mu * t
+        for e, mu in mus:
+            L = 40.0 / (TWO_PI * e * float(ym.min()))
+            h = math.ceil(math.sqrt(L))
+            J = int(L / (h + 1)) + 1        # J <= h, since L / (h+1) < sqrt(L)
+            u = np.exp(e * z)
+            U = _powers(u, h)               # u^n, n = 1 .. h
+            V = 1.0 - U
+            W = _powers(U[-1] * u, J)       # u^{j(h+1)}, j = 1 .. J
+            tail = (1.0 / np.arange(1.0, J + 1.0)) @ np.real(W / V[:J])
+            acc = acc + mu * (np.log(np.abs(np.prod(V, axis=0))) - tail)
         out[m] = acc
     return out, deep
 

@@ -239,6 +239,41 @@ def test_benchmark_tracer_still_binds():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_qlog_counters_read_the_deep_mask():
+    # the benchmark counts the cyclotomic kernel's points from args[0] and its
+    # eta-fallback points from result[1]: one cnf sweep at N = 154, depth 0,
+    # calls it once per cusp class, with no node on the fallback
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import math
+        import tracer
+        from ellrank import curves, domain, halfplane, modular
+        tr = tracer.Tracer()
+        tracer.install(tr)
+        fe, ge = (modular.CuspFormEval.from_curve(curves.curve_by_label(c), 1000)
+                  for c in ("11a", "14a"))
+        N = 154
+        grid = domain.build_grid(N, depth=0)
+        domain.sweep_pair_family(fe, ge, N, grid, want_cnf=True)
+        classes = {halfplane.hermite(N // math.gcd(r.c, N), r.a, r.b, r.c, r.d)
+                   for r in grid.reps}
+        layer = "modular.cyclotomic_qlog_sum_array"
+        assert tr.counters[f"{layer}.points"] == len(grid.xs) * len(classes), tr.counters
+        assert tr.counters[f"{layer}.deep_points"] == 0, tr.counters
+        assert tr.counters["domain.sweep_pair_family.nodes"] == len(grid.xs) * len(grid.reps)
+    """)
+    paths = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 _CURVES = {"11a": "0,-1,1,-10,-20", "14a": "1,0,1,4,-6", "15a": "1,1,1,-10,-10"}
 
 
@@ -337,3 +372,18 @@ def test_lvalue_at_0_regulator_row(capsys):
     afe, reg, reg_err = float(rows["afe"][2]), float(rows["regulator"][2]), float(rows["regulator"][3])
     assert abs(afe - reg) < 1e-3 * abs(afe)
     assert math.isfinite(reg_err) and abs(afe - reg) <= reg_err
+
+
+def test_isogenous_pair_skips_orthogonality_and_pole_orders(tmp_path, capsys):
+    # on 11a/11a f = g, so (f, g) is the norm and the pair's L(H^2) has the
+    # isogenous order: both checks are skipped with the reason
+    for only in ("orthogonality", "pole_orders"):
+        out = str(tmp_path / only)
+        rc = main(["--out", out, "--set", "depth=1", *_pair("11a", "11a"), "--only", only, "verify"])
+        captured = capsys.readouterr()
+        assert rc == 0, only
+        assert f"SKIP: {only}" in captured.out
+        rep = json.load(open(os.path.join(out, "report.json")))
+        [rec] = rep["checks"]
+        assert rec["name"] == only and rec["status"] == "skip" and rec["passed"] is False
+        assert "isogenous" in rec["extra"]["skipped"]

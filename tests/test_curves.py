@@ -222,3 +222,18 @@ def test_bsgs_seed_ignores_hash_randomization():
         outs.append(res.stdout)
     assert outs[0] == outs[1]
     assert len(set(ast.literal_eval(outs[0]))) == 9
+
+
+def test_lattice_invariant_g2_rejects_wrapped_reduction():
+    # at tau = 1.2345e-5 + 1e-45 i the int64 reduction matrix wraps (its det
+    # reads -8.3e35); g2 raises instead of returning a wrong value
+    from ellrank.curves import _eisenstein_E, _lattice_invariant_g2
+
+    with pytest.raises(OverflowError):
+        _lattice_invariant_g2(1.0, complex(1.2345e-5, 1e-45))
+    # an ordinary tau is unchanged: g2 = (2 pi)^4 E4(tau) / 12 for the
+    # reduced basis, and a translated basis spans the same lattice
+    tau = complex(0.1, 1.3)
+    g2 = _lattice_invariant_g2(1.0, tau)
+    assert abs(g2 - (2 * math.pi) ** 4 * _eisenstein_E(4, tau) / 12.0) < 1e-13 * abs(g2)
+    assert abs(_lattice_invariant_g2(1.0, tau + 3) - g2) < 1e-13 * abs(g2)

@@ -6,10 +6,9 @@ import pytest
 
 from ellrank.curves import curve_by_label
 from ellrank.halfplane import UHPoint, apply_moebius, boost_array
-from ellrank.modular import (al_sign, cyclotomic_qlog_sum_array, delta,
-                             delta_qseries, eta, eval_form, eval_form_array,
-                             log_abs_delta_N, log_abs_delta_N_array, log_abs_eta,
-                             qlog, series_length)
+from ellrank.modular import (al_sign, cyclotomic_qlog_sum_array, delta, eta,
+                             eval_form, eval_form_array, log_abs_delta_N,
+                             log_abs_delta_N_array, log_abs_eta, qlog, series_length)
 
 
 def eta_product_oracle(z, terms=100):
@@ -33,6 +32,24 @@ def test_eta_translation_multiplier():
     z = UHPoint(0.13, 0.77)
     ratio = eta(UHPoint(z.x + 1.0, z.y)).value / eta(z).value
     assert abs(ratio - cmath.exp(1j * math.pi / 12.0)) < 1e-12
+
+
+def delta_qseries(z, n_terms=60):
+    """Independent Delta oracle: tau(n) coefficients generated from the
+    recursive expansion of q prod (1-q^n)^24 by repeated polynomial
+    multiplication (exact integers)."""
+    coeffs = [0] * (n_terms + 1)
+    coeffs[0] = 1
+    for m in range(1, n_terms + 1):
+        # multiply by (1 - q^m)^24
+        for _ in range(24):
+            for k in range(n_terms, m - 1, -1):
+                coeffs[k] -= coeffs[k - m]
+    q = cmath.exp(2j * math.pi * z.z)
+    acc = 0.0 + 0.0j
+    for k in range(n_terms, -1, -1):
+        acc = acc * q + coeffs[k]
+    return q * acc
 
 
 def test_delta_against_qseries_oracle():
@@ -230,19 +247,11 @@ def test_assembled_integrand_invariance(form_11a, form_14a, rng):
         assert np.max(np.abs(moved - base)) < 1e-8 * max(1e-30, np.max(np.abs(base)))
 
 
-def test_cyclotomic_qlog_head_doubling(rng):
-    # doubling the truncation head changes nothing above 1e-9
-    xs = rng.uniform(-0.5, 0.5, 60)
-    ys = np.exp(rng.uniform(math.log(4e-3), math.log(1.5), 60))
-    a, _ = cyclotomic_qlog_sum_array(xs, ys, 154, head=48)
-    b, _ = cyclotomic_qlog_sum_array(xs, ys, 154, head=96)
-    assert np.max(np.abs(a - b)) < 1e-9
-
-
 def cyclotomic_qlog_sum_loop(x, y, N, head=48, deep_threshold=0.0025):
-    """Per-n oracle for cyclotomic_qlog_sum_array: the cyclotomic head is
-    one Horner loop per n = 1..head; deep route and geometric tails as in
-    the production code."""
+    """Horner oracle for cyclotomic_qlog_sum_array: the first `head` terms
+    through the coefficients of Phi_N, one Horner loop per n = 1..head,
+    the rest through the geometric tails of the divisor form; deep route
+    and octave buckets as in the production code."""
     from ellrank.arith import cyclotomic, divisors, moebius, totient
 
     out = np.empty(x.shape)
@@ -291,15 +300,19 @@ def cyclotomic_qlog_sum_loop(x, y, N, head=48, deep_threshold=0.0025):
 
 
 @pytest.mark.parametrize("head", [48, 96])
-def test_cyclotomic_qlog_batched_head_bit_identical(rng, head):
+def test_cyclotomic_qlog_matches_horner_oracle(rng, head):
+    # the divisor-form kernel against the Phi_N-coefficient Horner route, on
     # points spread over many octaves of y, a few below the eta threshold
     xs = rng.uniform(-0.5, 0.5, 300)
-    ys = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 300))
-    for N in (14, 154):
-        v, deep = cyclotomic_qlog_sum_array(xs, ys, N, head=head)
+    ys = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), 300))
+    for N in (6, 14, 154, 165, 210, 407):
+        v, deep = cyclotomic_qlog_sum_array(xs, ys, N)
         w, deep_w = cyclotomic_qlog_sum_loop(xs, ys, N, head=head)
         assert deep.any() and np.array_equal(deep, deep_w)
-        assert np.array_equal(v, w), (N, head)
+        assert np.max(np.abs(v - w)) <= 1e-12, (N, head)
+    # far up the cusp (octave 99 and beyond) only phi(N)/24 log|q| is left
+    v, _ = cyclotomic_qlog_sum_array(np.array([0.1, 0.1]), np.array([1e30, 2.0**99]), 6)
+    assert np.allclose(v, -2.0 * math.pi * np.array([1e30, 2.0**99]) * 2 / 24.0, rtol=1e-15)
 
 
 def test_eval_form_sign_table_bit_identical(form_14a, rng):
