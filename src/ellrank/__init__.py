@@ -9,16 +9,15 @@ coset representatives).
 from .arith import moebius, totient, divisors, cyclotomic, recognize_rational, index_psi
 from .curves import (CurveModel, curve_by_label, reduce_mod_p, ap_table, an_table,
                      period_lattice, check_ogg_pm1)
-from .specialfn import EvalResult, PoleError, gamma, zeta, zeta_depleted, bessel_k
+from .specialfn import EvalResult, PoleError, gamma, zeta, zeta_depleted
 from .halfplane import UHPoint
 from .eisenstein import (
     epstein_lattice,
     epstein_completed,
     epstein_residue,
     kronecker_limit_check,
-    level_eisenstein,
 )
-from .modular import CuspFormEval, eval_form, al_sign, eta, log_abs_delta_N, qlog
+from .modular import CuspFormEval, qlog
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, sweep_pair_family,
                      rs_identity_check, unfolding_check)
@@ -30,12 +29,11 @@ __all__ = [
     "moebius", "totient", "divisors", "cyclotomic", "recognize_rational", "index_psi",
     "CurveModel", "curve_by_label", "reduce_mod_p", "ap_table", "an_table",
     "period_lattice", "check_ogg_pm1",
-    "EvalResult", "PoleError", "gamma", "zeta", "zeta_depleted", "bessel_k",
+    "EvalResult", "PoleError", "gamma", "zeta", "zeta_depleted",
     "UHPoint",
     "epstein_lattice", "epstein_completed", "epstein_residue",
-    "kronecker_limit_check", "level_eisenstein",
-    "CuspFormEval", "eval_form", "al_sign", "eta",
-    "log_abs_delta_N", "qlog",
+    "kronecker_limit_check",
+    "CuspFormEval", "qlog",
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
     "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
     "unfolding_check",

@@ -98,13 +98,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c:
-                terms.append(f"{c}*X^{k}" if k else f"{c}")
-        return " + ".join(terms) if terms else "0"
-
 
 def _mul_binomial(coeffs: list[int], k: int) -> list[int]:
     # multiply by (X^k - 1)

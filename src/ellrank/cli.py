@@ -52,7 +52,11 @@ class UsageError(Exception):
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if path:
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+        with fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -71,9 +75,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def validate_config(cfg: dict, command: str) -> None:
     """Raise UsageError unless every key is one of DEFAULT_CONFIG's, the
-    numeric keys parse and, for the subcommands that use the two curves,
-    each curve's ainvs have its stated conductor; subcommands that build
-    cusp forms also need a square-free conductor."""
+    numeric keys parse, y_cut is finite and above 1 (the top of F's
+    arc), n_max and p_max are at least 2 and, for the subcommands that
+    use the two curves, each curve's ainvs have its stated conductor;
+    subcommands that build cusp forms also need a square-free conductor."""
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
@@ -86,6 +91,12 @@ def validate_config(cfg: dict, command: str) -> None:
             kind(value)
         except ValueError:
             raise UsageError(f"{key} = {value!r} is not a number") from None
+    y_cut = float(cfg["y_cut"])
+    if not (math.isfinite(y_cut) and y_cut > 1.0):
+        raise UsageError(f"y_cut = {cfg['y_cut']!r} is not a finite number above 1")
+    for key in ("n_max", "p_max"):
+        if int(cfg[key]) < 2:
+            raise UsageError(f"{key} = {cfg[key]!r} is below 2")
     if command not in _CURVE_COMMANDS:
         return
     from .arith import is_squarefree

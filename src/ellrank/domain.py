@@ -61,6 +61,7 @@ from .eisenstein import epstein_star_array
 from .halfplane import apply_moebius, ext_gcd, hermite
 from .lseries import L_direct
 from .modular import (
+    FORM_TOL,
     CuspFormEval,
     _qseries,
     cyclotomic_qlog_sum_array,
@@ -319,8 +320,7 @@ def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int, grid: QuadratureGrid,
 
 # ------------------------------------------------- multi-integrand sweep
 
-def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
-                    tol: float = 1e-11) -> list:
+def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid) -> list:
     """(f|gamma_j)(w) = (c_j w + d_j)^{-2} f(gamma_j w) on the grid nodes w,
     for every Gamma_0(grid.level) rep gamma_j, as eps_f(Q) Q delta^{-2}
     f(U w) with Q = L / gcd(c_j, L) (module docstring): one q-series per
@@ -334,7 +334,7 @@ def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
         if U not in per_class:
             ux, uy = _upper_image(U, grid)
             per_class[U] = (form.sign_for(Q) * Q / U[2] ** 2
-                            * _qseries(form._coeffs_f, ux, uy, tol))
+                            * _qseries(form._coeffs_f, ux, uy, FORM_TOL))
         out.append(per_class[U])
     return out
 
@@ -342,7 +342,7 @@ def slash_on_cosets(form: CuspFormEval, grid: QuadratureGrid,
 def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                       grid: QuadratureGrid, s_values: tuple = (),
                       want_regulator: bool = False, want_cnf: bool = False,
-                      want_norms: bool = False, tol: float = 1e-11) -> dict:
+                      want_norms: bool = False) -> dict:
     """One pass over the coset sweep of X_0(N) (truncated at grid.y_cut)
     computing, simultaneously, the paper's quantities, each normalised
     here and nowhere else:
@@ -369,8 +369,8 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     """
     if want_cnf and (N <= 1 or not is_squarefree(N)):
         raise ValueError("the cyclotomic sum needs square-free N > 1")
-    fs = slash_on_cosets(fe, grid, tol)
-    gs = fs if ge is fe else slash_on_cosets(ge, grid, tol)
+    fs = slash_on_cosets(fe, grid)
+    gs = fs if ge is fe else slash_on_cosets(ge, grid)
     # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2
     measure = grid.ys**2 * grid.ws
     parts: dict = {}

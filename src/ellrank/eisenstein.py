@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .arith import divisors, moebius
+from .arith import divisors
 from .halfplane import UHPoint, sl2z_reduce
 from .specialfn import (
     EvalResult,
@@ -44,7 +44,6 @@ from .specialfn import (
     bessel_k_array,
     completed_zeta,
     upper_gamma,
-    zeta_depleted,
 )
 
 
@@ -161,15 +160,16 @@ def epstein_completed(z: UHPoint, s: float) -> EvalResult:
     return EvalResult(v, 1e-12 * (1.0 + abs(v)))
 
 
-def richardson_limit(f, h0: float, levels: int = 3, ratio: float = 2.0):
-    """Extrapolate f(h) -> f(0) from the ladder h0, h0/r, ..., assuming
-    an expansion f(h) = L + c1 h + c2 h^2 + ...; returns (L, spread)."""
-    hs = [h0 / ratio**j for j in range(levels)]
+def richardson_limit(f, h0: float, levels: int = 3):
+    """Extrapolate f(h) -> f(0) from the ladder h0, h0/2, h0/4, ...,
+    assuming an expansion f(h) = L + c1 h + c2 h^2 + ...; returns
+    (L, spread)."""
+    hs = [h0 / 2.0**j for j in range(levels)]
     rows = [[f(h) for h in hs]]
     for k in range(1, levels):
         prev = rows[-1]
         rows.append([
-            (ratio**k * prev[i + 1] - prev[i]) / (ratio**k - 1.0)
+            (2.0**k * prev[i + 1] - prev[i]) / (2.0**k - 1.0)
             for i in range(len(prev) - 1)
         ])
     last = rows[-1][0]
@@ -206,49 +206,3 @@ def kronecker_limit_check(z: UHPoint) -> tuple[float, float, float]:
            + 2.0 * math.pi * (EULER_GAMMA - math.log(2.0))
            - 4.0 * math.pi * log_abs_eta(z.x, z.y))
     return lhs, rhs, lhs - rhs
-
-
-def level_eisenstein(z: UHPoint, s: float, N: int) -> EvalResult:
-    """E^N(z,s) = sum over Gamma_infinity \\ Gamma_0(N) of Im(gamma z)^s,
-    assembled from the full-lattice series by Moebius inversion:
-
-        2 N^s zeta_N(2s) E^N(z,s) = sum_{d|N} mu(d) d^{-s} E(Nz/d, s).
-
-    (The N^s normalization is pinned numerically against the direct
-    coset sum; see level_eisenstein_direct.)
-    """
-    acc = 0.0
-    err = 0.0
-    for d in divisors(N):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        w = UHPoint(N * z.x / d, N * z.y / d)
-        if s > 1.0:
-            term = epstein_lattice(w, s, tol=1e-12)
-        else:
-            star = epstein_completed(w, s)
-            f = _star_to_plain(s)
-            term = EvalResult(f * star.value, abs(f) * star.abs_error_bound)
-        acc += mu * float(d) ** (-s) * term.value
-        err += float(d) ** (-s) * term.abs_error_bound
-    zn = zeta_depleted(2.0 * s, N)
-    denom = 2.0 * float(N) ** s * zn.value
-    return EvalResult(acc / denom, err / abs(denom) + abs(acc / denom) * 1e-12)
-
-
-def level_eisenstein_direct(z: UHPoint, s: float, N: int, m_max: int = 400,
-                            n_width: int = 4000) -> float:
-    """Direct truncation of 1 + sum_{m>0, gcd(mN,n)=1} y^s/|mNz+n|^(2s)
-    (test oracle; s > 1.5 recommended)."""
-    if s <= 1.0:
-        raise ValueError("direct coset sum needs s > 1")
-    acc = 1.0
-    for m in range(1, m_max + 1):
-        center = -m * N * z.x
-        ns = np.arange(math.floor(center) - n_width, math.floor(center) + n_width + 1)
-        mask = np.gcd(ns, m * N) == 1
-        ns = ns[mask]
-        w2 = (m * N * z.x + ns) ** 2 + (m * N * z.y) ** 2
-        acc += float(np.sum(z.y**s * w2 ** (-s)))
-    return acc

@@ -48,7 +48,7 @@ def apply_moebius(a, b, c, d, x, y):
     return xn, yn
 
 
-def sl2z_reduce(x, y, max_iter: int = 600):
+def sl2z_reduce(x, y):
     """Reduce points to the standard fundamental domain of SL2(Z).
 
     Returns (xr, yr, (a, b, c, d), loghalf) with [[a,b],[c,d]] integral
@@ -63,7 +63,7 @@ def sl2z_reduce(x, y, max_iter: int = 600):
     a = np.ones(n, dtype=np.int64); b = np.zeros(n, dtype=np.int64)
     c = np.zeros(n, dtype=np.int64); d = np.ones(n, dtype=np.int64)
     loghalf = np.zeros(n, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(600):
         k = np.rint(x).astype(np.int64)
         x -= k
         a -= k * c

@@ -1,5 +1,5 @@
-"""Weight-2 cusp forms from q-expansions, Dedekind eta, the modular
-unit Delta_N, the q-logarithm, and the summed cyclotomic q-logarithm.
+"""Weight-2 cusp forms from q-expansions, log|eta| and the modular
+unit log|Delta_N|, the q-logarithm, and the summed cyclotomic q-logarithm.
 
 Evaluation strategy for f(z) = sum a_n q^n at square-free level L: map
 z by its Atkin-Lehner cusp matrix M in W_Q Gamma_0(L)
@@ -8,7 +8,8 @@ truncated q-series there, transport back through the weight-2
 automorphy factor and the numerically determined eigen-sign eps(Q).
 Truncation uses |a_n| <= 2n (Hasse plus divisor slack), so the tail
 after M terms is below
-2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y}.
+2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y};
+every form value is truncated below FORM_TOL.
 
 The summed cyclotomic q-logarithm runs through the Moebius factorisation
 log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|: per divisor, a direct
@@ -26,9 +27,8 @@ import numpy as np
 from .arith import divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
 from .halfplane import UHPoint, boost_array, ext_gcd, sl2z_reduce
-from .specialfn import EvalResult
-
 TWO_PI = 2.0 * math.pi
+FORM_TOL = 1e-11      # absolute q-series truncation of every form value
 
 
 def series_length(y: float, tol: float) -> int:
@@ -86,29 +86,6 @@ def log_abs_eta(x: float, y: float) -> float:
     return float(log_abs_eta_array(np.array([x]), np.array([y]))[0])
 
 
-def eta(z: UHPoint) -> EvalResult:
-    """Complex eta by the raw product; requires y >= 1e-3 (reduce first
-    below that).  Only |eta| is consumed downstream."""
-    if z.y < 1e-3:
-        raise ValueError("eta product needs y >= 1e-3; reduce the point first")
-    q24 = cmath.exp(TWO_PI * 1j * z.z)
-    acc = cmath.exp(TWO_PI * 1j * z.z / 24.0)   # q^{1/24}, principal branch
-    qk = 1.0 + 0.0j
-    n = 0
-    while True:
-        n += 1
-        qk *= q24
-        acc *= 1.0 - qk
-        if abs(qk) < 1e-17 or n > 200_000:
-            break
-    return EvalResult(acc, 1e-14 * abs(acc) + abs(qk) * abs(acc))
-
-
-def delta(z: UHPoint) -> EvalResult:
-    e = eta(z)
-    return EvalResult(e.value**24, 24 * abs(e.value) ** 23 * e.abs_error_bound)
-
-
 def log_abs_delta_array(x, y) -> np.ndarray:
     return 24.0 * log_abs_eta_array(x, y)
 
@@ -125,13 +102,6 @@ def log_abs_delta_N_array(x, y, N: int) -> np.ndarray:
             continue
         acc += mu * log_abs_delta_array(N * x / d, N * y / d)
     return acc
-
-
-def log_abs_delta_N(z: UHPoint, N: int) -> EvalResult:
-    if not is_squarefree(N):
-        raise ValueError("Delta_N is used for square-free N only")
-    v = float(log_abs_delta_N_array(np.array([z.x]), np.array([z.y]), N)[0])
-    return EvalResult(v, 1e-11 * (1.0 + abs(v)))
 
 
 def qlog(z: UHPoint, t: complex) -> float:
@@ -301,7 +271,7 @@ def _determine_al_sign(form: CuspFormEval, Q: int) -> int:
     return signs[0]
 
 
-def eval_form_array(form: CuspFormEval, x, y, tol: float = 1e-11) -> np.ndarray:
+def eval_form_array(form: CuspFormEval, x, y) -> np.ndarray:
     """f at arbitrary points: move z by its cusp matrix M in
     W_Q Gamma_0(level) to height >= sqrt(3)/(2 level), evaluate the
     q-series there, transport back:  f(z) = eps(Q) * Q * j^{-2} * f(M z),
@@ -309,24 +279,10 @@ def eval_form_array(form: CuspFormEval, x, y, tol: float = 1e-11) -> np.ndarray:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xb, yb, (A, B, C, D), Q = boost_array(form.level, x, y)
-    fb = _qseries(form._coeffs_f, xb, yb, tol)
+    fb = _qseries(form._coeffs_f, xb, yb, FORM_TOL)
     j = C * (x + 1j * y) + D
     signs = np.zeros(form.level + 1)
     for q in divisors(form.level):
         signs[q] = form.sign_for(q)
     eps = signs[Q]
     return eps * Q * fb / (j * j)
-
-
-def eval_form(form: CuspFormEval, z: UHPoint, tol: float = 1e-11) -> EvalResult:
-    v = complex(eval_form_array(form, np.array([z.x]), np.array([z.y]), tol)[0])
-    return EvalResult(v, tol + 1e-13 * abs(v))
-
-
-def al_sign(form: CuspFormEval, Q: int) -> int:
-    """Public accessor; Q must exactly divide the level."""
-    if Q == 1:
-        return 1
-    if form.level % Q != 0 or math.gcd(Q, form.level // Q) != 1:
-        raise ValueError("Q must exactly divide the level")
-    return form.sign_for(Q)

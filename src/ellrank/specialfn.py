@@ -1,6 +1,6 @@
 """Real-argument special functions with explicit error bookkeeping.
 
-Double precision throughout.  Each public operation returns an
+Double precision throughout.  Each public scalar operation returns an
 EvalResult whose abs_error_bound dominates the truncation estimate of
 the underlying scheme plus a rounding allowance; no interval arithmetic.
 
@@ -8,7 +8,7 @@ the underlying scheme plus a rounding allowance; no interval arithmetic.
     zeta           Borwein's accelerated alternating series, classical
                    functional equation for s < 1/2
     zeta_depleted  zeta with Euler factors at p | N removed
-    bessel_k       trapezoidal rule on K_nu(x) = int_0^inf
+    bessel_k_array trapezoidal rule on K_nu(x) = int_0^inf
                    exp(-x cosh t) cosh(nu t) dt; the integrand decays
                    doubly exponentially, so the fixed 400-node rule is
                    spectrally accurate; half-integer orders short-cut
@@ -278,16 +278,6 @@ def xk1_fast(x: np.ndarray) -> np.ndarray:
     if low.any():
         out[low] = x[low] * _bessel_k_quad(1.0, x[low])
     return out
-
-
-def bessel_k(nu: float, x: float) -> EvalResult:
-    """Modified Bessel K_nu(x), relative ~1e-12 (underflows to 0 for x > 700)."""
-    if x <= 0:
-        raise ValueError("bessel_k needs x > 0")
-    v = float(bessel_k_array(nu, np.array([x]))[0])
-    if x > 700.0:
-        return EvalResult(0.0, math.exp(-700.0))
-    return EvalResult(v, abs(v) * 1e-12 + 5e-308)
 
 
 # ------------------------------------------------ upper incomplete gamma

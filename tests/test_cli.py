@@ -120,6 +120,7 @@ def test_usage_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
     assert main(["--config", str(cfg), "ap"]) == 2
+    assert main(["--config", str(tmp_path / "missing.cfg"), "ap"]) == 2
     # a report without record status (written before status existed)
     (tmp_path / "report.json").write_text(json.dumps(
         {"checks": [{"name": "ap", "diff": 0.0, "tolerance": 0.5, "passed": True}],
@@ -162,9 +163,13 @@ def test_skipped_check_is_reported_as_skip(tmp_path, capsys):
 
 
 def test_bad_number_exits_2(capsys):
-    assert main(["--set", "depth=abc", "verify"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: depth = 'abc' is not a number")
+    for setting, message in (("depth=abc", "depth = 'abc' is not a number"),
+                             ("y_cut=0.5", "y_cut = '0.5' is not a finite number above 1"),
+                             ("y_cut=nan", "y_cut = 'nan' is not a finite number above 1"),
+                             ("n_max=1", "n_max = '1' is below 2"),
+                             ("p_max=1", "p_max = '1' is below 2")):
+        assert main(["--set", setting, "verify"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_non_squarefree_conductor_exits_2(capsys):

@@ -6,8 +6,7 @@ import pytest
 from ellrank.eisenstein import (epstein_completed, epstein_lattice,
                                 epstein_lattice_raw, epstein_residue,
                                 epstein_star_array, epstein_star_theta,
-                                kronecker_limit_check, level_eisenstein,
-                                level_eisenstein_direct, richardson_limit)
+                                kronecker_limit_check, richardson_limit)
 from ellrank.halfplane import UHPoint
 from ellrank.specialfn import PoleError
 
@@ -120,24 +119,3 @@ def test_kronecker_periodicity():
     l1, _, _ = kronecker_limit_check(UHPoint(0.2, 1.5))
     l2, _, _ = kronecker_limit_check(UHPoint(1.2, 1.5))
     assert abs(l1 - l2) < 1e-8 * max(1.0, abs(l1))
-
-
-def test_level_eisenstein_against_direct_coset_sum():
-    le = level_eisenstein(UHPoint(0.0, 1.0), 2.0, 11)
-    ld = level_eisenstein_direct(UHPoint(0.0, 1.0), 2.0, 11, m_max=600, n_width=8000)
-    assert abs(le.value / ld - 1.0) < 1e-8
-    # N = 1 reduces to E/2 zeta(2s)
-    le1 = level_eisenstein(UHPoint(0.3, 1.2), 2.0, 1)
-    from ellrank.specialfn import _zeta_raw
-
-    full = epstein_lattice(UHPoint(0.3, 1.2), 2.0, tol=1e-13).value
-    assert abs(le1.value - full / (2.0 * _zeta_raw(4.0))) < 1e-11
-
-
-def test_level_eisenstein_gamma0_invariance():
-    # value at z and at z/(11 z + 1) agree (element [1,0;11,1])
-    z = complex(0.13, 0.9)
-    w = z / (11 * z + 1.0)
-    a = level_eisenstein(UHPoint(z.real, z.imag), 2.0, 11).value
-    b = level_eisenstein(UHPoint(w.real, w.imag), 2.0, 11).value
-    assert abs(a - b) < 1e-8 * abs(a)
