@@ -28,6 +28,11 @@ chk = rs_identity_check(f11, f11, 11, 2.0, rs_iso, fam)
 for k, v in chk["rel_diffs"].items():
     print(f"  exponent {k:10s}: rel diff {v:.2e}")
 print(f"  resolved exponent: {chk['resolved_exponent']}")
+# each side carries its error bar: the direct series' tail bound, and the
+# sweep's depth-doubling error carried through the Moebius sum
+lhs, rhs = chk["lhs"], chk["rhs"][chk["resolved_exponent"]]
+print(f"  series side     {lhs.value:.10e} +- {lhs.abs_error_bound:.1e}")
+print(f"  quadrature side {rhs.value:.10e} +- {rhs.abs_error_bound:.1e}")
 
 print("\nL_{f,g} values (11a x 14a):")
 print(f"  L(2)  direct  = {L_direct(rs, 2.0).value:.12f}")

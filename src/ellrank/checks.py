@@ -7,14 +7,16 @@ Rankin series, the X_0(N) sweeps, the Petersson norm), built once and
 shared between the checks.  The CLI and the acceptance tests call the
 same functions.
 
-Every record has name, lhs, rhs, diff, tolerance, status ('pass',
-'fail' or 'skip'), passed (status == 'pass') and pipelines, and may
-have extra.  A check that does not apply to the configured pair
-returns skip records (_skip) that give the reason under
-extra['skipped'].
+Every record has name, lhs, rhs, diff, lhs_err, rhs_err, tolerance,
+status ('pass', 'fail' or 'skip'), passed (status == 'pass') and
+pipelines, and may have extra.  A side's error is the bound its
+pipeline returns (the sweep's depth-doubling error, the AFE and
+direct-series bounds), carried linearly through fixed factors, or None.
+A check that does not apply to the configured pair returns skip
+records (_skip) that give the reason under extra['skipped'].
 
-The X_0(N) quantities come normalised from domain.sweep_pair_family;
-no check here applies a factor to them.
+The X_0(N) quantities come normalised, each with its error, from
+domain.sweep_pair_family; no check here applies a factor to them.
 
 The layers are called through their modules (``curves.ap_table``, not a
 name imported into this module), so a replacement set on the layer
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import arith, curves, domain, eisenstein, lseries, modular
 from .halfplane import UHPoint
-from .specialfn import _zeta_raw
+from .specialfn import EvalResult, _zeta_raw
 
 S_RS = 2.0      # the Rankin-Selberg identity is checked at s = 2
 
@@ -71,7 +73,7 @@ class RunContext:
 
     def grid(self, level: int) -> domain.QuadratureGrid:
         """The X_0(level) grid at the configured depth and y_cut."""
-        return domain._grid_pair(level, self.depth, self.y_cut)
+        return domain.build_grid(level, self.depth, self.y_cut)
 
     @cached_property
     def fam(self) -> dict:
@@ -92,15 +94,24 @@ class RunContext:
 
     @cached_property
     def pet_ff(self):
-        L = self.c1.conductor
-        return domain.petersson(self.fe, self.fe, L, self.grid(L), fam=self.fam_ff)
+        return self.fam_ff["pet_fg"]
 
     @cached_property
     def phi0(self):
         return lseries.afe_eval(self.rs, 0.0)
 
 
+def _split(side):
+    """A side's value and error bound: None for a plain number."""
+    if isinstance(side, lseries.LValueResult):
+        return side.value, side.error
+    return (side.value, side.abs_error_bound) if isinstance(side, EvalResult) else (side, None)
+
+
 def _record(name, lhs, rhs, tolerance, extra=None, pipelines="") -> dict:
+    """lhs and rhs are numbers, or EvalResult / LValueResult where their
+    pipeline bounds them."""
+    (lhs, lhs_err), (rhs, rhs_err) = _split(lhs), _split(rhs)
     diff = abs(lhs - rhs) if rhs not in (None, "") else abs(lhs)
     status = "pass" if diff <= tolerance else "fail"
     rec = {
@@ -108,6 +119,8 @@ def _record(name, lhs, rhs, tolerance, extra=None, pipelines="") -> dict:
         "lhs": _num(lhs),
         "rhs": _num(rhs),
         "diff": _num(diff),
+        "lhs_err": _num(lhs_err),
+        "rhs_err": _num(rhs_err),
         "tolerance": tolerance,
         "status": status,
         "passed": status == "pass",
@@ -120,21 +133,18 @@ def _record(name, lhs, rhs, tolerance, extra=None, pipelines="") -> dict:
 
 def _skip(name, reason, pipelines) -> dict:
     """The record of a check that does not apply to the configured pair."""
-    return {"name": name, "lhs": None, "rhs": None, "diff": None, "tolerance": None,
-            "status": "skip", "passed": False, "pipelines": pipelines,
-            "extra": {"skipped": reason}}
+    return {"name": name, "lhs": None, "rhs": None, "diff": None, "lhs_err": None,
+            "rhs_err": None, "tolerance": None, "status": "skip", "passed": False,
+            "pipelines": pipelines, "extra": {"skipped": reason}}
 
 
 def _num(v):
-    if v is None:
-        return None
+    """v as JSON: a complex number as [re, im], a numpy scalar as a float."""
     if isinstance(v, complex):
         return [float(v.real), float(v.imag)]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
     if isinstance(v, (tuple, list)):
         return [_num(t) for t in v]
-    return v if isinstance(v, (int, str, bool, dict)) else float(v)
+    return v if v is None or isinstance(v, (int, str, bool, dict)) else float(v)
 
 
 # ------------------------------------------------------------------ checks
@@ -201,12 +211,12 @@ def check_rankin_selberg(ctx: RunContext) -> list[dict]:
     iso = domain.rs_identity_check(ctx.fe, ctx.fe, ctx.c1.conductor, S_RS, ctx.rs_ff, ctx.fam_ff)
     return [
         _record("rankin_selberg", chk["lhs"], chk["rhs"][chk["resolved_exponent"]],
-                1e-3 * abs(chk["lhs"]),
+                1e-3 * abs(chk["lhs"].value),
                 extra={"resolved_exponent": chk["resolved_exponent"],
                        "rel_diffs": {k: _num(v) for k, v in chk["rel_diffs"].items()}},
                 pipelines="direct-series,eisenstein-quadrature"),
         _record("rankin_selberg_isogenous", iso["lhs"], iso["rhs"][iso["resolved_exponent"]],
-                1e-3 * abs(iso["lhs"]), extra={"resolved_exponent": iso["resolved_exponent"]},
+                1e-3 * abs(iso["lhs"].value), extra={"resolved_exponent": iso["resolved_exponent"]},
                 pipelines="direct-series,eisenstein-quadrature"),
     ]
 
@@ -215,8 +225,9 @@ def check_residue_law(ctx: RunContext) -> list[dict]:
     L = ctx.c1.conductor
     res = lseries.residue_at_1(ctx.rs_ff)
     mu_over_d = sum(arith.moebius(d) / d for d in arith.divisors(L))
-    rhs = 2.0 * math.pi * mu_over_d * arith.index_psi(L) * ctx.pet_ff.value.real
-    return [_record("residue_law", res["residue"], rhs, 1e-3 * abs(rhs),
+    c = 2.0 * math.pi * mu_over_d * arith.index_psi(L)
+    rhs = EvalResult(c * ctx.pet_ff.value.real, abs(c) * ctx.pet_ff.abs_error_bound)
+    return [_record("residue_law", res["residue"], rhs, 1e-3 * abs(rhs.value),
                     pipelines="afe,quadrature")]
 
 
@@ -226,11 +237,11 @@ def check_orthogonality(ctx: RunContext) -> list[dict]:
     if ctx.rs.isogenous:
         return [_skip("orthogonality", "f = g for an isogenous pair, so (f, g) = (f, f) > 0",
                       "quadrature")]
-    fam = ctx.fam
-    return [_record("orthogonality", abs(fam["pet_fg"]), 0.0, 1e-6,
-                    extra={"ff": _num(fam["pet_ff"].real),
-                           "gg": _num(fam["pet_gg"].real),
-                           "norms_positive": fam["pet_ff"].real > 0 and fam["pet_gg"].real > 0},
+    fg, ff, gg = (ctx.fam[k] for k in ("pet_fg", "pet_ff", "pet_gg"))
+    return [_record("orthogonality", EvalResult(abs(fg.value), fg.abs_error_bound), 0.0, 1e-6,
+                    extra={"ff": _num(ff.value.real),
+                           "gg": _num(gg.value.real),
+                           "norms_positive": ff.value.real > 0 and gg.value.real > 0},
                     pipelines="quadrature")]
 
 
@@ -246,13 +257,14 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
                 _skip("cnf_c_ratio", why, "cyclotomic-qlog,afe"),
                 _skip("cnf_nonvanishing", why, "afe")]
     fam, phi0 = ctx.fam, ctx.phi0
-    reg = fam["regulator"].real
-    ratio = fam["cnf"].real / phi0.value
-    br = arith.best_rational(ratio, 48)
+    reg, cnf = (EvalResult(fam[k].value.real, fam[k].abs_error_bound) for k in ("regulator", "cnf"))
+    r = cnf.value / phi0.value      # with its first-order error
+    ratio = EvalResult(r, (cnf.abs_error_bound + abs(r) * phi0.error) / abs(phi0.value))
+    br = arith.best_rational(r, 48)
     deep = fam["deep_fraction"]
-    nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg))
+    nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg.value))
     return [
-        _record("cnf_a_vs_b", phi0.value, reg, 1e-3 * abs(phi0.value), pipelines="afe,regulator"),
+        _record("cnf_a_vs_b", phi0, reg, 1e-3 * abs(phi0.value), pipelines="afe,regulator"),
         _record("cnf_c_ratio", ratio, br.numerator / br.denominator, 1e-4,
                 extra={"recognized": [br.numerator, br.denominator], "deep_fraction": _num(deep)},
                 pipelines="cyclotomic-qlog,afe"),

@@ -75,10 +75,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def validate_config(cfg: dict, command: str) -> None:
     """Raise UsageError unless every key is one of DEFAULT_CONFIG's, the
-    numeric keys parse, y_cut is finite and above 1 (the top of F's
-    arc), n_max and p_max are at least 2 and, for the subcommands that
-    use the two curves, each curve's ainvs have its stated conductor;
-    subcommands that build cusp forms also need a square-free conductor."""
+    numeric keys parse, depth is at least 0, y_cut is finite and above 1
+    (the top of F's arc), n_max and p_max are at least 2 and, for the
+    subcommands that use the two curves, each curve's ainvs have its
+    stated conductor; subcommands that build cusp forms also need a
+    square-free conductor."""
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
@@ -91,6 +92,8 @@ def validate_config(cfg: dict, command: str) -> None:
             kind(value)
         except ValueError:
             raise UsageError(f"{key} = {value!r} is not a number") from None
+    if int(cfg["depth"]) < 0:
+        raise UsageError(f"depth = {cfg['depth']!r} is below 0")
     y_cut = float(cfg["y_cut"])
     if not (math.isfinite(y_cut) and y_cut > 1.0):
         raise UsageError(f"y_cut = {cfg['y_cut']!r} is not a finite number above 1")
@@ -183,10 +186,14 @@ def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
 
 def cmd_lvalue(cfg: dict, s: float) -> int:
     """Rows report L_{f,g}(s); at s = 0 they report L'_{f,g}(0) = Phi(0)
-    (the value L(0) itself vanishes)."""
+    (the value L(0) itself vanishes).  s runs over [-0.5, 25]: the AFE
+    covers [-0.5, 2.75] and the direct series s >= 1.3."""
+    from .domain import sweep_pair_family
     from .lseries import G_factor, L_direct, afe_eval, afe_unsupported
     from .specialfn import PoleError
 
+    if not -0.5 <= s <= 25.0:
+        raise UsageError(f"-s {s!r} is outside [-0.5, 25], where the pipelines are defined")
     ctx = checks.RunContext(cfg)
     rs = ctx.rs
     if -0.5 <= s <= 2.75 and (why := afe_unsupported(rs)):
@@ -206,11 +213,8 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
         except PoleError as exc:
             print(f"warning,{s},pole,{exc}")
     if s == 0.0 and not rs.isogenous:
-        from .domain import _depth_doubling, sweep_pair_family
-
-        r = _depth_doubling(lambda g: sweep_pair_family(ctx.fe, ctx.ge, ctx.N, g,
-                                                        want_regulator=True),
-                            ctx.grid(ctx.N))["regulator"]
+        r = sweep_pair_family(ctx.fe, ctx.ge, ctx.N, ctx.grid(ctx.N),
+                              want_regulator=True)["regulator"]
         rows.append(("regulator", s, r.value.real, r.abs_error_bound))
     print("pipeline,s,value,error")
     for row in rows:

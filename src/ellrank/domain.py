@@ -6,21 +6,24 @@ representatives:  Int_{X_0(N)} H dmu = sum_j Int_F H(gamma_j z) dmu.
 
 Quadrature: tensor Gauss-Legendre panels in x, geometric panel
 subdivision in y starting at the arc |z| = 1; node weights carry the
-hyperbolic measure dx dy / y^2.  Cusp truncation tail: every pair
-integrand decays like C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp
-(w = cusp width <= the form's level), so the neglected mass beyond
-y_cut = 12 is below 1e-7 in absolute terms for the levels used here
-(about 2e-6 relative to (f, f)); petersson's error bound is the
-depth-doubling difference plus that tail estimate.
+hyperbolic measure dx dy / y^2.  A grid holds the nodes of the rule at
+its depth and of the rule one depth coarser, with one weight row each,
+so a single sweep gives every integral on both rules: the value is the
+fine one and its depth-doubling error the distance between the two.
+Cusp truncation tail: every pair integrand decays like
+C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp (w = cusp width <= the
+form's level), so the neglected mass beyond y_cut = 12 is below 1e-7 in
+absolute terms for the levels used here (about 2e-6 relative to
+(f, f)); the Petersson products add that tail estimate to their error.
 
 One primitive, sweep_pair_family, computes every pair integral over
-X_0(N) and returns the paper's quantities, each normalised there and
-nowhere else: the Petersson products (1/psi(N)), the regulator side
-of the class-number formula (-pi/3), its cyclotomic q-logarithm side
-(-4 pi) and the share of the domain on the eta fallback.  Any key's
-error is _depth_doubling over the same sweep.  The grid, the Rankin
-series and any sweep a function only reads are the caller's to build
-(checks.RunContext builds each once per run).
+X_0(N) with its error and returns the paper's quantities, each
+normalised there and nowhere else: the Petersson products (1/psi(N)),
+the regulator side of the class-number formula (-pi/3), its cyclotomic
+q-logarithm side (-4 pi) and the share of the domain on the eta
+fallback.  The grid, the Rankin series and any sweep a function only
+reads are the caller's to build (checks.RunContext builds each once per
+run).
 
 Upper-triangular classes (Cohen, GTM 138; Cremona, Algorithms for
 Modular Elliptic Curves): no layer searches a point's orbit.  Each runs
@@ -44,15 +47,15 @@ Im(U w) = alpha y / delta >= sqrt(3) / (2N): for N <= 346 no cyclotomic
 node reaches the eta fallback below 0.0025, so C runs through the Moebius
 factorisation log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}| at every
 node, independently of the eta product.  The classes are streamed
-(their arrays folded into per-rep scalars, then dropped); each key's
-scalars are combined with math.fsum.
+(their arrays folded into per-rep scalar pairs, one per rule, then
+dropped); each key's scalars are combined with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,10 +85,6 @@ class CosetRep:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be 1")
 
-    @property
-    def row(self):
-        return (self.c, self.d)
-
 
 @lru_cache(maxsize=None)
 def _p1_classes(N: int) -> tuple:
@@ -95,14 +94,11 @@ def _p1_classes(N: int) -> tuple:
     classes = []
     for c in range(N):
         for d in range(N):
-            if math.gcd(math.gcd(c, d), N) != 1:
-                continue
-            if (c, d) in seen:
+            if math.gcd(math.gcd(c, d), N) != 1 or (c, d) in seen:
                 continue
             orbit = {((u * c) % N, (u * d) % N) for u in units}
-            canon = min(orbit)
             seen.update(orbit)
-            classes.append(canon)
+            classes.append(min(orbit))
     return tuple(sorted(classes))
 
 
@@ -112,18 +108,9 @@ def coset_reps(N: int) -> tuple[CosetRep, ...]:
     one per class of the bottom row in P^1(Z/N)."""
     reps = []
     for c0, d0 in _p1_classes(N):
-        lift = None
-        if c0 == 0:
-            lift = (0, 1)
-        else:
-            for k in range(N + 1):
-                for dd in (d0 + k * N, d0 - k * N):
-                    if math.gcd(c0, dd) == 1:
-                        lift = (c0, dd)
-                        break
-                if lift:
-                    break
-        c, d = lift
+        c, d = (0, 1) if c0 == 0 else next(
+            (c0, dd) for k in range(N + 1) for dd in (d0 + k * N, d0 - k * N)
+            if math.gcd(c0, dd) == 1)
         # a d - b c = 1
         g, a, negb = ext_gcd(d, c)
         assert g == 1
@@ -151,58 +138,60 @@ class QuadratureGrid:
     reps: tuple
     xs: np.ndarray
     ys: np.ndarray
-    ws: np.ndarray            # includes the 1/y^2 hyperbolic density
+    ws: np.ndarray            # (2, n): the depth and depth - 1 rules, with 1/y^2
     y_cut: float
     depth: int
 
+    @cached_property
+    def n_fine(self) -> int:
+        """Nodes of the depth rule, listed first (its weights are positive)."""
+        return int(np.count_nonzero(self.ws[0]))
 
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    def rule_sums(self, v: np.ndarray) -> np.ndarray:
+        """Sums of v (weights applied) over the depth rule's nodes and over the
+        depth - 1 rule's, each bit-identical to a grid of that rule alone."""
+        return np.array((np.sum(v[:self.n_fine]), np.sum(v[self.n_fine:])))
 
 
-def build_grid(level: int, depth: int = 2, y_cut: float = 12.0,
-               nx_base: int = 4, gl_order: int = 6) -> QuadratureGrid:
-    """Tensor panel grid on F intersected with {y <= y_cut}."""
-    gx, gw = _gauss_legendre(gl_order)
-    n_panels = max(1, round(nx_base * 2.0**depth))
-    edges = np.linspace(-0.5, 0.5, n_panels + 1)
+_NX_BASE = 4        # x-panels at depth 0
+_GL_ORDER = 6       # Gauss-Legendre nodes per panel side
+
+
+def build_grid(level: int, depth: int = 2, y_cut: float = 12.0) -> QuadratureGrid:
+    """Tensor panel rules on F intersected with {y <= y_cut}: the nodes of
+    the rule at depth, then those of the rule at depth - 1.  Row 0 of ws
+    weighs the first (zero on the second) and row 1 the second, so one
+    pass over the nodes integrates on both rules."""
+    gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
     xs_all, ys_all, ws_all = [], [], []
-    rho = 2.0 ** (2.0 ** (1 - depth))
-    for i in range(n_panels):
-        x0, x1 = edges[i], edges[i + 1]
-        xm, xh = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-        xn = xm + xh * gx
-        wxn = xh * gw
-        for x, wx in zip(xn, wxn):
-            ylow = math.sqrt(max(1.0 - x * x, 0.0))
-            b = ylow
-            while b < y_cut - 1e-12:
-                t = min(b * rho, y_cut)
-                ym, yh = 0.5 * (b + t), 0.5 * (t - b)
-                yn = ym + yh * gx
-                wyn = yh * gw
-                xs_all.append(np.full_like(yn, x))
-                ys_all.append(yn)
-                ws_all.append(wx * wyn / yn**2)
-                b = t
-    return QuadratureGrid(
-        level=level,
-        reps=coset_reps(level),
-        xs=np.concatenate(xs_all),
-        ys=np.concatenate(ys_all),
-        ws=np.concatenate(ws_all),
-        y_cut=y_cut,
-        depth=depth,
-    )
+    for row in (0, 1):
+        n_panels = max(1, round(_NX_BASE * 2.0 ** (depth - row)))
+        edges = np.linspace(-0.5, 0.5, n_panels + 1)
+        rho = 2.0 ** (2.0 ** (1 - depth + row))
+        for i in range(n_panels):
+            x0, x1 = edges[i], edges[i + 1]
+            xm, xh = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+            for x, wx in zip(xm + xh * gx, xh * gw):
+                b = math.sqrt(max(1.0 - x * x, 0.0))
+                while b < y_cut - 1e-12:
+                    t = min(b * rho, y_cut)
+                    ym, yh = 0.5 * (b + t), 0.5 * (t - b)
+                    yn = ym + yh * gx
+                    xs_all.append(np.full_like(yn, x))
+                    ys_all.append(yn)
+                    ws_all.append(np.outer((1 - row, row), wx * (yh * gw) / yn**2))
+                    b = t
+    return QuadratureGrid(level=level, reps=coset_reps(level), xs=np.concatenate(xs_all),
+                          ys=np.concatenate(ys_all), ws=np.concatenate(ws_all, axis=1),
+                          y_cut=y_cut, depth=depth)
 
 
-def random_gamma0_elements(N: int, count: int, seed: int = 7,
-                           max_entry: int = 4000) -> list[tuple]:
+def random_gamma0_elements(N: int, count: int, seed: int = 7) -> list[tuple]:
     """Random words in Gamma_0(N) with bounded entries.  The bound keeps
     image points representable in double precision: an element moves a
     point down to height y/|cz+d|^2 and any evaluation there carries a
     relative error ~eps |cz+d|^2 / y, so 1e-8 invariance checks need
-    entries of a few thousand at most."""
+    entries of a few thousand at most (4000 here)."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -212,7 +201,7 @@ def random_gamma0_elements(N: int, count: int, seed: int = 7,
             a, b = a + k * c, b + k * d              # T^k
             m = int(rng.integers(-1, 2))
             c, d = c + m * N * a, d + m * N * b      # V^m
-        if max(abs(a), abs(b), abs(c), abs(d)) <= max_entry:
+        if max(abs(a), abs(b), abs(c), abs(d)) <= 4000:
             out.append((a, b, c, d))
     return out
 
@@ -221,41 +210,33 @@ class InvarianceError(ValueError):
     pass
 
 
-def check_invariance(N: int, H, tol: float = 1e-7, seed: int = 7):
-    """Stochastic Gamma_0(N)-invariance gate: 5 random group elements."""
+def check_invariance(N: int, H):
+    """Stochastic Gamma_0(N)-invariance gate: 5 random group elements,
+    relative tolerance 1e-7."""
     pts_x = np.array([0.07, -0.31, 0.42])
     pts_y = np.array([0.83, 1.21, 0.95])
     base = H(pts_x, pts_y)
     scale = float(np.max(np.abs(base))) or 1.0
-    for g in random_gamma0_elements(N, 5, seed=seed):
+    for g in random_gamma0_elements(N, 5):
         a, b, c, d = g
         gx, gy = apply_moebius(np.full(3, a), np.full(3, b), np.full(3, c),
                                np.full(3, d), pts_x, pts_y)
         moved = H(gx, gy)
-        if np.max(np.abs(moved - base)) > tol * scale:
+        if np.max(np.abs(moved - base)) > 1e-7 * scale:
             raise InvarianceError(f"integrand not Gamma_0({N})-invariant at element {g}")
 
 
-def _fsum_parts(parts: dict) -> dict:
-    """Each key's list of complex partial integrals, summed with math.fsum."""
-    return {k: complex(math.fsum(p.real for p in v), math.fsum(p.imag for p in v))
-            for k, v in parts.items()}
+def _fsum_rows(pairs: list) -> list:
+    """Partial integrals, one (depth rule, depth - 1 rule) pair per coset
+    or class, summed rule by rule with math.fsum."""
+    a = np.asarray(pairs, dtype=complex)
+    return [complex(math.fsum(a[:, r].real), math.fsum(a[:, r].imag)) for r in (0, 1)]
 
 
 def _upper_image(U: tuple[int, int, int], grid: "QuadratureGrid"):
     """U w = (alpha w + beta) / delta on the grid nodes w."""
     alpha, beta, delta = U
     return (alpha * grid.xs + beta) / delta, alpha * grid.ys / delta
-
-
-_GRID_CACHE: dict = {}
-
-
-def _grid_pair(N: int, depth: int, y_cut: float):
-    key = (N, depth, y_cut)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = build_grid(N, depth, y_cut)
-    return _GRID_CACHE[key]
 
 
 def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float) -> float:
@@ -271,17 +252,6 @@ def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float) ->
     return len(divisors(N)) * math.exp(-rate * y_cut) / index_psi(N)
 
 
-def _depth_doubling(sweep, grid: QuadratureGrid, fine: dict | None = None) -> dict:
-    """Each integrand of sweep(grid) with its depth-doubling error: the
-    distance to the same sweep on the grid one depth coarser.  fine,
-    when given, is sweep(grid) already computed; only the keys of the
-    coarse sweep are returned."""
-    if fine is None:
-        fine = sweep(grid)
-    coarse = sweep(_grid_pair(grid.level, grid.depth - 1, grid.y_cut))
-    return {k: EvalResult(fine[k], abs(fine[k] - c)) for k, c in coarse.items()}
-
-
 def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> EvalResult:
     """Int_{X_0(N)} H dmu by coset sweep, H evaluated pointwise at every
     coset image gamma_j w, with its depth-doubling error (the
@@ -294,28 +264,17 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> 
     and the benchmark's tracer binds its name."""
     if check:
         check_invariance(N, H)
-
-    def sweep(g):
-        def one(rep):
-            wx, wy = apply_moebius(rep.a, rep.b, rep.c, rep.d, g.xs, g.ys)
-            return complex(np.sum(H(wx, wy) * g.ws))
-        return _fsum_parts({"H": [one(rep) for rep in g.reps]})
-
-    return _depth_doubling(sweep, grid)["H"]
+    weight = grid.ws.sum(axis=0)
+    parts = [grid.rule_sums(H(*apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys)) * weight)
+             for r in grid.reps]
+    fine, coarse = _fsum_rows(parts)
+    return EvalResult(fine, abs(fine - coarse))
 
 
-def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int, grid: QuadratureGrid,
-              fam: dict | None = None) -> EvalResult:
+def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int, grid: QuadratureGrid) -> EvalResult:
     """(f, g) = (1/psi(N)) Int_{X_0(N)} f conj(g) y^2 dmu on grid, with
-    the depth-doubling error plus the cusp-truncation tail.  fam, when
-    given, is a sweep_pair_family result for (fe, ge, N) on the grid; it
-    replaces the fine sweep."""
-    if N % fe.level or N % ge.level:
-        raise ValueError("both levels must divide N")
-    check_invariance(N, lambda x, y: (eval_form_array(fe, x, y)
-                                      * np.conj(eval_form_array(ge, x, y)) * y**2))
-    r = _depth_doubling(lambda g: sweep_pair_family(fe, ge, N, g), grid, fam)["pet_fg"]
-    return EvalResult(r.value, r.abs_error_bound + pair_tail_bound(fe, ge, N, grid.y_cut))
+    the depth-doubling error plus the cusp-truncation tail."""
+    return sweep_pair_family(fe, ge, N, grid)["pet_fg"]
 
 
 # ------------------------------------------------- multi-integrand sweep
@@ -363,26 +322,37 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                            measure on the eta fallback of C, a float; 0
                            for N <= 346 (want_cnf)
 
-    The forms are evaluated once per coset of their own level; E*, h and
-    the cyclotomic sum once per Hermite class (module docstring).  Each
-    key's error is _depth_doubling over this sweep.
+    Every key but 'deep_fraction' is an EvalResult: the value on the depth
+    rule (grid.ws row 0) with, as error, its distance to the value on the
+    depth - 1 rule (row 1), both from this one pass over the union of
+    their nodes; the Petersson keys add the cusp-truncation tail
+    (pair_tail_bound).  The forms are evaluated once per coset of their
+    own level; E*, h and the cyclotomic sum once per Hermite class
+    (module docstring).  Both levels must divide N, and f conj(g) y^2
+    must pass the Gamma_0(N)-invariance gate.
     """
+    if N % fe.level or N % ge.level:
+        raise ValueError("both levels must divide N")
     if want_cnf and (N <= 1 or not is_squarefree(N)):
         raise ValueError("the cyclotomic sum needs square-free N > 1")
+    check_invariance(N, lambda x, y: (eval_form_array(fe, x, y)
+                                      * np.conj(eval_form_array(ge, x, y)) * y**2))
     fs = slash_on_cosets(fe, grid)
     gs = fs if ge is fe else slash_on_cosets(ge, grid)
-    # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2
-    measure = grid.ys**2 * grid.ws
+    # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2;
+    # each node carries its weight in its own rule
+    measure = grid.ys**2 * grid.ws.sum(axis=0)
     parts: dict = {}
+    deep_mass = []
 
-    def add(key, value):
-        parts.setdefault(key, []).append(complex(value))
+    def add(key, v):
+        parts.setdefault(key, []).append(grid.rule_sums(v))
 
     for F, G in zip(fs, gs):
-        add("pet_fg", np.sum(F * np.conj(G) * measure))
+        add("pet_fg", F * np.conj(G) * measure)
         if want_norms:
-            add("pet_ff", np.sum(F * np.conj(F) * measure))
-            add("pet_gg", np.sum(G * np.conj(G) * measure))
+            add("pet_ff", F * np.conj(F) * measure)
+            add("pet_gg", G * np.conj(G) * measure)
     # Lambda(N) = sum_d mu(d) log(N/d), von Mangoldt
     lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
     if want_regulator:
@@ -404,23 +374,24 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         for j, d in members:
             b = fs[j] * np.conj(gs[j]) * measure
             for s in s_values:
-                add(("eis", s, d), np.sum(b * estar[s]))
+                add(("eis", s, d), b * estar[s])
             if want_regulator and mu[d]:
-                add("regulator", mu[d] * np.sum(b * h))
+                add("regulator", mu[d] * (b * h))
             if (j, d) in cusp:      # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
                 mq = mu[N // d]
-                add("cnf", np.sum(b * (mq * cvals + (mq - 1) * lam / 4.0)))
-                add("deep_fraction", np.sum(grid.ws * deep))
-    out = _fsum_parts(parts)
+                add("cnf", b * (mq * cvals + (mq - 1) * lam / 4.0))
+                deep_mass.append(np.sum(grid.ws[0] * deep))
     psi = len(grid.reps)            # psi(N), one rep per coset
-    for key in ("pet_fg", "pet_ff", "pet_gg"):
-        if key in out:
-            out[key] /= psi
-    if want_regulator:
-        out["regulator"] *= -math.pi / 3.0
+    tail = {key: pair_tail_bound(a, b, N, grid.y_cut)
+            for key, a, b in (("pet_fg", fe, ge), ("pet_ff", fe, fe), ("pet_gg", ge, ge))}
+    factor = {"regulator": -math.pi / 3.0, "cnf": -4.0 * math.pi}
+    out: dict = {}
+    for key, pairs in parts.items():
+        fine, coarse = (v / psi if key in tail else v * factor.get(key, 1.0)
+                        for v in _fsum_rows(pairs))
+        out[key] = EvalResult(fine, abs(fine - coarse) + tail.get(key, 0.0))
     if want_cnf:
-        out["cnf"] *= -4.0 * math.pi
-        out["deep_fraction"] = out["deep_fraction"].real / (psi * (math.pi / 3.0 - 1.0 / grid.y_cut))
+        out["deep_fraction"] = math.fsum(deep_mass) / (psi * (math.pi / 3.0 - 1.0 / grid.y_cut))
     return out
 
 
@@ -436,18 +407,28 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
     N^{-s}) are evaluated alongside; the dict reports all three and
     which one closes.  rs is RankinSeries.build(fe, ge) and fam a
     sweep_pair_family result for (fe, ge, N) with s among its s_values.
+    lhs and each rhs variant are EvalResults: L_direct's tail bound and
+    the errors of the J_d, carried linearly through the fixed factors.
     """
     if not 1.2 < s <= 3.0:
         raise ValueError("rs identity checked for s in (1.2, 3]")
     conv = math.pi**s / _gamma_raw(s)     # E = pi^s/Gamma(s) E*
-    J = {d: conv * fam[("eis", s, d)] for d in divisors(N)}
-    lhs = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0) * L_direct(rs, s).value
-    variants = {
-        "N^-s d^-s": float(N) ** (-s) * sum(moebius(d) * float(d) ** (-s) * J[d].real for d in divisors(N)),
-        "d^-s": sum(moebius(d) * float(d) ** (-s) * J[d].real for d in divisors(N)),
-        "d^-2s": sum(moebius(d) * float(d) ** (-2.0 * s) * J[d].real for d in divisors(N)),
-    }
-    diffs = {k: abs(lhs - v) / max(abs(lhs), 1e-300) for k, v in variants.items()}
+    divs = divisors(N)
+    eis = {d: fam[("eis", s, d)] for d in divs}
+
+    def combine(w, c=1.0):      # c sum_d mu(d) w(d) J_d, with its error
+        return EvalResult(c * sum(moebius(d) * w(d) * (conv * eis[d].value).real for d in divs),
+                          c * sum(abs(moebius(d)) * w(d) * conv * eis[d].abs_error_bound
+                                  for d in divs))
+
+    series = L_direct(rs, s)
+    c = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0)
+    lhs = EvalResult(c * series.value, c * series.error)
+    variants = {"N^-s d^-s": combine(lambda d: float(d) ** (-s), float(N) ** (-s)),
+                "d^-s": combine(lambda d: float(d) ** (-s)),
+                "d^-2s": combine(lambda d: float(d) ** (-2.0 * s))}
+    diffs = {k: abs(lhs.value - v.value) / max(abs(lhs.value), 1e-300)
+             for k, v in variants.items()}
     resolved = min(diffs, key=diffs.get)
     return {
         "s": s,
@@ -471,7 +452,7 @@ def unfolding_check(fe: CuspFormEval, ge: CuspFormEval, s: float,
     b = ge.table.coefficients[: n_terms + 1].astype(float)
     ns = np.arange(1, n_terms + 1, dtype=float)
     ab = a[1:] * b[1:]
-    gx, gw = _gauss_legendre(24)
+    gx, gw = np.polynomial.legendre.leggauss(24)
     # panels refined geometrically toward 0: the truncated exponential
     # sum varies on the scale 1/(4 pi n_terms) there
     y0 = 1.0 / (8.0 * math.pi * n_terms)

@@ -98,9 +98,9 @@ def G_factor(rs: RankinSeries, s: float) -> float:
 
 def L_direct(rs: RankinSeries, s: float, n_max: int | None = None) -> LValueResult:
     """zeta_N(2s) sum_{n<=n_max} a_n b_n n^{-(s+1)}; certified tail from
-    |a_n b_n| <= 4 n^{5/4}, certified above s = 1.3."""
-    if s <= 1.3:
-        raise ValueError("no finite tail certificate at s <= 1.3; use the AFE pipeline")
+    |a_n b_n| <= 4 n^{5/4}, certified from s = 1.3."""
+    if s < 1.3:
+        raise ValueError("no finite tail certificate below s = 1.3; use the AFE pipeline")
     if n_max is None:
         n_max = min(rs.af.nmax, rs.bg.nmax)
     ns = np.arange(1, n_max + 1, dtype=float)

@@ -38,7 +38,8 @@ def test_verify_only_and_report(tmp_path, capsys):
     assert rep["all_passed"] is True
     assert [r["name"] for r in rep["checks"]] == ["epstein_residue"]
     rec = rep["checks"][0]
-    assert set(rec) >= {"name", "lhs", "rhs", "diff", "tolerance", "passed", "pipelines"}
+    assert set(rec) >= {"name", "lhs", "rhs", "diff", "lhs_err", "rhs_err", "tolerance", "passed",
+                        "pipelines"}
     assert os.path.exists(os.path.join(out, "timing.json"))
     capsys.readouterr()
     assert main(["--out", out, "report"]) == 0
@@ -69,6 +70,17 @@ def test_lvalue_rows(tmp_path, capsys):
     v1 = float(out[1].split(",")[2])
     v2 = float(out[2].split(",")[2])
     assert abs(v1 - v2) < 1e-3 * abs(v2)
+
+
+def test_lvalue_at_the_direct_series_edge(capsys):
+    # s = 1.3 is the first s with a finite direct-series tail bound: both
+    # pipelines give a row, and the AFE value lies within the direct bound
+    assert main(["lvalue", "-s", "1.3"]) == 0
+    rows = {line.split(",")[0]: line.split(",")
+            for line in capsys.readouterr().out.strip().splitlines()[1:]}
+    assert set(rows) == {"direct-series", "afe"}
+    direct, err = float(rows["direct-series"][2]), float(rows["direct-series"][3])
+    assert abs(float(rows["afe"][2]) - direct) <= err
 
 
 def test_lvalue_pole_warning(capsys):
@@ -126,6 +138,9 @@ def test_usage_errors(tmp_path):
         {"checks": [{"name": "ap", "diff": 0.0, "tolerance": 0.5, "passed": True}],
          "all_passed": True}))
     assert main(["--out", str(tmp_path), "report"]) == 2
+    # s outside [-0.5, 25], where no pipeline gives L(s)
+    for s in ("-1", "nan", "26"):
+        assert main(["lvalue", "-s", s]) == 2, s
 
 
 def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
@@ -164,6 +179,7 @@ def test_skipped_check_is_reported_as_skip(tmp_path, capsys):
 
 def test_bad_number_exits_2(capsys):
     for setting, message in (("depth=abc", "depth = 'abc' is not a number"),
+                             ("depth=-1", "depth = '-1' is below 0"),
                              ("y_cut=0.5", "y_cut = '0.5' is not a finite number above 1"),
                              ("y_cut=nan", "y_cut = 'nan' is not a finite number above 1"),
                              ("n_max=1", "n_max = '1' is below 2"),
@@ -205,7 +221,7 @@ def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
         "cnf_a_vs_b", "cnf_c_ratio", "cnf_nonvanishing", "pole_orders", "sym2",
         "triple_product"]
     assert all(r["status"] == "pass" for r in rep["checks"])
-    assert len(swept) == len(set(swept)) == 3
+    assert len(swept) == len(set(swept)) == 2
     timing = json.load(open(os.path.join(out, "timing.json")))
     assert list(timing) == [
         "ap", "unfolding", "epstein", "epstein_residue", "kronecker", "sweep_pair_family",
@@ -367,10 +383,21 @@ def test_afe_checks_skip_levels_sharing_a_factor(tmp_path, capsys):
         assert "SKIP" in capsys.readouterr().out
 
 
-def test_lvalue_at_0_regulator_row(capsys):
-    # L'_{f,g}(0) = Phi(0) by the AFE against the regulator integral of the
+def test_lvalue_at_0_regulator_row(capsys, monkeypatch):
+    # L'_{f,g}(0) = Phi(0) by the AFE against the regulator integral of one
     # depth-1 sweep, whose depth-doubling error covers their difference
+    import ellrank.domain
+
+    swept = []
+    real = ellrank.domain.sweep_pair_family
+
+    def counting(*args, **kw):
+        swept.append(args[2])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ellrank.domain, "sweep_pair_family", counting)
     assert main(["--set", "depth=1", "lvalue", "-s", "0"]) == 0
+    assert swept == [154]
     rows = {line.split(",")[0]: line.split(",")
             for line in capsys.readouterr().out.strip().splitlines()[1:]}
     assert set(rows) == {"afe", "regulator"}

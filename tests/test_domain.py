@@ -5,7 +5,7 @@ import pytest
 
 from ellrank.arith import divisors, index_psi, moebius
 from ellrank.domain import (InvarianceError, build_grid, check_invariance,
-                            coset_reps, integrate_invariant, petersson,
+                            coset_reps, integrate_invariant, pair_tail_bound, petersson,
                             rs_identity_check, sweep_pair_family, unfolding_check)
 
 
@@ -49,8 +49,15 @@ def test_grid_nodes_in_domain():
     assert np.all(np.abs(g.xs) <= 0.5 + 1e-12)
     assert np.all(g.xs**2 + g.ys**2 >= 1.0 - 1e-12)
     assert np.all(g.ys <= 12.0 + 1e-12)
-    # weights sum to the truncated hyperbolic area
-    assert abs(g.ws.sum() - (math.pi / 3.0 - 1.0 / 12.0)) < 1e-10
+    # the depth-2 nodes, then the depth-1 nodes, one weight row each
+    n = g.n_fine
+    assert g.ws.shape == (2, len(g.xs)) and (n, len(g.xs) - n) == (4608, 1152)
+    assert np.all(g.ws[0, :n] > 0) and not g.ws[0, n:].any()
+    assert np.all(g.ws[1, n:] > 0) and not g.ws[1, :n].any()
+    # each rule's weights sum to the truncated hyperbolic area
+    area = math.pi / 3.0 - 1.0 / 12.0
+    assert abs(g.ws[0].sum() - area) < 1e-10
+    assert abs(g.ws[1].sum() - area) < 1e-7
 
 
 def test_area_constant_integrand():
@@ -125,7 +132,7 @@ def test_rs_identity_rejects_bad_s(run_ctx):
 
 def test_regulator_plumbing(form_11a):
     r, r2 = (sweep_pair_family(form_11a, form_11a, 11, build_grid(11, depth=depth),
-                               want_regulator=True)["regulator"] for depth in (1, 2))
+                               want_regulator=True)["regulator"].value for depth in (1, 2))
     assert abs(r.imag) < 1e-8 * abs(r.real)
     assert abs(r.real - r2.real) < 1e-3 * abs(r2.real)
 
@@ -139,9 +146,9 @@ def test_cnf_guard_N1(form_11a):
 def test_regulator_conjugate_symmetry(form_11a, form_14a):
     # value(f, g) = conj(value(g, f)) on the same sweep
     grid = build_grid(154, depth=0, y_cut=8.0)
-    a = sweep_pair_family(form_11a, form_14a, 154, grid, want_regulator=True)
-    b = sweep_pair_family(form_14a, form_11a, 154, grid, want_regulator=True)
-    assert abs(a["regulator"] - b["regulator"].conjugate()) < 1e-8 * abs(a["regulator"])
+    a = sweep_pair_family(form_11a, form_14a, 154, grid, want_regulator=True)["regulator"].value
+    b = sweep_pair_family(form_14a, form_11a, 154, grid, want_regulator=True)["regulator"].value
+    assert abs(a - b.conjugate()) < 1e-8 * abs(a)
 
 
 def test_class_factored_form_values_match_direct(form_11a, form_14a):
@@ -287,4 +294,24 @@ def test_sweep_matches_per_point_integrals(N, form_11a):
         want[("eis", 2.0, d)] = pointwise(
             lambda x, y: epstein_star_array(N * x / d, N * y / d, 2.0))
     for key, v in want.items():
-        assert abs(fam[key] - v) < 1e-12 * max(abs(v), scale), (key, fam[key], v)
+        assert abs(fam[key].value - v) < 1e-12 * max(abs(v), scale), (key, fam[key], v)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_sweep_error_is_the_depth_doubling_difference(depth, form_11a):
+    # one sweep's error on every key is its distance to the sweep one depth
+    # coarser (plus the cusp tail for the Petersson products): the grid's
+    # second weight row is that coarser rule
+    kw = dict(s_values=(2.0,), want_regulator=True, want_cnf=True, want_norms=True)
+    fine, coarse = (sweep_pair_family(form_11a, form_11a, 11, build_grid(11, depth=d), **kw)
+                    for d in (depth, depth - 1))
+    tail = pair_tail_bound(form_11a, form_11a, 11, 12.0)
+    scale = abs(fine["pet_fg"].value)
+    keys = [k for k in fine if k != "deep_fraction"]
+    assert len(keys) == 7
+    for key in keys:
+        shift = abs(fine[key].value - coarse[key].value)
+        extra = tail if key in ("pet_fg", "pet_ff", "pet_gg") else 0.0
+        assert shift > 1e-10 * max(abs(fine[key].value), scale), key
+        assert abs(fine[key].abs_error_bound - extra - shift) < 1e-12 * max(
+            abs(fine[key].value), scale), (key, fine[key], shift)
