@@ -39,8 +39,9 @@ print(f"  L(2)  direct  = {L_direct(rs, 2.0).value:.12f}")
 print(f"  Phi(0) = L'(0) = {afe_eval(rs, 0.0).value:.12f}   (AFE)")
 
 res = residue_at_1(rs_iso)
-print(f"\nresidue of Phi at s=1 for 11a x 11a: {res['residue']:.10f} "
-      f"(split spread {res['spread']:.1e})")
+# its error bar is the spread of the residue over three split pairs
+print(f"\nresidue of Phi at s=1 for 11a x 11a: {res['residue'].value:.10f} "
+      f"+- {res['residue'].abs_error_bound:.1e}")
 
 print("\npole orders of L(H^2(E x E'), s) at s = 2 (Tate):")
 for name, r in (("11a x 11a", rs_iso), ("11a x 14a", rs)):

@@ -36,7 +36,7 @@ print(f"(a) Phi(0) via AFE          = {phi0.value:.10f}")
 
 # the sweep returns (b), (c) and the Petersson products already normalised
 fam = sweep_pair_family(f11, f14, N, build_grid(N, depth=1), want_regulator=True,
-                        want_cnf=True, want_norms=True)
+                        want_cnf=True)
 reg = fam["regulator"].value.real
 cnf = fam["cnf"].value.real
 print(f"(b) regulator integral      = {reg:.10f} +- {fam['regulator'].abs_error_bound:.1e}"

@@ -11,7 +11,9 @@ Every record has name, lhs, rhs, diff, lhs_err, rhs_err, tolerance,
 status ('pass', 'fail' or 'skip'), passed (status == 'pass') and
 pipelines, and may have extra.  A side's error is the bound its
 pipeline returns (the sweep's depth-doubling error, the AFE and
-direct-series bounds), carried linearly through fixed factors, or None.
+direct-series bounds, the unfolding quadrature's 24- against 12-point
+distance, the AFE residue's split spread), carried linearly through
+fixed factors, or None.
 A check that does not apply to the configured pair returns skip
 records (_skip) that give the reason under extra['skipped'].
 
@@ -80,8 +82,7 @@ class RunContext:
         """Every (f, g) quantity over X_0(N) on the depth grid, one sweep."""
         t0 = time.perf_counter()
         fam = domain.sweep_pair_family(self.fe, self.ge, self.N, self.grid(self.N),
-                                       s_values=(S_RS,), want_regulator=True,
-                                       want_cnf=True, want_norms=True)
+                                       s_values=(S_RS,), want_regulator=True, want_cnf=True)
         self.timings["sweep_pair_family"] = time.perf_counter() - t0
         return fam
 
@@ -289,24 +290,37 @@ def check_pole_orders(ctx: RunContext) -> list[dict]:
 
 
 def check_sym2(ctx: RunContext) -> list[dict]:
-    deg_phi = ctx.cfg.get("deg_phi1", "")
-    rep = lseries.sym2_report(ctx.c1, ctx.pet_ff, ctx.rs_ff,
-                              deg_phi=int(deg_phi) if deg_phi else None,
-                              manin_c=int(ctx.cfg.get("manin_c1", "1")))
+    rep = lseries.sym2_report(ctx.c1, ctx.pet_ff, ctx.rs_ff)
     return [_record("sym2", rep["residue_ratio_residual"], 0.0, 1e-4,
                     extra={k: _num(v) for k, v in rep.items() if not isinstance(v, dict)},
                     pipelines="afe,quadrature,agm")]
 
 
+def _third_form(ctx: RunContext):
+    """The third curve's form, or None: the first built-in curve (in
+    curves._REGISTRY order) whose conductor is square-free and coprime
+    to both levels."""
+    third = (curves.curve_by_label(label) for label in curves._REGISTRY)
+    return next((modular.CuspFormEval.from_curve(c, ctx.n_max) for c in third
+                 if arith.is_squarefree(c.conductor) and math.gcd(c.conductor, ctx.N) == 1),
+                None)
+
+
 def check_triple_product(ctx: RunContext) -> list[dict]:
     """Order of L(H^4) = zeta^3 prod L(H^2) at the Tate point s = 3 for
-    11a, 14a and the built-in 15a, against the order predicted from
-    zeta^3 and the three pairwise orders."""
-    if (ctx.c1.label, ctx.c2.label) != ("11a", "14a"):
-        return [_skip("triple_product", "needs the default 11a/14a pair plus built-in 15a",
-                      "afe,log-slope")]
-    he = modular.CuspFormEval.from_curve(curves.curve_by_label("15a"), ctx.n_max)
-    pairs = [ctx.rs, lseries.RankinSeries.build(ctx.fe, he), lseries.RankinSeries.build(ctx.ge, he)]
+    the two curves and a third (_third_form), against the order
+    predicted from zeta^3 and the three pairwise orders.  Skipped for an
+    isogenous pair, when the AFE does not cover one of the three pairs,
+    and when no built-in curve can be the third."""
+    he = None if ctx.rs.isogenous else _third_form(ctx)
+    pairs = [ctx.rs, *(lseries.RankinSeries.build(x, he)
+                       for x in (ctx.fe, ctx.ge) if he is not None)]
+    why = ("the pair is isogenous; the triple product is over non-isogenous curves"
+           if ctx.rs.isogenous else next(filter(None, map(lseries.afe_unsupported, pairs)), None)
+           or (he is None and "no built-in curve has a square-free conductor coprime to "
+               "both levels"))
+    if why:
+        return [_skip("triple_product", why, "afe,log-slope")]
 
     def LH4(s):
         u = s - 2.0

@@ -34,13 +34,10 @@ DEFAULT_CONFIG = {
     "depth": "2",
     "y_cut": "12.0",
     "out": ".",
-    "deg_phi1": "",
-    "manin_c1": "1",
 }
 
 _NUMBER_KEYS = {"n_max": int, "p_max": int, "depth": int, "y_cut": float,
-                "curve1.conductor": int, "curve2.conductor": int,
-                "manin_c1": int, "deg_phi1": int}
+                "curve1.conductor": int, "curve2.conductor": int}
 _CURVE_COMMANDS = ("ap", "verify", "lvalue", "petersson")
 _FORM_COMMANDS = ("verify", "lvalue", "petersson")
 
@@ -86,8 +83,6 @@ def validate_config(cfg: dict, command: str) -> None:
                          f"known: {', '.join(DEFAULT_CONFIG)}")
     for key, kind in _NUMBER_KEYS.items():
         value = cfg[key]
-        if value == "" and key == "deg_phi1":
-            continue        # optional, empty means unset
         try:
             kind(value)
         except ValueError:

@@ -17,11 +17,10 @@ parameter X,
 R1 the residue at s = 1 (zero unless f = g).  For f = g the functional
 equation holds for Phi+ = Phi * A with A(s) = prod_{p|N}(1-p^-s)^-1;
 the same sum with the A-convolved coefficients then has the unknown R1+
-eliminated by solving the two-split linear system (X = 1, 2).  Weights
-for integer s reduce to the closed forms int_x^inf t^m K_1 = recursion
-in (K_0, K_1); otherwise panel Gauss-Legendre quadrature on the doubly
-exponentially decaying v-integral phi(A k T e^v) e^{s v} is run at 48
-Chebyshev nodes in log(A k T), and log w is interpolated to every k.
+eliminated by solving the two-split linear system (X = 1, 2).  For
+every s, panel Gauss-Legendre quadrature on the doubly exponentially
+decaying v-integral phi(A k T e^v) e^{s v} is run at 48 Chebyshev nodes
+in log(A k T), and log w is interpolated to every k.
 
 Weight decay e^{-4 pi sqrt(k T / N)} pins the coefficient cutoff:
 k_max ~ (42/(4 pi))^2 N / T, e.g. ~3500 for N = 154 at T = 1/2, well
@@ -38,7 +37,7 @@ import numpy as np
 from .arith import index_psi, is_squarefree, prime_divisors
 from .curves import CoefficientTable
 from .modular import CuspFormEval
-from .specialfn import EvalResult, PoleError, _gamma_raw, _zeta_raw, bessel_k_array, zeta_depleted
+from .specialfn import EvalResult, PoleError, _gamma_raw, _zeta_raw, zeta_depleted
 
 
 @dataclass(frozen=True)
@@ -113,31 +112,6 @@ def L_direct(rs: RankinSeries, s: float, n_max: int | None = None) -> LValueResu
 
 # ------------------------------------------------------------ AFE weights
 
-def _weights_integer_sigma(sigma: int, beta: np.ndarray) -> np.ndarray:
-    """w_sigma(k,T) for integer sigma >= 0 via the closed recursion
-
-        I(m;x) = Int_x^inf t^m K_1 dt,  J(m;x) = Int_x^inf t^m K_0 dt,
-        I(m) = m J(m-1) + x^m K_0(x),   J(m) = (m-1) I(m-1) + x^m K_1(x),
-        I(0) = K_0(x),
-
-    where x = 2 sqrt(beta) and w = (Ak)^{-sigma} 4^{1/2-sigma} I(2 sigma; x)
-    with beta = A k T.  (The (Ak)^{-sigma} factor is applied by caller.)
-    """
-    x = 2.0 * np.sqrt(beta)
-    k0 = bessel_k_array(0.0, x)
-    k1 = bessel_k_array(1.0, x)
-    I = k0.copy()                      # I(0)
-    J = None
-    xm = np.ones_like(x)
-    for m in range(1, 2 * sigma + 1):
-        xm = xm * x
-        if m % 2 == 1:
-            J = (m - 1) * I + xm * k1   # J(m) from I(m-1)
-        else:
-            I = m * J + xm * k0         # I(m) from J(m-1)
-    return 4.0 ** (0.5 - sigma) * I
-
-
 _V_PANELS = (0.0, 0.5, 1.0, 1.75, 2.75, 4.0, 5.5, 7.25, 9.25, 11.5, 14.0)
 _V_GL = 18
 
@@ -208,23 +182,16 @@ def _k_effective(rs: RankinSeries, T: float) -> int:
 def afe_weight(rs: RankinSeries, sigma: float, T: float) -> np.ndarray:
     """w_sigma(k, T) = Int_T^inf phi(A k x) x^{sigma-1} dx for k = 1..k_max.
 
-    Integer sigma >= 0 uses the closed Bessel recursion; any other sigma
-    fits log w at _W_NODES Chebyshev nodes in log(A k T) and evaluates
-    the fit at every k (_weights_interpolated).  Zero beyond k_eff.  The
-    vectors are cached per (N, k_max, sigma, T) for the process and
-    shared: callers must not mutate them."""
+    log w is fitted at _W_NODES Chebyshev nodes in log(A k T) and the
+    fit evaluated at every k (_weights_interpolated).  Zero beyond
+    k_eff.  The vectors are cached per (N, k_max, sigma, T) for the
+    process and shared: callers must not mutate them."""
     key = (rs.N, rs.k_max, round(sigma, 12), round(T, 12))
     if key in _WEIGHT_CACHE:
         return _WEIGHT_CACHE[key]
     keff = _k_effective(rs, T)
-    ks = np.arange(1, keff + 1, dtype=float)
-    beta = rs.A_const * ks * T
-    if abs(sigma - round(sigma)) < 1e-13 and round(sigma) >= 0:
-        m = int(round(sigma))
-        core = _weights_integer_sigma(m, beta)
-        w = (rs.A_const * ks) ** (-float(m)) * core
-    else:
-        w = T**sigma * _weights_interpolated(sigma, beta)
+    beta = rs.A_const * np.arange(1, keff + 1, dtype=float) * T
+    w = T**sigma * _weights_interpolated(sigma, beta)
     if keff < rs.k_max:
         w = np.concatenate([w, np.zeros(rs.k_max - keff)])
     w.flags.writeable = False
@@ -279,11 +246,18 @@ def _two_split(rs: RankinSeries, s: float, X1: float, X2: float) -> tuple[float,
     return V1 - Rplus * g1, Rplus
 
 
-def afe_unsupported(rs: RankinSeries) -> str | None:
-    """Why afe_eval cannot continue Phi for this pair, or None."""
+def _afe_tail(rs: RankinSeries, split: float) -> float:
+    """Weight envelope at k_max: the AFE's truncation error at this split."""
+    return _weight_envelope(rs, rs.k_max, min(1.0 / split, split) * 0.5)
+
+
+def afe_unsupported(rs: RankinSeries, split: float = 1.0) -> str | None:
+    """Why afe_eval cannot continue Phi for this pair at this split, or None."""
     if rs.M != 1 and not rs.isogenous:
         return (f"the AFE needs coprime levels or an isogenous pair; levels "
                 f"{rs.N1} and {rs.N2} share the factor {rs.M}")
+    if (tail := _afe_tail(rs, split)) > 3e-8:
+        return f"k_max={rs.k_max} too small for the AFE tail ({tail:.2g}) at level {rs.N}"
     return None
 
 
@@ -297,11 +271,9 @@ def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
     """
     if not -0.5 <= s <= 2.75:
         raise ValueError("afe_eval supports s in [-0.5, 2.75]")
-    tail = _weight_envelope(rs, rs.k_max, min(1.0 / split, split) * 0.5)
-    if tail > 3e-8:
-        raise ValueError(f"k_max={rs.k_max} too small for the AFE tail ({tail:.2g})")
-    if why := afe_unsupported(rs):
+    if why := afe_unsupported(rs, split):
         raise ValueError(why)
+    tail = _afe_tail(rs, split)
     if rs.isogenous:
         if s in (0.0, 1.0):
             raise PoleError("Phi has a pole at s in {0,1} for f = g")
@@ -317,7 +289,10 @@ def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
 
 def residue_at_1(rs: RankinSeries) -> dict:
     """Res_{s=1} Phi for f = g, from the split-dependence of the AFE sum
-    at s = 1/2 (the sum itself is entire; only the pole terms carry X)."""
+    at s = 1/2 (the sum itself is entire; only the pole terms carry X).
+    'spread' is the largest distance of the Phi+ residue between three
+    split pairs; 'residue' is an EvalResult whose error is that spread
+    divided by the same Euler factor as the residue."""
     if not rs.isogenous:
         raise ValueError("residue extraction applies to f = g")
     vals = {X: _two_split(rs, 0.5, *X)[1] for X in ((1.0, 2.0), (1.0, 4.0), (1.5, 3.0))}
@@ -326,7 +301,7 @@ def residue_at_1(rs: RankinSeries) -> dict:
     A1 = 1.0
     for p in prime_divisors(rs.N):
         A1 /= 1.0 - 1.0 / p
-    return {"residue_plus": Rplus, "residue": Rplus / A1, "spread": spread}
+    return {"residue": EvalResult(Rplus / A1, spread / A1), "spread": spread}
 
 
 def Phi(rs: RankinSeries, s: float) -> LValueResult:
@@ -394,8 +369,7 @@ def order_of_vanishing(F, s0: float) -> dict:
     }
 
 
-def sym2_report(curve, pet: EvalResult, rs: RankinSeries,
-                deg_phi: int | None = None, manin_c: int = 1) -> dict:
+def sym2_report(curve, pet: EvalResult, rs: RankinSeries) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
       residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), rationally
@@ -404,8 +378,8 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries,
                       the period area/pi is reported, never asserted)
 
     pet is the Petersson norm (f, f) at the curve's level and rs the
-    Rankin series of (f, f).  deg_phi and manin_c are report-only config
-    inputs.
+    Rankin series of (f, f).  deg_estimate estimates the modular degree
+    as 4 pi^2 psi(N) (f, f) / area, with Manin constant 1.
     """
     from .arith import recognize_rational, best_rational
     from .curves import period_lattice
@@ -417,21 +391,21 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries,
     if not pet.value.real > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)
-    ratio1 = res["residue"] / (2.0 * math.pi * psi * pet.value.real)
+    ratio1 = res["residue"].value / (2.0 * math.pi * psi * pet.value.real)
     rec1 = recognize_rational(ratio1, 576, 1e-4)
     best1 = best_rational(ratio1, 576)
     lat = period_lattice(curve)
-    resL = res["residue"] / G_factor(rs, 1.0)
+    resL = res["residue"].value / G_factor(rs, 1.0)
     H1 = bad_factor_H(rs, 1.0)
     sym2_edge = H1 * resL
     ratio2 = sym2_edge / (lat.area / math.pi)
     best2 = best_rational(ratio2, 576)
-    deg_estimate = 4.0 * math.pi**2 * manin_c**2 * pet.value.real * psi / lat.area
+    deg_estimate = 4.0 * math.pi**2 * pet.value.real * psi / lat.area
     return {
         "level": N,
         "petersson_ff": pet.value.real,
         "petersson_err": pet.abs_error_bound,
-        "residue_phi": res["residue"],
+        "residue_phi": res["residue"].value,
         "residue_spread": res["spread"],
         "residue_ratio": ratio1,
         "residue_ratio_recognized": None if rec1 is None else (rec1.numerator, rec1.denominator),
@@ -441,5 +415,4 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries,
         "area_ratio": ratio2,
         "area_ratio_best_rational": (best2.numerator, best2.denominator, best2.residual),
         "deg_estimate": deg_estimate,
-        "deg_phi_config": deg_phi,
     }

@@ -5,7 +5,8 @@ Evaluation strategy for f(z) = sum a_n q^n at square-free level L: map
 z by its Atkin-Lehner cusp matrix M in W_Q Gamma_0(L)
 (halfplane.boost_array) to height at least sqrt(3)/(2L), run the
 truncated q-series there, transport back through the weight-2
-automorphy factor and the numerically determined eigen-sign eps(Q).
+automorphy factor and the Atkin-Lehner eigenvalue eps(Q), the product
+of -a_p over p | Q (Atkin-Lehner, Math. Ann. 185, 1970).
 Truncation uses |a_n| <= 2n (Hasse plus divisor slack), so the tail
 after M terms is below
 2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y};
@@ -26,7 +27,7 @@ import numpy as np
 
 from .arith import divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
-from .halfplane import UHPoint, boost_array, ext_gcd, sl2z_reduce
+from .halfplane import UHPoint, boost_array, sl2z_reduce
 TWO_PI = 2.0 * math.pi
 FORM_TOL = 1e-11      # absolute q-series truncation of every form value
 
@@ -43,10 +44,10 @@ def series_length(y: float, tol: float) -> int:
     raise ValueError("requested tolerance unreachable")
 
 
-def _qseries(coeffs: np.ndarray, x, y, tol: float) -> np.ndarray:
+def _qseries(coeffs: np.ndarray, x, y) -> np.ndarray:
     """sum_{n>=1} a_n e^{2 pi i n z} on arrays; points are bucketed by
     octaves of y so each bucket runs one Horner loop of the length its
-    lowest point needs."""
+    lowest point needs to stay below FORM_TOL."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     out = np.zeros(x.shape, dtype=complex)
@@ -55,7 +56,7 @@ def _qseries(coeffs: np.ndarray, x, y, tol: float) -> np.ndarray:
     octs = np.floor(np.log2(y)).astype(int)
     for o in np.unique(octs):
         m = octs == o
-        L = series_length(float(y[m].min()), tol)
+        L = series_length(float(y[m].min()), FORM_TOL)
         if L > nmax_have:
             raise ValueError(f"coefficient table too short: need n_max >= {L}")
         qm = q[m]
@@ -191,25 +192,16 @@ _FORM_CACHE: dict = {}
 
 @dataclass
 class CuspFormEval:
-    """Evaluator for a weight-2 newform given by its coefficient table.
-
-    al_signs maps each prime divisor of the level to the numerically
-    determined Atkin-Lehner eigenvalue; the sign of any exact divisor
-    Q is the product over p | Q.
-    """
+    """Evaluator for a weight-2 newform given by its coefficient table."""
 
     table: CoefficientTable
     level: int
-    al_signs: dict[int, int]
 
     _coeffs_f: np.ndarray = None
 
     def __post_init__(self):
         if not is_squarefree(self.level):
             raise ValueError("square-free level required")
-        missing = [p for p in prime_divisors(self.level) if p not in self.al_signs]
-        if missing:
-            raise ValueError(f"al_signs missing primes {missing}")
         self._coeffs_f = self.table.coefficients.astype(float)
 
     @classmethod
@@ -223,52 +215,16 @@ class CuspFormEval:
         if form is not None:
             return form
         table = an_table(curve.conductor, ap_table(curve, n_max), n_max)
-        form = cls(table=table, level=curve.conductor, al_signs={p: 1 for p in prime_divisors(curve.conductor)})
-        signs = {p: _determine_al_sign(form, p) for p in prime_divisors(curve.conductor)}
-        form.al_signs = signs
+        form = cls(table=table, level=curve.conductor)
         table.coefficients.flags.writeable = False
         form._coeffs_f.flags.writeable = False
         _FORM_CACHE[key] = form
         return form
 
     def sign_for(self, Q: int) -> int:
-        s = 1
-        for p in prime_divisors(Q) if Q > 1 else []:
-            s *= self.al_signs[p]
-        return s
-
-
-def _al_matrix(level: int, Q: int) -> tuple[int, int, int, int]:
-    """A representative [Q, b; level, Q d] with determinant Q.
-
-    Needs Q u + (level/Q) v = 1; then det(Q, -v; level, Q u) = Q."""
-    g, u, v = ext_gcd(Q, level // Q)
-    if g != 1:
-        raise ValueError("Q must exactly divide the level")
-    return Q, -v, level, Q * u
-
-
-def _determine_al_sign(form: CuspFormEval, Q: int) -> int:
-    """Eigen-sign of w_Q from three independent test points: the ratio
-    f(w_Q z) * Q / ((c z + d)^2 f(z)) must be the same +-1 at all three."""
-    L = form.level
-    a, b, c, d = _al_matrix(L, Q)
-    assert a * d - b * c == Q, (a, b, c, d, Q)
-    x0 = -d / c
-    signs = []
-    for tscale in (0.85, 1.0, 1.22):
-        y0 = tscale * math.sqrt(Q) / L
-        z = complex(x0 + 0.031 * tscale, y0)
-        w = (a * z + b) / (c * z + d)
-        fz = complex(_qseries(form._coeffs_f, np.array([z.real]), np.array([z.imag]), 1e-12)[0])
-        fw = complex(_qseries(form._coeffs_f, np.array([w.real]), np.array([w.imag]), 1e-12)[0])
-        ratio = fw * Q / ((c * z + d) ** 2 * fz)
-        if abs(ratio.imag) > 1e-6 or abs(abs(ratio.real) - 1.0) > 1e-6:
-            raise ValueError(f"AL sign determination unstable at Q={Q}: ratio {ratio}")
-        signs.append(1 if ratio.real > 0 else -1)
-    if len(set(signs)) != 1:
-        raise ValueError(f"AL sign disagrees across test points for Q={Q}")
-    return signs[0]
+        """The eigenvalue of the Atkin-Lehner involution w_Q, Q || level:
+        the product of -a_p over the primes p | Q."""
+        return math.prod(-self.table.a(p) for p in prime_divisors(Q))
 
 
 def eval_form_array(form: CuspFormEval, x, y) -> np.ndarray:
@@ -279,7 +235,7 @@ def eval_form_array(form: CuspFormEval, x, y) -> np.ndarray:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     xb, yb, (A, B, C, D), Q = boost_array(form.level, x, y)
-    fb = _qseries(form._coeffs_f, xb, yb, FORM_TOL)
+    fb = _qseries(form._coeffs_f, xb, yb)
     j = C * (x + 1j * y) + D
     signs = np.zeros(form.level + 1)
     for q in divisors(form.level):

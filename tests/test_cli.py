@@ -164,8 +164,8 @@ _ISOGENOUS_PAIR = ["--set", "curve2.label=11a", "--set", "curve2.ainvs=0,-1,1,-1
 
 
 def test_skipped_check_is_reported_as_skip(tmp_path, capsys):
-    # the triple product needs the 11a/14a pair: with 11a/11a it is skipped,
-    # which is neither a pass nor a failure
+    # the triple product is over non-isogenous curves: with 11a/11a it is
+    # skipped, which is neither a pass nor a failure
     out = str(tmp_path)
     rc = main(["--out", out, *_ISOGENOUS_PAIR, "--only", "triple_product", "verify"])
     assert rc == 0
@@ -328,6 +328,33 @@ def test_lvalue_loop_tabulates_each_curve_once(monkeypatch, capsys):
                                        for c in _CURVES)
 
 
+def test_triple_product_on_14a_15a(tmp_path, monkeypatch):
+    # the third curve is the first built-in one whose level is coprime to
+    # 14 and 15 (11a); the check runs no sweep
+    import ellrank.curves
+    import ellrank.domain
+
+    swept = []
+    monkeypatch.setattr(ellrank.domain, "sweep_pair_family", lambda *a, **kw: swept.append(a))
+    full = ellrank.curves._REGISTRY
+    with_37a = ["--set", "curve2.label=37a", "--set", "curve2.ainvs=0,0,1,-1,0",
+                "--set", "curve2.conductor=37"]
+    for i, (pair, registry, status, reason) in enumerate((
+            (_pair("14a", "15a"), full, "pass", None),
+            (_pair("14a", "15a"), {k: full[k] for k in ("14a", "15a")}, "skip", "no built-in curve"),
+            # 11a/37a: the AFE covers level 407 at the default n_max, but the
+            # third curve (14a) makes the (37a, 14a) level 518, where it does not
+            (with_37a, full, "skip", "k_max=4200 too small for the AFE tail"))):
+        monkeypatch.setattr(ellrank.curves, "_REGISTRY", registry)
+        out = str(tmp_path / str(i))
+        assert main(["--out", out, *pair, "--only", "triple_product", "verify"]) == 0
+        (rec,) = json.load(open(os.path.join(out, "report.json")))["checks"]
+        assert rec["status"] == status
+        assert reason is None or rec["extra"]["skipped"].startswith(reason)
+    assert swept == []
+    assert rec["extra"]["skipped"].endswith("at level 518")
+
+
 def test_lvalue_non_coprime_levels_exit_2(capsys):
     # 14a and 21a share the level factor 7 and are not isogenous
     rc = main(["--set", "curve1.label=14a", "--set", "curve1.ainvs=1,0,1,4,-6",
@@ -367,7 +394,7 @@ def test_afe_checks_skip_levels_sharing_a_factor(tmp_path, capsys):
             "--set", "curve2.label=30a", "--set", "curve2.ainvs=1,0,1,1,2",
             "--set", "curve2.conductor=30"]
     for only, names in (("class_number_formula", ["cnf_a_vs_b", "cnf_c_ratio", "cnf_nonvanishing"]),
-                        ("pole_orders", ["pole_orders"])):
+                        ("pole_orders", ["pole_orders"]), ("triple_product", ["triple_product"])):
         out = str(tmp_path / only)
         rc = main(["--out", out, *pair, "--only", only, "verify"])
         captured = capsys.readouterr()

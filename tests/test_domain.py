@@ -110,6 +110,27 @@ def test_unfolding_identity(form_11a, form_14a):
     assert u["rel_diff"] < 1e-10
 
 
+def test_unfolding_and_residue_records_carry_error_bars(run_ctx, form_11a):
+    from ellrank import checks
+
+    (unf,) = checks.check_unfolding(run_ctx)
+    (res,) = checks.check_residue_law(run_ctx)
+    for rec in (unf, res):
+        assert rec["lhs_err"] is not None and math.isfinite(rec["lhs_err"]), rec["name"]
+    # the unfolding bar covers the shift to a 48-point rule on the same panels
+    a = form_11a.table.coefficients[1:401].astype(float)
+    ns = np.arange(1, 401, dtype=float)
+    y0 = 1.0 / (8.0 * math.pi * 400)
+    edges = [0.0] + [y0 * 2.0**k for k in range(22) if y0 * 2.0**k < 40.0] + [40.0]
+    gx, gw = np.polynomial.legendre.leggauss(48)
+    ref = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        yn = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
+        vals = yn**2 * np.sum(a[:, None] ** 2 * np.exp(-4.0 * math.pi * ns[:, None] * yn), axis=0)
+        ref += float(np.sum(vals * 0.5 * (hi - lo) * gw))
+    assert abs(unf["lhs"] - ref) <= unf["lhs_err"]
+
+
 def test_rs_identity_N11(run_ctx):
     # the run context's (f, f) sweep at the first curve's level, 11
     chk = rs_identity_check(run_ctx.fe, run_ctx.fe, 11, 2.0, run_ctx.rs_ff, run_ctx.fam_ff)
@@ -302,7 +323,7 @@ def test_sweep_error_is_the_depth_doubling_difference(depth, form_11a):
     # one sweep's error on every key is its distance to the sweep one depth
     # coarser (plus the cusp tail for the Petersson products): the grid's
     # second weight row is that coarser rule
-    kw = dict(s_values=(2.0,), want_regulator=True, want_cnf=True, want_norms=True)
+    kw = dict(s_values=(2.0,), want_regulator=True, want_cnf=True)
     fine, coarse = (sweep_pair_family(form_11a, form_11a, 11, build_grid(11, depth=d), **kw)
                     for d in (depth, depth - 1))
     tail = pair_tail_bound(form_11a, form_11a, 11, 12.0)

@@ -106,12 +106,13 @@ def test_residue_isogenous(run_ctx, rs_11_11):
 
     res = residue_at_1(rs_11_11)
     assert res["spread"] < 1e-9
+    residue = res["residue"].value
     want = 2.0 * math.pi * (10.0 / 11.0) * index_psi(11) * run_ctx.pet_ff.value.real
-    assert abs(res["residue"] - want) < 1e-3 * want
+    assert abs(residue - want) < 1e-3 * want
     # (s-1) Phi(s) extrapolates to the same residue
     vals = [(s - 1.0) * afe_eval(rs_11_11, s).value for s in (1.2, 1.1, 1.05)]
     extr = vals[2] + (vals[2] - vals[1])  # crude linear step
-    assert abs(extr - res["residue"]) < 0.05 * res["residue"]
+    assert abs(extr - residue) < 0.05 * residue
 
 
 def test_L_value_at_1_nonvanishing(rs_11_14):
@@ -217,3 +218,42 @@ def test_interpolated_afe_weights_match_quadrature(run_ctx):
                 big = np.abs(ref) > 1e-17
                 worst = max(worst, float(np.max(np.abs(w[:keff][big] / ref[big] - 1.0))))
     assert worst < 2e-12, worst
+
+
+def _weights_closed_form(sigma: int, A: float, ks: np.ndarray, T: float) -> np.ndarray:
+    """w_sigma(k, T) for integer sigma >= 0 by the closed recursion
+
+        I(m; x) = Int_x^inf t^m K_1 dt,  J(m; x) = Int_x^inf t^m K_0 dt,
+        I(m) = m J(m-1) + x^m K_0(x),   J(m) = (m-1) I(m-1) + x^m K_1(x),
+        I(0) = K_0(x),
+
+    w = (A k)^{-sigma} 4^{1/2-sigma} I(2 sigma; x), x = 2 sqrt(A k T)."""
+    from ellrank.specialfn import bessel_k_array
+
+    x = 2.0 * np.sqrt(A * ks * T)
+    k0, k1 = bessel_k_array(0.0, x), bessel_k_array(1.0, x)
+    I, J, xm = k0.copy(), None, np.ones_like(x)
+    for m in range(1, 2 * sigma + 1):
+        xm = xm * x
+        if m % 2:
+            J = (m - 1) * I + xm * k1
+        else:
+            I = m * J + xm * k0
+    return (A * ks) ** (-float(sigma)) * 4.0 ** (0.5 - sigma) * I
+
+
+def test_afe_weights_at_integer_sigma_match_closed_form(rs_11_11, rs_11_14):
+    # the interpolated weights at sigma = 0, 1, 2 against the K_0/K_1
+    # recursion, N = 11 and 154
+    from ellrank import lseries
+
+    worst = 0.0
+    for rs in (rs_11_11, rs_11_14):
+        for sigma in (0, 1, 2):
+            for T in (0.5, 1.0, 2.0):
+                w = lseries.afe_weight(rs, float(sigma), T)
+                keff = lseries._k_effective(rs, T)
+                ref = _weights_closed_form(sigma, rs.A_const, np.arange(1.0, keff + 1), T)
+                big = np.abs(ref) > 1e-17
+                worst = max(worst, float(np.max(np.abs(w[:keff][big] / ref[big] - 1.0))))
+    assert worst < 1e-12, worst

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import ellrank
@@ -25,3 +26,35 @@ def test_demo_imports_resolve():
                for alias in node.names
                if not hasattr(importlib.import_module(node.module), alias.name)]
     assert missing == []
+
+
+def _resolve(node, names):
+    """The ellrank object that a call's function expression names, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, names)
+        return None if base is None else getattr(base, node.attr, None)
+    return None
+
+
+def test_demo_keywords_are_parameters():
+    # every keyword a demo passes to an ellrank callable is one of its
+    # parameters, so a removed parameter fails here rather than in a demo
+    bad = []
+    for demo in sorted(DEMOS.glob("*.py")):
+        tree = ast.parse(demo.read_text())
+        names = {alias.asname or alias.name: getattr(importlib.import_module(node.module),
+                                                     alias.name, None)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ellrank")
+                 for alias in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and callable(fn := _resolve(node.func, names))):
+                continue
+            params = inspect.signature(fn).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            bad += [(demo.name, node.lineno, kw.arg) for kw in node.keywords
+                    if kw.arg is not None and kw.arg not in params]
+    assert bad == []
