@@ -1,7 +1,8 @@
 """Elliptic curves over Q: reduction data, traces of Frobenius by point
 counting, Hecke coefficient tables, period lattices.
 
-Point counting is exhaustive (one quadratic-character sum per x) up to
+Point counting is exhaustive (a dot product of two bincounts over F_p:
+how often g(x) takes each value, times how many y square to it) up to
 ENUM_LIMIT and switches to Mestre-style order finding with baby-step /
 giant-step beyond that; both paths are deterministic (the BSGS point
 sampler is seeded from (curve, p)).
@@ -125,9 +126,10 @@ class ReductionInfo:
 def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     """(#smooth affine points + 1, #singular affine points) over F_p.
 
-    Exhaustive, vectorized over x via a quadratic-residue table for odd
-    p; full enumeration of (x, y) pairs for p in {2, 3} on the long
-    model (the completed square degenerates there).
+    Exhaustive. For odd p the completed square y^2 = g(x) is counted as
+    sum_v #{x : g(x) = v} * #{y : y^2 = v}, a dot product of two
+    bincounts; singular points are looked for only when p | disc. For
+    p in {2, 3} every (x, y) pair is tested on the long model.
     """
     a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
     if p <= 3:
@@ -149,30 +151,19 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
         return smooth + 1, singular
     b2, b4, b6, _ = curve.b_invariants
     xs = np.arange(p, dtype=np.int64)
-    g = (4 * pow_mod_array(xs, 3, p) + (b2 % p) * pow_mod_array(xs, 2, p)
-         + (2 * b4 % p) * xs + b6) % p
-    qr = np.full(p, -1, dtype=np.int8)
-    qr[(xs * xs) % p] = 1
-    qr[0] = 0
-    chi = qr[g]
-    # y^2 = g(x) has 1 + chi(g(x)) solutions in the squared variable;
+    # g = 4x^3 + b2 x^2 + 2 b4 x + b6 by Horner, reduced after every step:
+    # each product stays below p^2, exact in int64 for p < 3e9
+    g = 4
+    for c in (b2, 2 * b4, b6):
+        g = (g * xs + c % p) % p
     # the substitution y -> (y - a1 x - a3)/2 is a bijection for odd p
-    n_affine = int(p + chi.sum())
-    # singular points: need g(x0) = 0 and g'(x0) = 0
-    gp = (12 * pow_mod_array(xs, 2, p) + 2 * (b2 % p) * xs + (2 * b4) % p) % p
-    sing_x = xs[(g == 0) & (gp == 0)]
-    return n_affine + 1 - len(sing_x), len(sing_x)
-
-
-def pow_mod_array(xs: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(xs)
-    base = xs % p
-    while e:
-        if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return out
+    n_affine = int(np.dot(np.bincount(g, minlength=p), np.bincount(xs * xs % p, minlength=p)))
+    if curve.discriminant % p:
+        return n_affine + 1, 0
+    # singular points: g(x0) = 0 and g'(x0) = 0 (and y = 0)
+    sing = sum(1 for x in np.flatnonzero(g == 0).tolist()
+               if (12 * x * x + 2 * b2 * x + 2 * b4) % p == 0)
+    return n_affine + 1 - sing, sing
 
 
 def _short_model(curve: CurveModel, p: int) -> tuple[int, int]:
@@ -322,10 +313,14 @@ def reduce_mod_p(curve: CurveModel, p: int, p_max: int = DEFAULT_P_MAX) -> Reduc
         raise ValueError(f"p={p} exceeds p_max={p_max}")
     if not _is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    return _reduce(curve, p)
+
+
+def _reduce(curve: CurveModel, p: int) -> ReductionInfo:
+    """reduce_mod_p for a p already known to be prime."""
     if curve.discriminant % p != 0:
         if p <= ENUM_LIMIT or p <= 3:
-            n, sing = _count_points_enum(curve, p)
-            assert sing == 0
+            n, _ = _count_points_enum(curve, p)
         else:
             n = _count_points_bsgs(curve, p)
         return ReductionInfo(p, "good", p + 1 - n)
@@ -380,8 +375,8 @@ def ap_table(curve: CurveModel, p_max: int) -> dict[int, ReductionInfo]:
     """ReductionInfo for every prime <= p_max, in prime order."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    return {p: reduce_mod_p(curve, p, p_max=max(p_max, DEFAULT_P_MAX))
-            for p in primes_up_to(p_max).tolist()}
+    # the sieve's primes need neither the primality test nor the p_max bound
+    return {p: _reduce(curve, p) for p in primes_up_to(p_max).tolist()}
 
 
 @dataclass

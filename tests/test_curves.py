@@ -3,20 +3,46 @@ import math
 import numpy as np
 import pytest
 
+from ellrank.arith import prime_divisors
 from ellrank.curves import (CoefficientTable, CurveModel, an_table, ap_table,
                             check_ogg_pm1, curve_by_label, period_lattice,
                             primes_up_to, reduce_mod_p)
 
 
 def brute_force_count(curve, p):
-    """Independent oracle: test every (x, y) pair against the long model."""
+    """Independent oracle: test every (x, y) pair against the long model.
+    Returns (#smooth affine points + 1, #singular affine points)."""
     a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
-    n = 1  # infinity
+    smooth, singular = 1, 0  # infinity
     for x in range(p):
         for y in range(p):
             if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0:
-                n += 1
-    return n
+                fy = (2 * y + a1 * x + a3) % p
+                fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
+                if fx == 0 and fy == 0:
+                    singular += 1
+                else:
+                    smooth += 1
+    return smooth, singular
+
+
+def qr_table_count(curve, p):
+    """Oracle for odd p: the quadratic-character sum p + sum_x chi(g(x))
+    over the completed square y^2 = g(x), chi read from a table of
+    squares, and a g' scan for singular points at every p.
+    Returns (#smooth affine points + 1, #singular affine points)."""
+    b2, b4, b6, _ = curve.b_invariants
+    xs = np.arange(p, dtype=np.int64)
+    x2 = xs * xs % p
+    x3 = x2 * xs % p
+    g = (4 * x3 + (b2 % p) * x2 + (2 * b4 % p) * xs + b6) % p
+    qr = np.full(p, -1, dtype=np.int8)
+    qr[x2] = 1
+    qr[0] = 0
+    n_affine = int(p + qr[g].sum())
+    gp = (12 * x2 + 2 * (b2 % p) * xs + (2 * b4) % p) % p
+    sing = int(((g == 0) & (gp == 0)).sum())
+    return n_affine + 1 - sing, sing
 
 
 def test_toy_count_f3():
@@ -30,7 +56,7 @@ def test_11a_small_primes_against_oracle():
     for p in (2, 3, 5, 7, 13, 17, 97):
         info = reduce_mod_p(e, p)
         assert info.kind == "good"
-        assert info.ap == p + 1 - brute_force_count(e, p)
+        assert brute_force_count(e, p) == (p + 1 - info.ap, 0)
     assert reduce_mod_p(e, 7).ap == -2
 
 
@@ -51,6 +77,34 @@ def test_11a_multiplicative_with_tangent_oracle():
     legendre = pow((x0 - x1) % p, (p - 1) // 2, p)
     expected = 1 if legendre == 1 else -1
     assert info.ap == expected
+
+
+def test_enumeration_matches_oracles():
+    """(n, sing) at every prime <= 4200 and every prime dividing the
+    discriminant, for each built-in curve: the quadratic-character sum
+    at odd p, the (x, y) brute force at p = 2 and 3."""
+    from ellrank.curves import _REGISTRY, _count_points_enum
+
+    for label in _REGISTRY:
+        e = curve_by_label(label)
+        bad = prime_divisors(abs(e.discriminant))
+        for p in sorted(set(primes_up_to(4200).tolist()) | set(bad)):
+            got = _count_points_enum(e, p)
+            if p <= 3:
+                assert got == brute_force_count(e, p), (label, p)
+            if p > 2:
+                assert got == qr_table_count(e, p), (label, p)
+            assert (got[1] > 0) == (e.conductor % p == 0), (label, p)
+
+
+def test_enumeration_reduces_before_int64_overflow():
+    # disc = -16 * 1491079; unreduced, 4 x^3 wraps int64 near x = 1.3e6,
+    # which gave a_p = -582 and no reduction kind
+    c = CurveModel(0, 0, 0, 1, 235, conductor=1)
+    p = 1_491_079
+    assert c.discriminant == -16 * p
+    info = reduce_mod_p(c, p, p_max=p)
+    assert info.kind == "split-multiplicative" and info.ap == 1
 
 
 def test_ap_table_contents():
@@ -82,6 +136,54 @@ def test_an_table_recursion():
     assert tab.a(4) == 2
     assert tab.a(6) == tab.a(2) * tab.a(3) == 2
     assert tab.a(11 * 11) == tab.a(11) ** 2    # p | level: a_{p^k} = a_p^k
+
+
+def euler_product(m, n_max):
+    """prod_{k >= 1} (1 - q^(m k)) to q^n_max by the pentagonal number
+    theorem: sum over k in Z of (-1)^k q^(m k (3k - 1) / 2)."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    k = 0
+    while m * k * (3 * k - 1) // 2 <= n_max:
+        for j in {k, -k}:
+            e = m * j * (3 * j - 1) // 2
+            if e <= n_max:
+                out[e] += (-1) ** k
+        k += 1
+    return out
+
+
+def eta_quotient(ms, n_max):
+    """a_1..a_n_max of prod_i eta(m_i z) with sum(m_i) = 24: that is
+    q * prod_i prod_k (1 - q^(m_i k)), multiplied term by term in int64."""
+    assert sum(ms) == 24
+    acc = np.zeros(n_max, dtype=np.int64)
+    acc[0] = 1
+    for m in ms:
+        factor = euler_product(m, n_max - 1)
+        out = np.zeros_like(acc)
+        for e in np.flatnonzero(factor):
+            out[e:] += factor[e] * acc[:n_max - e]
+        acc = out
+    return acc
+
+
+# Martin-Ono: the newforms of levels 11, 14 and 15 are eta quotients
+ETA_QUOTIENTS = {"11a": (1, 1, 11, 11), "14a": (1, 2, 7, 14), "15a": (1, 3, 5, 15)}
+
+
+@pytest.mark.parametrize("label", sorted(ETA_QUOTIENTS))
+def test_an_table_equals_eta_quotient(label):
+    """Second pipeline for the coefficients below ENUM_LIMIT."""
+    n_max = 10_000
+    e = curve_by_label(label)
+    tab = an_table(e.conductor, ap_table(e, n_max), n_max)
+    assert np.array_equal(tab.coefficients[1:], eta_quotient(ETA_QUOTIENTS[label], n_max))
+
+
+def test_big_tables_equal_eta_quotients(big_tables):
+    """The same pipeline for the 120k-term tables, BSGS above 1e4."""
+    for label, tab in big_tables.items():
+        assert np.array_equal(tab.coefficients[1:], eta_quotient(ETA_QUOTIENTS[label], tab.nmax))
 
 
 def test_an_table_missing_prime():
