@@ -21,7 +21,7 @@ from .modular import CuspFormEval, qlog
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, sweep_pair_family,
                      rs_identity_check, unfolding_check)
-from .lseries import (RankinSeries, LValueResult, L_direct, Phi, afe_eval,
+from .lseries import (RankinSeries, L_direct, Phi, afe_eval,
                       bad_factor_H, assemble_LH2, order_of_vanishing,
                       residue_at_1, sym2_report)
 
@@ -37,7 +37,7 @@ __all__ = [
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
     "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
     "unfolding_check",
-    "RankinSeries", "LValueResult", "L_direct", "Phi", "afe_eval",
+    "RankinSeries", "L_direct", "Phi", "afe_eval",
     "bad_factor_H", "assemble_LH2", "order_of_vanishing", "residue_at_1",
     "sym2_report",
 ]

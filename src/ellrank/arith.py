@@ -1,9 +1,10 @@
 """Exact integer and rational utilities.
 
 Moebius and totient by trial-division factorization (inputs stay below
-1e6 here, so nothing fancier is warranted), cyclotomic polynomials by
-exact Moebius inversion over Z[X], and continued-fraction recognition
-of rationals from floating-point values.
+1e6 here, so nothing fancier is warranted), divisor-power sums by a
+sieve, cyclotomic polynomials by exact Moebius inversion over Z[X], and
+recognition of rationals from floating-point values as the closest
+fraction of bounded denominator (Fraction.limit_denominator).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -74,6 +77,15 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def divisor_sigma_table(nmax: int, power: float) -> np.ndarray:
+    """sigma_power(n) = sum_{d | n} d^power for n = 0..nmax (entry 0 is 0),
+    by a sieve; each entry adds its divisors' powers in ascending order."""
+    out = np.zeros(nmax + 1)
+    for d in range(1, nmax + 1):
+        out[d::d] += float(d) ** power
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,36 +182,24 @@ class RationalGuess:
 
 
 def best_rational(x: float, max_denominator: int) -> RationalGuess:
-    """Continued-fraction convergent of x minimizing |x - p/q| over q <= max_denominator.
+    """The fraction p/q closest to x over q <= max_denominator.
 
-    Convergents are best approximations of the second kind, so whenever
-    |x - p/q| < 1/(2 q max_denominator) with q <= max_denominator the
-    returned guess is exactly p/q.
+    Whenever |x - p/q| < 1/(2 q max_denominator) with q <= max_denominator
+    the returned guess is exactly p/q.
     """
+    # fractions imports decimal; loaded here, off the package's import path
+    from fractions import Fraction
+
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    p0, q0 = 1, 0          # p_{-1}/q_{-1}
-    p1, q1 = math.floor(x), 1
-    best = (p1, q1, abs(x - p1))
-    frac = x - math.floor(x)
-    while frac > 1e-18 and q1 <= max_denominator:
-        a = math.floor(1.0 / frac)
-        frac = 1.0 / frac - a
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_denominator:
-            break
-        r = abs(x - p1 / q1)
-        if r < best[2]:
-            best = (p1, q1, r)
-    p, q, r = best
-    g = math.gcd(p, q)
-    return RationalGuess(p // g if q else p, q // g, r)
+    f = Fraction(x).limit_denominator(max_denominator)
+    return RationalGuess(f.numerator, f.denominator, abs(x - f.numerator / f.denominator))
 
 
 def recognize_rational(x: float, max_denominator: int, tol: float):
-    """Best convergent with denominator <= max_denominator, or None.
+    """best_rational(x, max_denominator), or None if it is farther than tol.
 
     Rejection (residual > tol) is a normal outcome, not an error.
     """

@@ -104,14 +104,12 @@ class RunContext:
 
 def _split(side):
     """A side's value and error bound: None for a plain number."""
-    if isinstance(side, lseries.LValueResult):
-        return side.value, side.error
     return (side.value, side.abs_error_bound) if isinstance(side, EvalResult) else (side, None)
 
 
 def _record(name, lhs, rhs, tolerance, extra=None, pipelines="") -> dict:
-    """lhs and rhs are numbers, or EvalResult / LValueResult where their
-    pipeline bounds them."""
+    """lhs and rhs are numbers, or EvalResults where their pipeline bounds
+    them."""
     (lhs, lhs_err), (rhs, rhs_err) = _split(lhs), _split(rhs)
     diff = abs(lhs - rhs) if rhs not in (None, "") else abs(lhs)
     status = "pass" if diff <= tolerance else "fail"
@@ -260,10 +258,10 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
     fam, phi0 = ctx.fam, ctx.phi0
     reg, cnf = (EvalResult(fam[k].value.real, fam[k].abs_error_bound) for k in ("regulator", "cnf"))
     r = cnf.value / phi0.value      # with its first-order error
-    ratio = EvalResult(r, (cnf.abs_error_bound + abs(r) * phi0.error) / abs(phi0.value))
+    ratio = EvalResult(r, (cnf.abs_error_bound + abs(r) * phi0.abs_error_bound) / abs(phi0.value))
     br = arith.best_rational(r, 48)
     deep = fam["deep_fraction"]
-    nonvanishing = abs(phi0.value) > 10.0 * (phi0.error + abs(phi0.value - reg.value))
+    nonvanishing = abs(phi0.value) > 10.0 * (phi0.abs_error_bound + abs(phi0.value - reg.value))
     return [
         _record("cnf_a_vs_b", phi0, reg, 1e-3 * abs(phi0.value), pipelines="afe,regulator"),
         _record("cnf_c_ratio", ratio, br.numerator / br.denominator, 1e-4,

@@ -196,15 +196,15 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
     rows = []
     if s >= 1.3:
         r = L_direct(rs, s)
-        rows.append(("direct-series", s, r.value, r.error))
+        rows.append(("direct-series", s, r.value, r.abs_error_bound))
     if -0.5 <= s <= 2.75:
         try:
             r = afe_eval(rs, s)
             if s == 0.0:
-                rows.append(("afe", s, r.value, r.error))
+                rows.append(("afe", s, r.value, r.abs_error_bound))
             else:
                 g = G_factor(rs, s)
-                rows.append(("afe", s, r.value / g, r.error / abs(g)))
+                rows.append(("afe", s, r.value / g, r.abs_error_bound / abs(g)))
         except PoleError as exc:
             print(f"warning,{s},pole,{exc}")
     if s == 0.0 and not rs.isogenous:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, factorize, is_squarefree, prime_divisors
+from .arith import divisor_sigma_table, factorize, is_squarefree, prime_divisors
 
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
@@ -467,23 +467,12 @@ def _agm(a: complex, b: complex, max_iter: int = 60) -> complex:
     raise RuntimeError("AGM did not converge in 60 iterations")
 
 
-def _sigma_series(power: int, q: complex, terms: int = 260) -> complex:
-    acc = 0.0 + 0.0j
-    for n in range(1, terms + 1):
-        sig = sum(d**power for d in divisors(n))
-        acc += sig * q**n
-    return acc
-
-
 def _eisenstein_E(weight: int, tau: complex) -> complex:
+    """E_2 or E_4 at tau by 260 terms of sum sigma_{k-1}(n) q^n."""
     q = cmath.exp(2j * cmath.pi * tau)
-    if weight == 2:
-        return 1.0 - 24.0 * _sigma_series(1, q)
-    if weight == 4:
-        return 1.0 + 240.0 * _sigma_series(3, q)
-    if weight == 6:
-        return 1.0 - 504.0 * _sigma_series(5, q)
-    raise ValueError(weight)
+    sig = divisor_sigma_table(260, weight - 1).tolist()
+    series = sum(sig[n] * q**n for n in range(1, 261))
+    return 1.0 + {2: -24.0, 4: 240.0}[weight] * series
 
 
 def _lattice_invariant_g2(omega1: complex, omega2: complex) -> complex:

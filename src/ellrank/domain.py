@@ -70,7 +70,7 @@ from .modular import (
     eval_form_array,
     log_abs_delta_array,
 )
-from .specialfn import EvalResult, _gamma_raw
+from .specialfn import EvalResult, gauss_panels
 
 
 @dataclass(frozen=True)
@@ -161,25 +161,18 @@ def build_grid(level: int, depth: int = 2, y_cut: float = 12.0) -> QuadratureGri
     the rule at depth, then those of the rule at depth - 1.  Row 0 of ws
     weighs the first (zero on the second) and row 1 the second, so one
     pass over the nodes integrates on both rules."""
-    gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
     xs_all, ys_all, ws_all = [], [], []
     for row in (0, 1):
         n_panels = max(1, round(_NX_BASE * 2.0 ** (depth - row)))
-        edges = np.linspace(-0.5, 0.5, n_panels + 1)
         rho = 2.0 ** (2.0 ** (1 - depth + row))
-        for i in range(n_panels):
-            x0, x1 = edges[i], edges[i + 1]
-            xm, xh = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-            for x, wx in zip(xm + xh * gx, xh * gw):
-                b = math.sqrt(max(1.0 - x * x, 0.0))
-                while b < y_cut - 1e-12:
-                    t = min(b * rho, y_cut)
-                    ym, yh = 0.5 * (b + t), 0.5 * (t - b)
-                    yn = ym + yh * gx
-                    xs_all.append(np.full_like(yn, x))
-                    ys_all.append(yn)
-                    ws_all.append(np.outer((1 - row, row), wx * (yh * gw) / yn**2))
-                    b = t
+        for x, wx in zip(*gauss_panels(np.linspace(-0.5, 0.5, n_panels + 1), _GL_ORDER)):
+            y_edges = [math.sqrt(max(1.0 - x * x, 0.0))]
+            while y_edges[-1] < y_cut - 1e-12:
+                y_edges.append(min(y_edges[-1] * rho, y_cut))
+            yn, wy = gauss_panels(y_edges, _GL_ORDER)
+            xs_all.append(np.full_like(yn, x))
+            ys_all.append(yn)
+            ws_all.append(np.outer((1 - row, row), wx * wy / yn**2))
     return QuadratureGrid(level=level, reps=coset_reps(level), xs=np.concatenate(xs_all),
                           ys=np.concatenate(ys_all), ws=np.concatenate(ws_all, axis=1),
                           y_cut=y_cut, depth=depth)
@@ -409,7 +402,7 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
     """
     if not 1.2 < s <= 3.0:
         raise ValueError("rs identity checked for s in (1.2, 3]")
-    conv = math.pi**s / _gamma_raw(s)     # E = pi^s/Gamma(s) E*
+    conv = math.pi**s / math.gamma(s)     # E = pi^s/Gamma(s) E*
     divs = divisors(N)
     eis = {d: fam[("eis", s, d)] for d in divs}
 
@@ -419,8 +412,8 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
                                   for d in divs))
 
     series = L_direct(rs, s)
-    c = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0)
-    lhs = EvalResult(c * series.value, c * series.error)
+    c = 2.0 * (4.0 * math.pi) ** (-s - 1.0) * math.gamma(s + 1.0)
+    lhs = EvalResult(c * series.value, c * series.abs_error_bound)
     variants = {"N^-s d^-s": combine(lambda d: float(d) ** (-s), float(N) ** (-s)),
                 "d^-s": combine(lambda d: float(d) ** (-s)),
                 "d^-2s": combine(lambda d: float(d) ** (-2.0 * s))}
@@ -458,16 +451,11 @@ def unfolding_check(fe: CuspFormEval, ge: CuspFormEval, s: float,
     edges = [0.0] + [y0 * 2.0**k for k in range(0, 22) if y0 * 2.0**k < 40.0] + [40.0]
 
     def panels(order: int) -> float:
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            ym, yh = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            yn = ym + yh * gx
-            vals = yn**s * np.sum(ab[:, None] * np.exp(-4.0 * math.pi * ns[:, None] * yn), axis=0)
-            total += float(np.sum(vals * (yh * gw)))
-        return total
+        yn, wy = gauss_panels(edges, order)
+        vals = yn**s * (ab @ np.exp(-4.0 * math.pi * ns[:, None] * yn))
+        return float(vals @ wy)
 
     lhs = panels(24)
-    rhs = (4.0 * math.pi) ** (-s - 1.0) * _gamma_raw(s + 1.0) * float(np.sum(ab * ns ** (-(s + 1.0))))
+    rhs = (4.0 * math.pi) ** (-s - 1.0) * math.gamma(s + 1.0) * float(np.sum(ab * ns ** (-(s + 1.0))))
     return {"lhs": EvalResult(lhs, abs(lhs - panels(12)) + 1e-15 * abs(lhs)), "rhs": rhs,
             "rel_diff": abs(lhs - rhs) / abs(rhs)}

@@ -35,12 +35,11 @@ import math
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisor_sigma_table
 from .halfplane import UHPoint, sl2z_reduce
 from .specialfn import (
     EvalResult,
     PoleError,
-    _gamma_raw,
     bessel_k_array,
     completed_zeta,
     upper_gamma,
@@ -53,13 +52,6 @@ def _check_s_not_pole(s: float):
     if abs(s - 0.5) < 1e-4:
         raise ValueError("constant terms cancel a removable pair at s = 1/2; "
                          "evaluate at |s - 1/2| >= 1e-4")
-
-
-def _sigma_table(nmax: int, power: float) -> np.ndarray:
-    out = np.zeros(nmax + 1)
-    for n in range(1, nmax + 1):
-        out[n] = sum(float(d) ** power for d in divisors(n))
-    return out
 
 
 def epstein_star_array(x, y, s: float) -> np.ndarray:
@@ -75,7 +67,7 @@ def epstein_star_array(x, y, s: float) -> np.ndarray:
         nmax += 1
         if nmax > 64:
             break
-    sig = _sigma_table(nmax, 1.0 - 2.0 * s)
+    sig = divisor_sigma_table(nmax, 1.0 - 2.0 * s)
     acc = np.zeros_like(yr)
     for n in range(1, nmax + 1):
         kv = bessel_k_array(nu, 2.0 * math.pi * n * yr)
@@ -124,7 +116,7 @@ def epstein_star_theta(x: float, y: float, s: float, tol: float = 1e-13) -> tupl
 
 def _star_to_plain(s: float) -> float:
     # E = pi^s / Gamma(s) * E*
-    return math.pi**s / _gamma_raw(s)
+    return math.pi**s / math.gamma(s)
 
 
 def epstein_lattice(z: UHPoint, s: float, tol: float = 1e-12) -> EvalResult:

@@ -37,18 +37,8 @@ import numpy as np
 from .arith import index_psi, is_squarefree, prime_divisors
 from .curves import CoefficientTable
 from .modular import CuspFormEval
-from .specialfn import EvalResult, PoleError, _gamma_raw, _zeta_raw, zeta_depleted
-
-
-@dataclass(frozen=True)
-class LValueResult:
-    value: float
-    error: float
-    pipeline: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.error):
-            raise ValueError("error must be finite")
+from .specialfn import (EvalResult, PoleError, _zeta_raw, euler_depletion, gauss_panels,
+                        xk1_fast, zeta_depleted)
 
 
 @dataclass
@@ -92,10 +82,10 @@ class RankinSeries:
 
 
 def G_factor(rs: RankinSeries, s: float) -> float:
-    return rs.A_const ** (-s) * _gamma_raw(s) * _gamma_raw(s + 1.0)
+    return rs.A_const ** (-s) * math.gamma(s) * math.gamma(s + 1.0)
 
 
-def L_direct(rs: RankinSeries, s: float, n_max: int | None = None) -> LValueResult:
+def L_direct(rs: RankinSeries, s: float, n_max: int | None = None) -> EvalResult:
     """zeta_N(2s) sum_{n<=n_max} a_n b_n n^{-(s+1)}; certified tail from
     |a_n b_n| <= 4 n^{5/4}, certified from s = 1.3."""
     if s < 1.3:
@@ -107,7 +97,7 @@ def L_direct(rs: RankinSeries, s: float, n_max: int | None = None) -> LValueResu
     zn = zeta_depleted(2.0 * s, rs.N)
     val = zn.value * float(np.sum(ab * ns ** (-(s + 1.0))))
     tail = abs(zn.value) * 4.0 * n_max ** (1.25 - s) / (s - 1.25)
-    return LValueResult(val, tail + 1e-13 * abs(val), "direct-series")
+    return EvalResult(val, tail + 1e-13 * abs(val))
 
 
 # ------------------------------------------------------------ AFE weights
@@ -120,16 +110,7 @@ def _weights_numeric_sigma(sigma: float, beta: np.ndarray) -> np.ndarray:
     """w-integral in the form Int_0^vmax phi(beta e^v) e^{sigma v} dv by
     Gauss-Legendre panels (the integrand is analytic with doubly
     exponential decay, but does not vanish at v = 0)."""
-    from .specialfn import xk1_fast
-
-    gx, gw = np.polynomial.legendre.leggauss(_V_GL)
-    vs, ws = [], []
-    for lo, hi in zip(_V_PANELS[:-1], _V_PANELS[1:]):
-        m, hh = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        vs.append(m + hh * gx)
-        ws.append(hh * gw)
-    v = np.concatenate(vs)
-    w = np.concatenate(ws)
+    v, w = gauss_panels(_V_PANELS, _V_GL)
     u = beta[:, None] * np.exp(v)[None, :]
     x = 2.0 * np.sqrt(u)
     phi = xk1_fast(x)
@@ -261,7 +242,7 @@ def afe_unsupported(rs: RankinSeries, split: float = 1.0) -> str | None:
     return None
 
 
-def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
+def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> EvalResult:
     """Phi(s) by the smoothed two-sided sum.
 
     Certified band s in [-0.5, 1.5]; accepted up to 2.75 for the
@@ -278,13 +259,10 @@ def afe_eval(rs: RankinSeries, s: float, split: float = 1.0) -> LValueResult:
         if s in (0.0, 1.0):
             raise PoleError("Phi has a pole at s in {0,1} for f = g")
         phi_plus, Rplus = _two_split(rs, s, split, 2.0 * split)
-        A = 1.0
-        for p in prime_divisors(rs.N):
-            A /= 1.0 - float(p) ** (-s)
-        val = phi_plus / A
-        return LValueResult(val, tail + 1e-11 * (abs(val) + abs(Rplus)), "afe")
+        val = phi_plus * euler_depletion(s, rs.N)
+        return EvalResult(val, tail + 1e-11 * (abs(val) + abs(Rplus)))
     val = _afe_sum(rs, s, split, rs.U)
-    return LValueResult(val, tail + 1e-12 * abs(val), "afe")
+    return EvalResult(val, tail + 1e-12 * abs(val))
 
 
 def residue_at_1(rs: RankinSeries) -> dict:
@@ -292,26 +270,24 @@ def residue_at_1(rs: RankinSeries) -> dict:
     at s = 1/2 (the sum itself is entire; only the pole terms carry X).
     'spread' is the largest distance of the Phi+ residue between three
     split pairs; 'residue' is an EvalResult whose error is that spread
-    divided by the same Euler factor as the residue."""
+    times the Euler factors at p | N, as the residue is."""
     if not rs.isogenous:
         raise ValueError("residue extraction applies to f = g")
     vals = {X: _two_split(rs, 0.5, *X)[1] for X in ((1.0, 2.0), (1.0, 4.0), (1.5, 3.0))}
     Rplus = vals[(1.0, 4.0)]
     spread = max(abs(v - Rplus) for v in vals.values())
-    A1 = 1.0
-    for p in prime_divisors(rs.N):
-        A1 /= 1.0 - 1.0 / p
-    return {"residue": EvalResult(Rplus / A1, spread / A1), "spread": spread}
+    fac = euler_depletion(1.0, rs.N)
+    return {"residue": EvalResult(Rplus * fac, spread * fac), "spread": spread}
 
 
-def Phi(rs: RankinSeries, s: float) -> LValueResult:
+def Phi(rs: RankinSeries, s: float) -> EvalResult:
     """Completed Phi(s): direct pipeline above the strip, AFE inside."""
     if rs.isogenous and s == 1.0:
         raise PoleError("Phi has a simple pole at s = 1 (f = g, (f,f) != 0)")
     if s > 1.5:
         L = L_direct(rs, s)
         g = G_factor(rs, s)
-        return LValueResult(g * L.value, abs(g) * L.error, "direct-series")
+        return EvalResult(g * L.value, abs(g) * L.abs_error_bound)
     return afe_eval(rs, s)
 
 

@@ -4,7 +4,7 @@ Double precision throughout.  Each public scalar operation returns an
 EvalResult whose abs_error_bound dominates the truncation estimate of
 the underlying scheme plus a rounding allowance; no interval arithmetic.
 
-    gamma          Lanczos (g = 7, 9 terms), reflection for s < 1/2
+    gamma          math.gamma with a range check, explicit poles and a bound
     zeta           Borwein's accelerated alternating series, classical
                    functional equation for s < 1/2
     zeta_depleted  zeta with Euler factors at p | N removed
@@ -13,31 +13,20 @@ the underlying scheme plus a rounding allowance; no interval arithmetic.
                    doubly exponentially, so the fixed 400-node rule is
                    spectrally accurate; half-integer orders short-cut
                    to the closed form sqrt(pi/2x) e^{-x} * polynomial
+    gauss_panels   the package's one composite Gauss-Legendre panel rule
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .arith import prime_divisors
 
 EULER_GAMMA = 0.57721566490153286061
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 @dataclass(frozen=True)
@@ -54,51 +43,33 @@ class PoleError(ValueError):
     """Argument at (or too near) a pole of the requested function."""
 
 
-def _gamma_raw(s: float) -> float:
-    if s < 0.5:
-        # reflection; sin(pi s) vanishes exactly at the poles
-        sinpis = math.sin(math.pi * s)
-        if sinpis == 0.0:
-            raise PoleError(f"gamma pole at s = {s:g}")
-        return math.pi / (sinpis * _gamma_raw(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def gamma(s: float) -> EvalResult:
-    """Gamma(s) for real s in [-20, 50], relative accuracy ~1e-13."""
+    """Gamma(s) for real s in [-20, 50]; relative bound 1e-13, wider near poles."""
     if not -20.0 <= s <= 50.0:
         raise ValueError("gamma supported on [-20, 50]")
     if s <= 0 and s == round(s):
         raise PoleError(f"gamma pole at s = {s:g} (distance to pole 0)")
     dist = abs(s - round(s)) if s < 0.5 else 1.0
-    v = _gamma_raw(s)
+    v = math.gamma(s)
     return EvalResult(v, abs(v) * 1e-13 / min(1.0, dist))
 
 
 _BORWEIN_N = 50
-_BORWEIN_D = None
 
 
-def _borwein_d():
-    global _BORWEIN_D
-    if _BORWEIN_D is None:
-        n = _BORWEIN_N
-        d = []
-        acc = 0
-        for i in range(n + 1):
-            acc += (
-                math.factorial(n + i - 1) * 4**i
-                // (math.factorial(n - i) * math.factorial(2 * i))
-            )
-            d.append(n * acc if n + i - 1 >= 0 else 0)
-        # d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)
-        _BORWEIN_D = [float(x) for x in d]
-    return _BORWEIN_D
+@cache
+def _borwein_d() -> list[float]:
+    """d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), n = _BORWEIN_N."""
+    n = _BORWEIN_N
+    d = []
+    acc = 0
+    for i in range(n + 1):
+        acc += (
+            math.factorial(n + i - 1) * 4**i
+            // (math.factorial(n - i) * math.factorial(2 * i))
+        )
+        d.append(float(n * acc))
+    return d
 
 
 def _zeta_raw(s: float) -> float:
@@ -110,7 +81,7 @@ def _zeta_raw(s: float) -> float:
             2.0**s
             * math.pi ** (s - 1.0)
             * math.sin(math.pi * s / 2.0)
-            * _gamma_raw(1.0 - s)
+            * math.gamma(1.0 - s)
             * _zeta_raw(1.0 - s)
         )
     d = _borwein_d()
@@ -136,12 +107,15 @@ def zeta(s: float) -> EvalResult:
     return EvalResult(v, tr / sc + 1e-14 * (1.0 + abs(v)))
 
 
+def euler_depletion(s: float, N: int) -> float:
+    """prod_{p | N} (1 - p^-s), the Euler factors at p | N; 1 for N = 1."""
+    return math.prod(1.0 - float(p) ** (-s) for p in prime_divisors(N))
+
+
 def zeta_depleted(s: float, N: int) -> EvalResult:
-    """zeta_N(s) = zeta(s) * prod_{p | N} (1 - p^-s)."""
+    """zeta_N(s) = zeta(s) * euler_depletion(s, N)."""
     base = zeta(s)
-    fac = 1.0
-    for p in prime_divisors(N) if N > 1 else []:
-        fac *= 1.0 - float(p) ** (-s)
+    fac = euler_depletion(s, N)
     return EvalResult(base.value * fac, base.abs_error_bound * abs(fac) + 1e-15 * abs(base.value * fac))
 
 
@@ -155,7 +129,23 @@ def completed_zeta(v: float) -> float:
         raise PoleError("completed zeta pole at v in {0, 1}")
     if v < 0.5:
         v = 1.0 - v
-    return math.pi ** (-v / 2.0) * _gamma_raw(v / 2.0) * _zeta_raw(v)
+    return math.pi ** (-v / 2.0) * math.gamma(v / 2.0) * _zeta_raw(v)
+
+
+# --------------------------------------------------------------- quadrature
+
+@cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule with `order`
+    nodes on each panel [edges[i], edges[i+1]], panel after panel."""
+    gx, gw = _legendre(order)
+    e = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    return (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
 
 # ----------------------------------------------------------------- Bessel K
@@ -229,10 +219,8 @@ def bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-_XK1_TABLE = None
-
-
-def _build_xk1_table():
+@cache
+def _xk1_table():
     # h(t) = x K_1(x) e^x on a log grid; h' in log-x from (xK1)' = -xK0
     lo, hi, n = math.log(0.04), math.log(600.0), 9000
     t = np.linspace(lo, hi, n)
@@ -251,10 +239,7 @@ def xk1_fast(x: np.ndarray) -> np.ndarray:
     the two-term asymptotic sqrt(pi x/2) e^-x (1 + 3/(8x)) below 740
     (at most 3.3e-7 relative while the value is a normal double, up to
     x ~ 705); zero from 740 on."""
-    global _XK1_TABLE
-    if _XK1_TABLE is None:
-        _XK1_TABLE = _build_xk1_table()
-    lo, hi, n, t, h, dh = _XK1_TABLE
+    lo, hi, n, t, h, dh = _xk1_table()
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     big = (x > 600.0) & (x < 740.0)
@@ -340,7 +325,7 @@ def _upper_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
         if np.all(term < 1e-18 * acc):
             break
     lower = np.exp(-x + ah * np.log(x)) * acc
-    g = _gamma_raw(ah) - lower
+    g = math.gamma(ah) - lower
     # downward recursion to a; Gamma(0, x) = E1(x) needs its own series
     for j in range(1, m + 1):
         aj = ah - j

@@ -97,6 +97,11 @@ def test_recognize_rational_examples():
     best = best_rational(math.pi, 10)
     assert (best.numerator, best.denominator) == (22, 7)
     assert abs(best.residual - 1.3e-3) < 2e-4
+    # the closest fraction, not only the closest convergent
+    best = best_rational(math.pi, 100)
+    assert (best.numerator, best.denominator) == (311, 99)
+    best = best_rational(math.sqrt(2.0), 4)
+    assert (best.numerator, best.denominator) == (4, 3)
 
 
 def test_recognize_rational_recovery_property(rng):

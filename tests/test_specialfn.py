@@ -29,6 +29,15 @@ def test_gamma_pole_rejection():
         gamma(-3.0)
 
 
+def test_gamma_against_mpmath():
+    # 1e-14 relative on a grid of [0.5, 50] and on non-integers in [-20, 0.5)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    grid = np.concatenate([np.linspace(0.5, 50.0, 9901), np.arange(-19.975, 0.5, 0.05)])
+    for s in grid.tolist():
+        assert abs(gamma(s).value / float(mp.gamma(s)) - 1.0) < 1e-14, s
+
+
 def test_zeta_classics():
     assert abs(zeta(2.0).value - math.pi**2 / 6.0) < 1e-13
     assert zeta(0.0).value == -0.5
