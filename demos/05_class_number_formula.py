@@ -37,8 +37,8 @@ print(f"(a) Phi(0) via AFE          = {phi0.value:.10f}")
 # the sweep returns (b), (c) and the Petersson products already normalised
 fam = sweep_pair_family(f11, f14, N, build_grid(N, depth=1), want_regulator=True,
                         want_cnf=True)
-reg = fam["regulator"].value.real
-cnf = fam["cnf"].value.real
+reg = fam["regulator"].value
+cnf = fam["cnf"].value
 print(f"(b) regulator integral      = {reg:.10f} +- {fam['regulator'].abs_error_bound:.1e}"
       f"   rel diff {abs(reg/phi0.value-1):.2e}")
 print(f"(c) cyclotomic q-log sum    = {cnf:.10f} +- {fam['cnf'].abs_error_bound:.1e}")
@@ -48,7 +48,7 @@ print(f"    (c)/(a) = {ratio:.10f}  ~  {br.numerator}/{br.denominator} "
       f"(residual {br.residual:.1e})")
 
 print(f"\northogonality on the same sweep: (f,g) = {abs(fam['pet_fg'].value):.2e} "
-      f"+- {fam['pet_fg'].abs_error_bound:.1e} while (f,f) = {fam['pet_ff'].value.real:.8f}")
+      f"+- {fam['pet_fg'].abs_error_bound:.1e} while (f,f) = {fam['pet_ff'].value:.8f}")
 # (c) runs at U w for each coset's cusp matrix U, at height >= sqrt(3)/(2N),
 # so for N <= 346 no node falls back to the eta route (below height 0.0025)
 print(f"eta-route fallback measure in (c): {fam['deep_fraction']:.1%} of the domain")

@@ -138,9 +138,7 @@ def _skip(name, reason, pipelines) -> dict:
 
 
 def _num(v):
-    """v as JSON: a complex number as [re, im], a numpy scalar as a float."""
-    if isinstance(v, complex):
-        return [float(v.real), float(v.imag)]
+    """v as JSON: a numpy scalar as a float."""
     if isinstance(v, (tuple, list)):
         return [_num(t) for t in v]
     return v if v is None or isinstance(v, (int, str, bool, dict)) else float(v)
@@ -225,7 +223,7 @@ def check_residue_law(ctx: RunContext) -> list[dict]:
     res = lseries.residue_at_1(ctx.rs_ff)
     mu_over_d = sum(arith.moebius(d) / d for d in arith.divisors(L))
     c = 2.0 * math.pi * mu_over_d * arith.index_psi(L)
-    rhs = EvalResult(c * ctx.pet_ff.value.real, abs(c) * ctx.pet_ff.abs_error_bound)
+    rhs = EvalResult(c * ctx.pet_ff.value, abs(c) * ctx.pet_ff.abs_error_bound)
     return [_record("residue_law", res["residue"], rhs, 1e-3 * abs(rhs.value),
                     pipelines="afe,quadrature")]
 
@@ -238,9 +236,8 @@ def check_orthogonality(ctx: RunContext) -> list[dict]:
                       "quadrature")]
     fg, ff, gg = (ctx.fam[k] for k in ("pet_fg", "pet_ff", "pet_gg"))
     return [_record("orthogonality", EvalResult(abs(fg.value), fg.abs_error_bound), 0.0, 1e-6,
-                    extra={"ff": _num(ff.value.real),
-                           "gg": _num(gg.value.real),
-                           "norms_positive": ff.value.real > 0 and gg.value.real > 0},
+                    extra={"ff": ff.value, "gg": gg.value,
+                           "norms_positive": ff.value > 0 and gg.value > 0},
                     pipelines="quadrature")]
 
 
@@ -256,7 +253,7 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
                 _skip("cnf_c_ratio", why, "cyclotomic-qlog,afe"),
                 _skip("cnf_nonvanishing", why, "afe")]
     fam, phi0 = ctx.fam, ctx.phi0
-    reg, cnf = (EvalResult(fam[k].value.real, fam[k].abs_error_bound) for k in ("regulator", "cnf"))
+    reg, cnf = fam["regulator"], fam["cnf"]
     r = cnf.value / phi0.value      # with its first-order error
     ratio = EvalResult(r, (cnf.abs_error_bound + abs(r) * phi0.abs_error_bound) / abs(phi0.value))
     br = arith.best_rational(r, 48)

@@ -210,7 +210,7 @@ def cmd_lvalue(cfg: dict, s: float) -> int:
     if s == 0.0 and not rs.isogenous:
         r = sweep_pair_family(ctx.fe, ctx.ge, ctx.N, ctx.grid(ctx.N),
                               want_regulator=True)["regulator"]
-        rows.append(("regulator", s, r.value.real, r.abs_error_bound))
+        rows.append(("regulator", s, r.value, r.abs_error_bound))
     print("pipeline,s,value,error")
     for row in rows:
         print(f"{row[0]},{row[1]:g},{row[2]!r},{row[3]:.3e}")

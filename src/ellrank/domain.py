@@ -6,10 +6,15 @@ representatives:  Int_{X_0(N)} H dmu = sum_j Int_F H(gamma_j z) dmu.
 
 Quadrature: tensor Gauss-Legendre panels in x, geometric panel
 subdivision in y starting at the arc |z| = 1; node weights carry the
-hyperbolic measure dx dy / y^2.  A grid holds the nodes of the rule at
-its depth and of the rule one depth coarser, with one weight row each,
-so a single sweep gives every integral on both rules: the value is the
-fine one and its depth-doubling error the distance between the two.
+hyperbolic measure dx dy / y^2.  Only the x >= 0 half of F carries
+nodes, an x > 0 node with twice its weight: iota(z) = -conj(z) normalises
+Gamma_0(N), maps F to itself and permutes the cosets, so an integrand with
+H(-conj z) = conj H(z) (forms with real coefficients; E*, log|Delta| and
+the cyclotomic sum are symmetric) integrates to the real part of the
+half-domain sum.  A grid holds the nodes of the rule at its depth and of
+the rule one depth coarser, with one weight row each, so a single sweep
+gives every integral on both rules: the value is the fine one and its
+depth-doubling error the distance between the two.
 Cusp truncation tail: every pair integrand decays like
 C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp (w = cusp width <= the
 form's level), so the neglected mass beyond y_cut = 12 is below 1e-7 in
@@ -157,22 +162,25 @@ _GL_ORDER = 6       # Gauss-Legendre nodes per panel side
 
 
 def build_grid(level: int, depth: int = 2, y_cut: float = 12.0) -> QuadratureGrid:
-    """Tensor panel rules on F intersected with {y <= y_cut}: the nodes of
-    the rule at depth, then those of the rule at depth - 1.  Row 0 of ws
-    weighs the first (zero on the second) and row 1 the second, so one
-    pass over the nodes integrates on both rules."""
+    """Tensor panel rules on F intersected with {y <= y_cut}, kept on the
+    x >= 0 half (the weight of a node at x > 0 doubled, module docstring):
+    the nodes of the rule at depth, then those of the rule at depth - 1.
+    Row 0 of ws weighs the first (zero on the second) and row 1 the second,
+    so one pass over the nodes integrates on both rules."""
     xs_all, ys_all, ws_all = [], [], []
     for row in (0, 1):
         n_panels = max(1, round(_NX_BASE * 2.0 ** (depth - row)))
         rho = 2.0 ** (2.0 ** (1 - depth + row))
         for x, wx in zip(*gauss_panels(np.linspace(-0.5, 0.5, n_panels + 1), _GL_ORDER)):
+            if x < 0:
+                continue            # the node at -x stands in for it
             y_edges = [math.sqrt(max(1.0 - x * x, 0.0))]
             while y_edges[-1] < y_cut - 1e-12:
                 y_edges.append(min(y_edges[-1] * rho, y_cut))
             yn, wy = gauss_panels(y_edges, _GL_ORDER)
             xs_all.append(np.full_like(yn, x))
             ys_all.append(yn)
-            ws_all.append(np.outer((1 - row, row), wx * wy / yn**2))
+            ws_all.append(np.outer((1 - row, row), (2.0 if x > 0 else 1.0) * wx * wy / yn**2))
     return QuadratureGrid(level=level, reps=coset_reps(level), xs=np.concatenate(xs_all),
                           ys=np.concatenate(ys_all), ws=np.concatenate(ws_all, axis=1),
                           y_cut=y_cut, depth=depth)
@@ -203,26 +211,24 @@ class InvarianceError(ValueError):
 
 
 def check_invariance(N: int, H):
-    """Stochastic Gamma_0(N)-invariance gate: 5 random group elements,
-    relative tolerance 1e-7."""
+    """Stochastic Gamma_0(N)-invariance gate (5 random group elements) and
+    conjugate-symmetry gate H(-x, y) = conj H(x, y), relative tolerance 1e-7."""
     pts_x = np.array([0.07, -0.31, 0.42])
     pts_y = np.array([0.83, 1.21, 0.95])
     base = H(pts_x, pts_y)
     scale = float(np.max(np.abs(base))) or 1.0
+    if np.max(np.abs(H(-pts_x, pts_y) - np.conj(base))) > 1e-7 * scale:
+        raise InvarianceError("integrand not conjugate-symmetric: H(-x, y) != conj H(x, y)")
     for g in random_gamma0_elements(N, 5):
-        a, b, c, d = g
-        gx, gy = apply_moebius(np.full(3, a), np.full(3, b), np.full(3, c),
-                               np.full(3, d), pts_x, pts_y)
-        moved = H(gx, gy)
+        moved = H(*apply_moebius(*g, pts_x, pts_y))
         if np.max(np.abs(moved - base)) > 1e-7 * scale:
             raise InvarianceError(f"integrand not Gamma_0({N})-invariant at element {g}")
 
 
 def _fsum_rows(pairs: list) -> list:
-    """Partial integrals, one (depth rule, depth - 1 rule) pair per coset
-    or class, summed rule by rule with math.fsum."""
-    a = np.asarray(pairs, dtype=complex)
-    return [complex(math.fsum(a[:, r].real), math.fsum(a[:, r].imag)) for r in (0, 1)]
+    """Partial integrals, one real (depth rule, depth - 1 rule) pair per
+    coset or class, summed rule by rule with math.fsum."""
+    return [math.fsum(col) for col in np.asarray(pairs, dtype=float).T]
 
 
 def _upper_image(U: tuple[int, int, int], grid: "QuadratureGrid"):
@@ -248,7 +254,8 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> 
     """Int_{X_0(N)} H dmu by coset sweep, H evaluated pointwise at every
     coset image gamma_j w, with its depth-doubling error (the
     cusp-truncation tail beyond y_cut is integrand specific and not
-    included).
+    included).  H(-x, y) = conj H(x, y) must hold (gated): the value, a
+    float, is the real part of the sum over the grid's x >= 0 half of F.
 
     The battery does not call it: it is the per-point reference that
     the class-streamed sweep_pair_family is tested against
@@ -257,8 +264,8 @@ def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> 
     if check:
         check_invariance(N, H)
     weight = grid.ws.sum(axis=0)
-    parts = [grid.rule_sums(H(*apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys)) * weight)
-             for r in grid.reps]
+    parts = [grid.rule_sums(np.real(H(*apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys))
+                                    * weight)) for r in grid.reps]
     fine, coarse = _fsum_rows(parts)
     return EvalResult(fine, abs(fine - coarse))
 
@@ -313,14 +320,15 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                            measure on the eta fallback of C, a float; 0
                            for N <= 346 (want_cnf)
 
-    Every key but 'deep_fraction' is an EvalResult: the value on the depth
+    Every key but 'deep_fraction' is an EvalResult of floats: the value
+    (the real part of the half-domain sum, module docstring) on the depth
     rule (grid.ws row 0) with, as error, its distance to the value on the
     depth - 1 rule (row 1), both from this one pass over the union of
     their nodes; the Petersson keys add the cusp-truncation tail
     (pair_tail_bound).  The forms are evaluated once per coset of their
     own level; E*, h and the cyclotomic sum once per Hermite class
     (module docstring).  Both levels must divide N, and f conj(g) y^2
-    must pass the Gamma_0(N)-invariance gate.
+    must pass check_invariance.
     """
     if N % fe.level or N % ge.level:
         raise ValueError("both levels must divide N")
@@ -331,18 +339,18 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     fs = slash_on_cosets(fe, grid)
     gs = fs if ge is fe else slash_on_cosets(ge, grid)
     # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2;
-    # each node carries its weight in its own rule
+    # each node carries its weight in its own rule; the other factors are real, so
+    # the keys, real parts (module docstring), need only Re(f conj(g)) y^2
     measure = grid.ys**2 * grid.ws.sum(axis=0)
-    parts: dict = {}
+    bs = [(F * np.conj(G)).real * measure for F, G in zip(fs, gs)]
+    parts: dict = {"pet_fg": [grid.rule_sums(b) for b in bs]}
+    for key, A in (("pet_ff", fs), ("pet_gg", gs)):
+        parts[key] = [grid.rule_sums((F * np.conj(F)).real * measure) for F in A]
     deep_mass = []
 
     def add(key, v):
         parts.setdefault(key, []).append(grid.rule_sums(v))
 
-    for F, G in zip(fs, gs):
-        add("pet_fg", F * np.conj(G) * measure)
-        add("pet_ff", F * np.conj(F) * measure)
-        add("pet_gg", G * np.conj(G) * measure)
     # Lambda(N) = sum_d mu(d) log(N/d), von Mangoldt
     lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
     if want_regulator:
@@ -362,7 +370,7 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         if cusp.intersection(members):
             cvals, deep = cyclotomic_qlog_sum_array(ux, uy, N)
         for j, d in members:
-            b = fs[j] * np.conj(gs[j]) * measure
+            b = bs[j]
             for s in s_values:
                 add(("eis", s, d), b * estar[s])
             if want_regulator and mu[d]:
@@ -407,7 +415,7 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
     eis = {d: fam[("eis", s, d)] for d in divs}
 
     def combine(w, c=1.0):      # c sum_d mu(d) w(d) J_d, with its error
-        return EvalResult(c * sum(moebius(d) * w(d) * (conv * eis[d].value).real for d in divs),
+        return EvalResult(c * sum(moebius(d) * w(d) * conv * eis[d].value for d in divs),
                           c * sum(abs(moebius(d)) * w(d) * conv * eis[d].abs_error_bound
                                   for d in divs))
 

@@ -364,10 +364,10 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries) -> dict:
         raise ValueError("square-free conductor required")
     N = curve.conductor
     res = residue_at_1(rs)
-    if not pet.value.real > 0:
+    if not pet.value > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)
-    ratio1 = res["residue"].value / (2.0 * math.pi * psi * pet.value.real)
+    ratio1 = res["residue"].value / (2.0 * math.pi * psi * pet.value)
     rec1 = recognize_rational(ratio1, 576, 1e-4)
     best1 = best_rational(ratio1, 576)
     lat = period_lattice(curve)
@@ -376,10 +376,10 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries) -> dict:
     sym2_edge = H1 * resL
     ratio2 = sym2_edge / (lat.area / math.pi)
     best2 = best_rational(ratio2, 576)
-    deg_estimate = 4.0 * math.pi**2 * pet.value.real * psi / lat.area
+    deg_estimate = 4.0 * math.pi**2 * pet.value * psi / lat.area
     return {
         "level": N,
-        "petersson_ff": pet.value.real,
+        "petersson_ff": pet.value,
         "petersson_err": pet.abs_error_bound,
         "residue_phi": res["residue"].value,
         "residue_spread": res["spread"],

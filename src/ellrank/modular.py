@@ -13,8 +13,10 @@ after M terms is below
 every form value is truncated below FORM_TOL.
 
 The summed cyclotomic q-logarithm runs through the Moebius factorisation
-log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|: per divisor, a direct
-head of ceil(sqrt(40/r)) terms and a Lambert tail cut below e^{-40}.
+log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|, in one loop over the
+(divisor, point) rows bucketed by the octave of their effective height
+(N/d) y: per bucket a direct head of ceil(sqrt(40/r)) terms and a Lambert
+tail cut below e^{-40}; np.bincount folds the rows back onto the points.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
 
         phi(N)/24 * log|q| + sum_{d|N} mu(d) sum_{n>=1} log|1 - u^n|,
 
-    u = q^e, e = N/d.  Points are processed in octaves of y.  In a
-    bucket of lowest height y0, |u| <= e^{-r} with r = 2 pi e y0; for
+    u = q^e, e = N/d, one row per (divisor, point), bucketed by the octave
+    of e y.  In a bucket of lowest e y = t, |u| <= e^{-r} with r = 2 pi t; for
     L = 40/r the first h = ceil(sqrt(L)) terms are summed directly as
     log|prod_{n<=h} (1 - u^n)|, and the rest by the Lambert series
 
@@ -165,25 +167,26 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
     deep = y < deep_threshold
     if deep.any():
         out[deep] = log_abs_delta_N_array(x[deep], y[deep], N) / 24.0
-    phiN = totient(N)
-    octs = np.floor(np.log2(y)).astype(int)
     mus = [(N // d, moebius(d)) for d in divisors(N) if moebius(d)]
-    for o in np.unique(octs[~deep]):
-        m = (octs == o) & ~deep
-        xm, ym = x[m], y[m]
-        z = TWO_PI * (1j * xm - ym)
-        acc = -TWO_PI * ym * phiN / 24.0
-        for e, mu in mus:
-            L = 40.0 / (TWO_PI * e * float(ym.min()))
-            h = math.ceil(math.sqrt(L))
-            J = int(L / (h + 1)) + 1        # J <= h, since L / (h+1) < sqrt(L)
-            u = np.exp(e * z)
-            U = _powers(u, h)               # u^n, n = 1 .. h
-            V = 1.0 - U
-            W = _powers(U[-1] * u, J)       # u^{j(h+1)}, j = 1 .. J
-            tail = (1.0 / np.arange(1.0, J + 1.0)) @ np.real(W / V[:J])
-            acc = acc + mu * (np.log(np.abs(np.prod(V, axis=0))) - tail)
-        out[m] = acc
+    xk, yk = x[~deep], y[~deep]
+    row = np.tile(np.arange(yk.size), len(mus))
+    e, mu = (np.repeat(np.array(c, float), yk.size) for c in zip(*mus))
+    ey, ez = e * yk[row], e * (TWO_PI * (1j * xk - yk))[row]
+    terms = np.empty(ey.shape)
+    octs = np.floor(np.log2(ey)).astype(int)
+    for o in np.unique(octs):
+        m = octs == o
+        L = 40.0 / (TWO_PI * float(ey[m].min()))
+        h = math.ceil(math.sqrt(L))
+        J = int(L / (h + 1)) + 1            # J <= h, since L / (h+1) < sqrt(L)
+        u = np.exp(ez[m])
+        U = _powers(u, h)                   # u^n, n = 1 .. h
+        V = 1.0 - U
+        W = _powers(U[-1] * u, J)           # u^{j(h+1)}, j = 1 .. J
+        tail = (1.0 / np.arange(1.0, J + 1.0)) @ np.real(W / V[:J])
+        terms[m] = np.log(np.abs(np.prod(V, axis=0))) - tail
+    out[~deep] = (-TWO_PI * yk * totient(N) / 24.0
+                  + np.bincount(row, weights=mu * terms, minlength=yk.size))
     return out, deep
 
 

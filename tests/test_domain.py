@@ -46,12 +46,13 @@ def test_coset_covering(rng):
 
 def test_grid_nodes_in_domain():
     g = build_grid(1, depth=2, y_cut=12.0)
-    assert np.all(np.abs(g.xs) <= 0.5 + 1e-12)
+    # the x >= 0 half of F: today's rules put no node at x = 0
+    assert np.all(g.xs > 0) and np.all(g.xs <= 0.5 + 1e-12)
     assert np.all(g.xs**2 + g.ys**2 >= 1.0 - 1e-12)
     assert np.all(g.ys <= 12.0 + 1e-12)
     # the depth-2 nodes, then the depth-1 nodes, one weight row each
     n = g.n_fine
-    assert g.ws.shape == (2, len(g.xs)) and (n, len(g.xs) - n) == (4608, 1152)
+    assert g.ws.shape == (2, len(g.xs)) and (n, len(g.xs) - n) == (2304, 576)
     assert np.all(g.ws[0, :n] > 0) and not g.ws[0, n:].any()
     assert np.all(g.ws[1, n:] > 0) and not g.ws[1, :n].any()
     # each rule's weights sum to the truncated hyperbolic area
@@ -72,6 +73,62 @@ def test_invariance_gate_catches_bad_integrand():
     bad = lambda x, y: np.asarray(x) + 1j * np.asarray(y)
     with pytest.raises(InvarianceError):
         check_invariance(11, bad)
+
+
+def test_invariance_gate_catches_asymmetric_integrand(form_11a):
+    # i |f|^2 y^2 is Gamma_0(11)-invariant, but H(-x, y) = -conj H(x, y):
+    # the half-domain grid would take its real part, 0, so the gate refuses it
+    from ellrank.modular import eval_form_array
+
+    def H(x, y):
+        f = eval_form_array(form_11a, x, y)
+        return f * np.conj(f) * y**2
+    check_invariance(11, H)
+    with pytest.raises(InvarianceError, match="conjugate-symmetric"):
+        check_invariance(11, lambda x, y: 1j * H(x, y))
+
+
+@pytest.mark.parametrize("N, depth", [(154, 0), (11, 2)])
+def test_half_domain_equals_full_domain(N, depth, form_11a, form_14a):
+    # the sweep on the x >= 0 half of F against the mirrored full grid
+    # (nodes xs and -xs, weights halved), every key summed point by point
+    # at gamma_j w: iota(z) = -conj(z) permutes the cosets and each
+    # integrand is conjugate-symmetric, so the two sums are equal
+    from ellrank.eisenstein import epstein_star_array
+    from ellrank.halfplane import apply_moebius
+    from ellrank.modular import eval_form_array, log_abs_delta_N_array
+
+    ge = form_14a if N == 154 else form_11a
+    grid = build_grid(N, depth=depth)
+    fam = sweep_pair_family(form_11a, ge, N, grid, s_values=(2.0,),
+                            want_regulator=True, want_cnf=True)
+    pos = grid.xs > 0
+    xs = np.concatenate([grid.xs, -grid.xs[pos]])
+    ys = np.concatenate([grid.ys, grid.ys[pos]])
+    w = np.concatenate([np.where(pos, 0.5, 1.0) * grid.ws[0], 0.5 * grid.ws[0][pos]])
+    psi = index_psi(N)
+    full: dict = {}
+    mass: dict = {}             # sum of |terms|, the scale of a sum's rounding
+    for r in grid.reps:
+        x, y = apply_moebius(r.a, r.b, r.c, r.d, xs, ys)
+        f, g = eval_form_array(form_11a, x, y), eval_form_array(ge, x, y)
+        fg = f * np.conj(g) * y**2 * w
+        log_dn = log_abs_delta_N_array(x, y, N)
+        terms = {"pet_fg": fg / psi, "pet_ff": np.abs(f) ** 2 * y**2 * w / psi,
+                 "pet_gg": np.abs(g) ** 2 * y**2 * w / psi,
+                 "regulator": -(math.pi / 3.0) * fg * log_dn,
+                 "cnf": -4.0 * math.pi * fg * log_dn / 24.0}
+        for d in divisors(N):
+            terms[("eis", 2.0, d)] = fg * epstein_star_array(N * x / d, N * y / d, 2.0)
+        for key, v in terms.items():
+            full[key] = full.get(key, 0.0) + np.sum(v)
+            mass[key] = mass.get(key, 0.0) + np.sum(np.abs(v))
+    assert set(full) == set(fam) - {"deep_fraction"}
+    for key, v in full.items():
+        # pet_fg and the eis keys for d > 1 vanish when f != g: a rounding floor
+        floor = 1e-15 * abs(fam["pet_ff"].value) if key == "pet_fg" else 1e-13 * mass[key]
+        assert isinstance(fam[key].value, float)
+        assert abs(fam[key].value - v) < max(1e-13 * abs(v), floor), (key, fam[key].value, v)
 
 
 def test_petersson_positivity_and_hermitian(form_11a):
