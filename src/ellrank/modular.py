@@ -14,9 +14,9 @@ every form value is truncated below FORM_TOL.
 
 The summed cyclotomic q-logarithm runs through the Moebius factorisation
 log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|, in one loop over the
-(divisor, point) rows bucketed by the octave of their effective height
-(N/d) y: per bucket a direct head of ceil(sqrt(40/r)) terms and a Lambert
-tail cut below e^{-40}; np.bincount folds the rows back onto the points.
+(divisor, point) rows sorted into octaves of their effective height
+(N/d) y: per octave a direct head of ceil(sqrt(40/r)) terms and a Lambert
+tail cut below e^{-40}; a product with the mu(d) folds the rows back.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
 
         phi(N)/24 * log|q| + sum_{d|N} mu(d) sum_{n>=1} log|1 - u^n|,
 
-    u = q^e, e = N/d, one row per (divisor, point), bucketed by the octave
-    of e y.  In a bucket of lowest e y = t, |u| <= e^{-r} with r = 2 pi t; for
+    u = q^e, e = N/d, one row per (divisor, point), sorted into octaves of
+    e y.  In an octave of lowest e y = t, |u| <= e^{-r} with r = 2 pi t; for
     L = 40/r the first h = ceil(sqrt(L)) terms are summed directly as
     log|prod_{n<=h} (1 - u^n)|, and the rest by the Lambert series
 
@@ -167,26 +167,26 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
     deep = y < deep_threshold
     if deep.any():
         out[deep] = log_abs_delta_N_array(x[deep], y[deep], N) / 24.0
-    mus = [(N // d, moebius(d)) for d in divisors(N) if moebius(d)]
+    e, mu = np.array([(N // d, moebius(d)) for d in divisors(N) if moebius(d)], float).T
     xk, yk = x[~deep], y[~deep]
-    row = np.tile(np.arange(yk.size), len(mus))
-    e, mu = (np.repeat(np.array(c, float), yk.size) for c in zip(*mus))
-    ey, ez = e * yk[row], e * (TWO_PI * (1j * xk - yk))[row]
+    ey = np.outer(e, yk).ravel()            # row i * yk.size + k: divisor i, point k
+    octs = np.frexp(ey)[1].astype(np.int8)      # ey in [2^(k-1), 2^k): octave k
+    order = np.argsort(octs, kind="stable")     # a radix sort: buckets become slices
+    ey, ez = ey[order], np.outer(e, TWO_PI * (1j * xk - yk)).ravel()[order]
+    counts = np.bincount(octs - octs.min(initial=0))
+    edges = np.cumsum(np.r_[0, counts[counts > 0]])
     terms = np.empty(ey.shape)
-    octs = np.floor(np.log2(ey)).astype(int)
-    for o in np.unique(octs):
-        m = octs == o
-        L = 40.0 / (TWO_PI * float(ey[m].min()))
+    for a, b in zip(edges[:-1], edges[1:]):
+        L = 40.0 / (TWO_PI * float(ey[a:b].min()))
         h = math.ceil(math.sqrt(L))
         J = int(L / (h + 1)) + 1            # J <= h, since L / (h+1) < sqrt(L)
-        u = np.exp(ez[m])
+        u = np.exp(ez[a:b])
         U = _powers(u, h)                   # u^n, n = 1 .. h
-        V = 1.0 - U
         W = _powers(U[-1] * u, J)           # u^{j(h+1)}, j = 1 .. J
-        tail = (1.0 / np.arange(1.0, J + 1.0)) @ np.real(W / V[:J])
-        terms[m] = np.log(np.abs(np.prod(V, axis=0))) - tail
-    out[~deep] = (-TWO_PI * yk * totient(N) / 24.0
-                  + np.bincount(row, weights=mu * terms, minlength=yk.size))
+        V = np.subtract(1.0, U, out=U)      # 1 - u^n, in place
+        tail = (1.0 / np.arange(1.0, J + 1.0)) @ np.divide(W, V[:J], out=W).real
+        terms[order[a:b]] = np.log(np.abs(np.prod(V, axis=0))) - tail
+    out[~deep] = -TWO_PI * yk * totient(N) / 24.0 + mu @ terms.reshape(mu.size, -1)
     return out, deep
 
 

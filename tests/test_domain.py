@@ -86,6 +86,9 @@ def test_invariance_gate_catches_asymmetric_integrand(form_11a):
     check_invariance(11, H)
     with pytest.raises(InvarianceError, match="conjugate-symmetric"):
         check_invariance(11, lambda x, y: 1j * H(x, y))
+    # skipping the group gate keeps the symmetry gate the real part relies on
+    with pytest.raises(InvarianceError, match="conjugate-symmetric"):
+        integrate_invariant(11, lambda x, y: 1j * H(x, y), build_grid(11, depth=0), check=False)
 
 
 @pytest.mark.parametrize("N, depth", [(154, 0), (11, 2)])
