@@ -39,7 +39,8 @@ diag(m, 1) gamma_j = sigma U (sigma in SL2(Z), 0 <= beta < delta):
     SL2(Z)-invariant, so E*(N gamma_j w/d, s) = E*(U w, s) and
     log|Delta_N(gamma_j w)| = sum_d mu(d) h(U_{j,d} w) - 6 Lambda(N).
     At N = 154 the 2304 pairs (j, d) form sum_{m|N} sigma_1(m) = 468
-    classes, each evaluated once.
+    classes, each evaluated once, and both at the class's one SL2(Z)
+    reduction of U w.
   - m = Q = N / gcd(c_j, N).  sigma^{-1} diag(Q, 1) lies in W_Q Gamma_0(N)
     (N square-free), so the cyclotomic sum C = log|Delta_N| / 24 has
     C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4 (Lambda(N) = 0
@@ -66,7 +67,7 @@ import numpy as np
 
 from .arith import divisors, index_psi, is_squarefree, moebius, prime_divisors
 from .eisenstein import epstein_star_array
-from .halfplane import apply_moebius, ext_gcd, hermite
+from .halfplane import apply_moebius, ext_gcd, hermite, sl2z_reduce
 from .lseries import L_direct
 from .modular import (
     CuspFormEval,
@@ -364,9 +365,10 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         if not members:
             continue
         ux, uy = _upper_image(U, grid)
-        estar = {s: epstein_star_array(ux, uy, s) for s in s_values}
+        rx, ry = sl2z_reduce(ux, uy)[:2]
+        estar = {s: epstein_star_array(rx, ry, s) for s in s_values}
         if want_regulator:
-            h = log_abs_delta_array(ux, uy) + 6.0 * np.log(uy)
+            h = log_abs_delta_array(rx, ry) + 6.0 * np.log(ry)
         if cusp.intersection(members):
             cvals, deep = cyclotomic_qlog_sum_array(ux, uy, N)
         for j, d in members:

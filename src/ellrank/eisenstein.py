@@ -22,8 +22,12 @@ Three evaluators with disjoint machinery, used as mutual oracles:
 
                         xi(v) = pi^{-v/2} Gamma(v/2) zeta(v); points are
                         SL2(Z)-reduced first (the lattice sum is fully
-                        modular), so y >= sqrt(3)/2 and roughly ten
-                        Bessel terms reach 1e-15.
+                        modular), so y >= sqrt(3)/2 and the terms are
+                        cut below e^{-40}.  At nu = s - 1/2 = +-(m + 1/2),
+                        K_nu(X) = sqrt(pi/2X) e^{-X} sum_{k<=m} c_k X^{-k}
+                        (specialfn.bessel_k_half_coeffs), and the sum is
+                        4 sum_k c_k (2 pi y)^{-k} Re sum_n sigma_{1-2s}(n)
+                        n^{s-1-k} q^n: m + 1 Horner polynomials in q.
 
 E* has simple poles at s = 0, 1 with residues -1, +1 and satisfies
 E*(z,s) = E*(z,1-s) termwise in the Fourier form.
@@ -41,6 +45,7 @@ from .specialfn import (
     EvalResult,
     PoleError,
     bessel_k_array,
+    bessel_k_half_coeffs,
     completed_zeta,
     upper_gamma,
 )
@@ -68,6 +73,13 @@ def epstein_star_array(x, y, s: float) -> np.ndarray:
         if nmax > 64:
             break
     sig = divisor_sigma_table(nmax, 1.0 - 2.0 * s)
+    m = round(abs(nu) - 0.5)
+    if abs(nu) == m + 0.5:      # half-integer order: Horner in q (module docstring)
+        k, n = np.arange(m + 1), np.arange(1.0, nmax + 1.0)[:, None]
+        polyval = np.polynomial.polynomial.polyval    # loaded on first use, not at import
+        coef = np.vstack([0.0 * k, bessel_k_half_coeffs(m) * sig[1:, None] * n ** (s - 1.0 - k)])
+        P = polyval(np.exp(2j * math.pi * (xr + 1j * yr)), coef)     # row k: P_k(q)
+        return c + 4.0 * polyval(0.5 / (math.pi * yr), P.real, tensor=False)
     acc = np.zeros_like(yr)
     for n in range(1, nmax + 1):
         kv = bessel_k_array(nu, 2.0 * math.pi * n * yr)

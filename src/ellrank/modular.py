@@ -73,16 +73,15 @@ def _qseries(coeffs: np.ndarray, x, y) -> np.ndarray:
 
 def log_abs_eta_array(x, y) -> np.ndarray:
     """log|eta(z)| for arbitrary points, via SL2(Z) reduction:
-    log|eta| = -pi y/12 + sum log|1 - q^n| at the reduced point, minus
+    log|eta| = -pi y/12 + log|prod_{n<=8} (1 - q^n)| at the reduced point, minus
     half the accumulated log|w| from the inversion steps."""
     xr, yr, _, loghalf = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
     q = np.exp(TWO_PI * (1j * xr - yr))
-    acc = np.zeros(xr.shape)
-    qk = np.ones_like(q)
-    for _ in range(26):  # |q| <= e^{-pi sqrt 3}: 22 terms reach 1e-16
+    qk, prod = q, 1.0 - q
+    for _ in range(7):  # |q| <= e^{-pi sqrt 3}, so |q|^9 < 1e-21: 8 factors
         qk = qk * q
-        acc += np.log(np.abs(1.0 - qk))
-    return -math.pi * yr / 12.0 + acc - 0.5 * loghalf
+        prod *= 1.0 - qk
+    return -math.pi * yr / 12.0 + np.log(np.abs(prod)) - 0.5 * loghalf
 
 
 def log_abs_eta(x: float, y: float) -> float:
@@ -154,7 +153,8 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
         sum_{n>h} log|1 - u^n| = -Re sum_{j>=1} u^{j(h+1)} / (j (1 - u^j))
 
     up to J = floor(L/(h+1)) + 1, the first j with j(h+1) > L, so every
-    omitted term has |u|^{j(h+1)} < e^{-40}.  Points should be
+    omitted term has |u|^{j(h+1)} < e^{-40}.  A row with 2 pi e y >= 40 is
+    below that cut as a whole and is skipped.  Points should be
     Gamma_0(N)-reduced by the caller (the function is an invariant);
     points with y below deep_threshold take the eta-product route
     instead (reported via the returned mask).
@@ -170,12 +170,13 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
     e, mu = np.array([(N // d, moebius(d)) for d in divisors(N) if moebius(d)], float).T
     xk, yk = x[~deep], y[~deep]
     ey = np.outer(e, yk).ravel()            # row i * yk.size + k: divisor i, point k
-    octs = np.frexp(ey)[1].astype(np.int8)      # ey in [2^(k-1), 2^k): octave k
-    order = np.argsort(octs, kind="stable")     # a radix sort: buckets become slices
+    terms = np.zeros(ey.shape)
+    live = np.flatnonzero(ey < 40.0 / TWO_PI)       # the other rows stay 0
+    octs = np.frexp(ey[live])[1].astype(np.int8)    # ey in [2^(k-1), 2^k): octave k
+    order = live[np.argsort(octs, kind="stable")]   # a radix sort: buckets become slices
     ey, ez = ey[order], np.outer(e, TWO_PI * (1j * xk - yk)).ravel()[order]
     counts = np.bincount(octs - octs.min(initial=0))
     edges = np.cumsum(np.r_[0, counts[counts > 0]])
-    terms = np.empty(ey.shape)
     for a, b in zip(edges[:-1], edges[1:]):
         L = 40.0 / (TWO_PI * float(ey[a:b].min()))
         h = math.ceil(math.sqrt(L))

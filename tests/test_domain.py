@@ -218,6 +218,19 @@ def test_regulator_plumbing(form_11a):
     assert abs(r.real - r2.real) < 1e-3 * abs(r2.real)
 
 
+def test_sweep_reduces_each_hermite_class_once(form_11a, monkeypatch):
+    # E* and h = log|Delta| + 6 log y share one SL2(Z) reduction per class
+    import ellrank.domain as domain
+    from ellrank import halfplane
+
+    calls = []
+    monkeypatch.setattr(domain, "sl2z_reduce",
+                        lambda x, y: calls.append(x.size) or halfplane.sl2z_reduce(x, y))
+    grid = build_grid(11, depth=0)
+    sweep_pair_family(form_11a, form_11a, 11, grid, s_values=(2.0, 3.0), want_regulator=True)
+    assert calls == [grid.xs.size] * len(domain._hermite_classes(11, grid.reps))
+
+
 def test_cnf_guard_N1(form_11a):
     # no primitive residues mod 1: the cyclotomic sum is refused
     with pytest.raises(ValueError):

@@ -51,6 +51,18 @@ def test_mutual_oracle_grid(rng):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("s", [2.0, 3.0, -1.0])
+def test_half_integer_order_horner_against_theta(s):
+    # integer s puts K_{s-1/2} at half-integer order, where the Fourier form
+    # runs by Horner in q; points off F (|x| up to 2, y down to 0.05) too
+    rng = np.random.default_rng(18)
+    xs, ys = rng.uniform(-2.0, 2.0, 30), np.geomspace(0.05, 5.0, 30)
+    fourier = epstein_star_array(xs, ys, s)
+    for x, y, f in zip(xs, ys, fourier):
+        theta, _ = epstein_star_theta(float(x), float(y), s)
+        assert abs(f / theta - 1.0) < 1e-12, (x, y, s)
+
+
 def test_mutual_oracle_at_s_three_halves():
     # pi^{-1.5} Gamma(1.5) * lattice(i, 1.5) against the Fourier form
     b = float(epstein_star_array(np.array([0.0]), np.array([1.0]), 1.5)[0])

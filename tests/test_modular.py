@@ -7,7 +7,8 @@ import pytest
 from ellrank.curves import curve_by_label
 from ellrank.halfplane import UHPoint, apply_moebius, boost_array
 from ellrank.modular import (cyclotomic_qlog_sum_array, eval_form_array,
-                             log_abs_delta_N_array, log_abs_eta, qlog, series_length)
+                             log_abs_delta_N_array, log_abs_eta, log_abs_eta_array,
+                             qlog, series_length)
 
 
 def _form_at(form, z: complex) -> complex:
@@ -30,6 +31,20 @@ def test_log_abs_eta_transport():
     lhs = log_abs_eta(w.real, w.imag)
     rhs = 0.5 * math.log(abs(z2.z)) + log_abs_eta(z2.x, z2.y)
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_log_abs_eta_array_against_mpmath():
+    # the 8-factor product at the reduced point, against -pi y/12 + log|(q; q)_inf|
+    # at the original point (|q| <= e^{-pi/2} here, so mp.qp converges fast)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(18)
+    xs, ys = rng.uniform(-1.5, 1.5, 200), rng.uniform(0.25, 4.0, 200)
+    got = log_abs_eta_array(xs, ys)
+    for x, y, g in zip(xs, ys, got):
+        q = mp.exp(2j * mp.pi * mp.mpc(x, y))
+        want = -mp.pi * y / 12 + mp.log(abs(mp.qp(q)))
+        assert abs(g - float(want)) < 1e-15, (x, y)
 
 
 def test_form_values_and_modularity(form_11a):

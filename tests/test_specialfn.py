@@ -118,6 +118,16 @@ def test_bessel_properties(rng):
     assert abs(ratio - 1.0) < 0.01
 
 
+def test_bessel_k_against_mpmath():
+    # the fixed-step trapezoid rule, octave by octave, from x = 0.01 to 690
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    xs = np.geomspace(0.01, 690.0, 60)
+    for nu in (0.0, 0.3, 1.0, 2.7, 7.3, 10.3):
+        want = np.array([float(mp.besselk(nu, x)) for x in xs])
+        assert np.max(np.abs(bessel_k_array(nu, xs) / want - 1.0)) < 5e-14, nu
+
+
 def test_bessel_underflow_and_rejection():
     assert bessel_k_array(1.0, np.array([800.0]))[0] == 0.0
     with pytest.raises(ValueError):
@@ -132,6 +142,19 @@ def test_upper_gamma_against_mpmath():
             got = float(upper_gamma(a, np.array([x]))[0])
             want = float(mp.gammainc(a, x, mp.inf))
             assert abs(got / want - 1.0) < 5e-13, (a, x)
+
+
+def test_upper_gamma_wide_parameters_against_mpmath():
+    # the continued fraction stops at 2 ulp on |a| up to 11.9 and x up to
+    # 600, each batch as a whole; checked where x >= a (below, it loses
+    # digits: 3.6e-8 at a = 11.9, x = 1.5)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for a in (-11.9, -6.5, 6.5, 11.9):
+        xs = np.array([x for x in (1.5, 3.0, 12.0, 60.0, 250.0, 600.0) if x >= a])
+        got = upper_gamma(a, xs)
+        want = np.array([float(mp.gammainc(a, x, mp.inf)) for x in xs])
+        assert np.max(np.abs(got / want - 1.0)) < 5e-13, a
 
 
 def test_completed_zeta_reflection():
