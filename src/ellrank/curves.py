@@ -128,11 +128,11 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
 
     Exhaustive. For odd p the completed square y^2 = g(x) is counted as
     sum_v #{x : g(x) = v} * #{y : y^2 = v}, a dot product of two
-    bincounts; singular points are looked for only when p | disc. For
-    p in {2, 3} every (x, y) pair is tested on the long model.
+    bincounts; singular points are looked for only when p | disc. At
+    p = 2 every (x, y) pair is tested on the long model.
     """
     a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
-    if p <= 3:
+    if p == 2:
         smooth = 0
         singular = 0
         for x in range(p):
@@ -321,7 +321,7 @@ def reduce_mod_p(curve: CurveModel, p: int, p_max: int = DEFAULT_P_MAX) -> Reduc
 def _reduce(curve: CurveModel, p: int) -> ReductionInfo:
     """reduce_mod_p for a p already known to be prime."""
     if curve.discriminant % p != 0:
-        if p <= ENUM_LIMIT or p <= 3:
+        if p <= ENUM_LIMIT:
             n, _ = _count_points_enum(curve, p)
         else:
             n = _count_points_bsgs(curve, p)
@@ -337,10 +337,7 @@ def _reduce(curve: CurveModel, p: int) -> ReductionInfo:
 
 
 def _is_prime(n: int) -> bool:
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin: bases 2 to 37 are exact for n < 3.3e24."""
     if n < 4:
         return n in (2, 3)
     if n % 2 == 0:

@@ -11,10 +11,13 @@ nodes, an x > 0 node with twice its weight: iota(z) = -conj(z) normalises
 Gamma_0(N), maps F to itself and permutes the cosets, so an integrand with
 H(-conj z) = conj H(z) (forms with real coefficients; E*, log|Delta| and
 the cyclotomic sum are symmetric) integrates to the real part of the
-half-domain sum.  A grid holds the nodes of the rule at its depth and of
-the rule one depth coarser, with one weight row each, so a single sweep
-gives every integral on both rules: the value is the fine one and its
-depth-doubling error the distance between the two.
+half-domain sum.  A grid's weight matrix ws (2, n) is the only
+description of its two rules: row 0 holds each node's weight in the rule
+at the grid's depth, row 1 its weight in the rule one depth coarser (0
+where a rule has no such node).  Every integral is ws @ values of the
+unweighted node values, so a single sweep gives it on both rules: the
+value is the fine one and its depth-doubling error the distance between
+the two.
 Cusp truncation tail: every pair integrand decays like
 C e^{-2 pi y (1/w_f + 1/w_g)} into each cusp (w = cusp width <= the
 form's level), so the neglected mass beyond y_cut = 12 is below 1e-7 in
@@ -53,15 +56,15 @@ Im(U w) = alpha y / delta >= sqrt(3) / (2N): for N <= 346 no cyclotomic
 node reaches the eta fallback below 0.0025, so C runs through the Moebius
 factorisation log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}| at every
 node, independently of the eta product.  The classes are streamed
-(their arrays folded into per-rep scalar pairs, one per rule, then
-dropped); each key's scalars are combined with math.fsum.
+(their arrays folded by ws into per-rep scalar pairs, one per rule, then
+dropped); each key's scalars are combined rule by rule with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,19 +146,11 @@ class QuadratureGrid:
     reps: tuple
     xs: np.ndarray
     ys: np.ndarray
-    ws: np.ndarray            # (2, n): the depth and depth - 1 rules, with 1/y^2
+    # (2, n): each node's weight, with 1/y^2, in the depth rule (row 0) and in
+    # the depth - 1 rule (row 1), so ws @ v integrates v on both
+    ws: np.ndarray
     y_cut: float
     depth: int
-
-    @cached_property
-    def n_fine(self) -> int:
-        """Nodes of the depth rule, listed first (its weights are positive)."""
-        return int(np.count_nonzero(self.ws[0]))
-
-    def rule_sums(self, v: np.ndarray) -> np.ndarray:
-        """Sums of v (weights applied) over the depth rule's nodes and over the
-        depth - 1 rule's, each bit-identical to a grid of that rule alone."""
-        return np.array((np.sum(v[:self.n_fine]), np.sum(v[self.n_fine:])))
 
 
 _NX_BASE = 4        # x-panels at depth 0
@@ -164,10 +159,10 @@ _GL_ORDER = 6       # Gauss-Legendre nodes per panel side
 
 def build_grid(level: int, depth: int = 2, y_cut: float = 12.0) -> QuadratureGrid:
     """Tensor panel rules on F intersected with {y <= y_cut}, kept on the
-    x >= 0 half (the weight of a node at x > 0 doubled, module docstring):
-    the nodes of the rule at depth, then those of the rule at depth - 1.
-    Row 0 of ws weighs the first (zero on the second) and row 1 the second,
-    so one pass over the nodes integrates on both rules."""
+    x >= 0 half (the weight of a node at x > 0 doubled, module docstring),
+    at depth and at depth - 1.  The grid carries the nodes of both rules;
+    row 0 of ws holds each node's weight in the first and row 1 its weight
+    in the second, so ws @ v integrates v on both in one pass."""
     xs_all, ys_all, ws_all = [], [], []
     for row in (0, 1):
         n_panels = max(1, round(_NX_BASE * 2.0 ** (depth - row)))
@@ -211,25 +206,28 @@ class InvarianceError(ValueError):
     pass
 
 
-def check_invariance(N: int, H, elements: int = 5):
-    """Gate H(-x, y) = conj H(x, y) and, at `elements` random group
-    elements, Gamma_0(N)-invariance, both to relative tolerance 1e-7."""
+def check_invariance(N: int, H):
+    """Gate H(-x, y) = conj H(x, y) and, at 5 random group elements,
+    Gamma_0(N)-invariance, both to relative tolerance 1e-7."""
     pts_x = np.array([0.07, -0.31, 0.42])
     pts_y = np.array([0.83, 1.21, 0.95])
     base = H(pts_x, pts_y)
     scale = float(np.max(np.abs(base))) or 1.0
     if np.max(np.abs(H(-pts_x, pts_y) - np.conj(base))) > 1e-7 * scale:
         raise InvarianceError("integrand not conjugate-symmetric: H(-x, y) != conj H(x, y)")
-    for g in random_gamma0_elements(N, elements):
+    for g in random_gamma0_elements(N, 5):
         moved = H(*apply_moebius(*g, pts_x, pts_y))
         if np.max(np.abs(moved - base)) > 1e-7 * scale:
             raise InvarianceError(f"integrand not Gamma_0({N})-invariant at element {g}")
 
 
-def _fsum_rows(pairs: list) -> list:
-    """Partial integrals, one real (depth rule, depth - 1 rule) pair per
-    coset or class, summed rule by rule with math.fsum."""
-    return [math.fsum(col) for col in np.asarray(pairs, dtype=float).T]
+def _rule_result(pairs: list, scale: float, tail: float) -> EvalResult:
+    """An integral from its per-coset or per-class (depth rule, depth - 1
+    rule) sums pairs, each rule's added with math.fsum and times scale: the
+    depth rule's value with, as error, its distance to the depth - 1
+    rule's plus tail (the cusp truncation's, where one is known)."""
+    fine, coarse = (scale * math.fsum(col) for col in np.asarray(pairs, dtype=float).T)
+    return EvalResult(fine, abs(fine - coarse) + tail)
 
 
 def _upper_image(U: tuple[int, int, int], grid: "QuadratureGrid"):
@@ -251,24 +249,23 @@ def pair_tail_bound(fe: CuspFormEval, ge: CuspFormEval, N: int, y_cut: float) ->
     return len(divisors(N)) * math.exp(-rate * y_cut) / index_psi(N)
 
 
-def integrate_invariant(N: int, H, grid: QuadratureGrid, check: bool = True) -> EvalResult:
+def integrate_invariant(N: int, H, grid: QuadratureGrid) -> EvalResult:
     """Int_{X_0(N)} H dmu by coset sweep, H evaluated pointwise at every
     coset image gamma_j w, with its depth-doubling error (the
     cusp-truncation tail beyond y_cut is integrand specific and not
-    included).  H(-x, y) = conj H(x, y) must hold, and is always gated:
-    the value, a float, is the real part of the sum over the grid's x >= 0
-    half of F.  check=False skips only the Gamma_0(N)-invariance gate.
+    included).  H must pass check_invariance, and grid be of level N: the
+    value, a float, is the real part of the sum over the grid's x >= 0
+    half of F.
 
     The battery does not call it: it is the per-point reference that
     the class-streamed sweep_pair_family is tested against
     (test_sweep_matches_per_point_integrals, test_area_constant_integrand),
     and the benchmark's tracer binds its name."""
-    check_invariance(N, H, 5 if check else 0)
-    weight = grid.ws.sum(axis=0)
-    parts = [grid.rule_sums(np.real(H(*apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys))
-                                    * weight)) for r in grid.reps]
-    fine, coarse = _fsum_rows(parts)
-    return EvalResult(fine, abs(fine - coarse))
+    if grid.level != N:
+        raise ValueError(f"grid of level {grid.level}, integral over X_0({N})")
+    check_invariance(N, H)
+    return _rule_result([grid.ws @ np.real(H(*apply_moebius(r.a, r.b, r.c, r.d, grid.xs, grid.ys)))
+                         for r in grid.reps], 1.0, 0.0)
 
 
 def petersson(fe: CuspFormEval, ge: CuspFormEval, N: int, grid: QuadratureGrid) -> EvalResult:
@@ -324,13 +321,15 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     Every key but 'deep_fraction' is an EvalResult of floats: the value
     (the real part of the half-domain sum, module docstring) on the depth
     rule (grid.ws row 0) with, as error, its distance to the value on the
-    depth - 1 rule (row 1), both from this one pass over the union of
-    their nodes; the Petersson keys add the cusp-truncation tail
-    (pair_tail_bound).  The forms are evaluated once per coset of their
-    own level; E*, h and the cyclotomic sum once per Hermite class
-    (module docstring).  Both levels must divide N, and f conj(g) y^2
-    must pass check_invariance.
+    depth - 1 rule (row 1), both from this one pass over the grid's nodes;
+    the Petersson keys add the cusp-truncation tail (pair_tail_bound).
+    The forms are evaluated once per coset of their own level; E*, h and
+    the cyclotomic sum once per Hermite class (module docstring).  The
+    grid must be of level N, both form levels must divide N, and
+    f conj(g) y^2 must pass check_invariance.
     """
+    if grid.level != N:
+        raise ValueError(f"grid of level {grid.level}, integral over X_0({N})")
     if N % fe.level or N % ge.level:
         raise ValueError("both levels must divide N")
     if want_cnf and (N <= 1 or not is_squarefree(N)):
@@ -340,17 +339,17 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     fs = slash_on_cosets(fe, grid)
     gs = fs if ge is fe else slash_on_cosets(ge, grid)
     # f(gamma w) conj(g(gamma w)) Im(gamma w)^2 = (f|gamma)(w) conj((g|gamma)(w)) y^2;
-    # each node carries its weight in its own rule; the other factors are real, so
-    # the keys, real parts (module docstring), need only Re(f conj(g)) y^2
-    measure = grid.ys**2 * grid.ws.sum(axis=0)
-    bs = [(F * np.conj(G)).real * measure for F, G in zip(fs, gs)]
-    parts: dict = {"pet_fg": [grid.rule_sums(b) for b in bs]}
+    # the other factors are real, so the keys, real parts (module docstring),
+    # need only Re(f conj(g)) y^2; ws @ v sums v on both rules
+    y2 = grid.ys**2
+    bs = [(F * np.conj(G)).real * y2 for F, G in zip(fs, gs)]
+    parts: dict = {"pet_fg": [grid.ws @ b for b in bs]}
     for key, A in (("pet_ff", fs), ("pet_gg", gs)):
-        parts[key] = [grid.rule_sums((F * np.conj(F)).real * measure) for F in A]
+        parts[key] = [grid.ws @ ((F * np.conj(F)).real * y2) for F in A]
     deep_mass = []
 
     def add(key, v):
-        parts.setdefault(key, []).append(grid.rule_sums(v))
+        parts.setdefault(key, []).append(grid.ws @ v)
 
     # Lambda(N) = sum_d mu(d) log(N/d), von Mangoldt
     lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
@@ -380,16 +379,13 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
             if (j, d) in cusp:      # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
                 mq = mu[N // d]
                 add("cnf", b * (mq * cvals + (mq - 1) * lam / 4.0))
-                deep_mass.append(np.sum(grid.ws[0] * deep))
+                deep_mass.append(grid.ws[0] @ deep)
     psi = len(grid.reps)            # psi(N), one rep per coset
     tail = {key: pair_tail_bound(a, b, N, grid.y_cut)
             for key, a, b in (("pet_fg", fe, ge), ("pet_ff", fe, fe), ("pet_gg", ge, ge))}
-    factor = {"regulator": -math.pi / 3.0, "cnf": -4.0 * math.pi}
-    out: dict = {}
-    for key, pairs in parts.items():
-        fine, coarse = (v / psi if key in tail else v * factor.get(key, 1.0)
-                        for v in _fsum_rows(pairs))
-        out[key] = EvalResult(fine, abs(fine - coarse) + tail.get(key, 0.0))
+    scale = dict.fromkeys(tail, 1.0 / psi) | {"regulator": -math.pi / 3.0, "cnf": -4.0 * math.pi}
+    out = {key: _rule_result(pairs, scale.get(key, 1.0), tail.get(key, 0.0))
+           for key, pairs in parts.items()}
     if want_cnf:
         out["deep_fraction"] = math.fsum(deep_mass) / (psi * (math.pi / 3.0 - 1.0 / grid.y_cut))
     return out
@@ -440,24 +436,26 @@ def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,
     }
 
 
-def unfolding_check(fe: CuspFormEval, ge: CuspFormEval, s: float,
-                    n_terms: int = 400) -> dict:
+_UNFOLD_TERMS = 400
+
+
+def unfolding_check(fe: CuspFormEval, ge: CuspFormEval, s: float) -> dict:
     """Pure series identity behind the unfolding (no coset machinery):
 
         Int_0^inf y^s [sum_{n <= M} a_n b_n e^{-4 pi n y}] dy
           = (4 pi)^{-s-1} Gamma(s+1) sum_{n <= M} a_n b_n n^{-(s+1)},
 
-    the left side by panel Gauss-Legendre quadrature, an EvalResult: the
+    M = min(400, both tables' nmax) (the identity holds at any M), the
+    left side by panel Gauss-Legendre quadrature, an EvalResult: the
     24-point value with, as error, its distance to the 12-point value on
     the same panels plus a rounding floor of 1e-15 relative (the two
     rules can agree to the last bit)."""
-    a = fe.table.coefficients[: n_terms + 1].astype(float)
-    b = ge.table.coefficients[: n_terms + 1].astype(float)
-    ns = np.arange(1, n_terms + 1, dtype=float)
-    ab = a[1:] * b[1:]
+    M = min(_UNFOLD_TERMS, fe.table.nmax, ge.table.nmax)
+    ab = (fe.table.coefficients[1:M + 1] * ge.table.coefficients[1:M + 1]).astype(float)
+    ns = np.arange(1, M + 1, dtype=float)
     # panels refined geometrically toward 0: the truncated exponential
-    # sum varies on the scale 1/(4 pi n_terms) there
-    y0 = 1.0 / (8.0 * math.pi * n_terms)
+    # sum varies on the scale 1/(4 pi M) there
+    y0 = 1.0 / (8.0 * math.pi * M)
     edges = [0.0] + [y0 * 2.0**k for k in range(0, 22) if y0 * 2.0**k < 40.0] + [40.0]
 
     def panels(order: int) -> float:

@@ -263,15 +263,16 @@ def xk1_fast(x: np.ndarray) -> np.ndarray:
 def upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) = int_x^inf t^(a-1) e^-t dt for real a (|a| <= 12), x > 0.
 
-    Continued fraction (modified Lentz) for x >= 1.5, valid for any real a;
-    for x < 1.5 the lower-gamma series at a lifted parameter followed by
-    downward recursion Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a.
+    Continued fraction (modified Lentz) for x >= max(1.5, a + 1), valid
+    for any real a but losing digits below x = a; below that, the
+    lower-gamma series (at a parameter lifted above 1, followed by
+    downward recursion Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("upper_gamma needs x > 0")
     out = np.empty_like(x)
-    hi = x >= 1.5
+    hi = x >= max(1.5, a + 1.0)
     if np.any(hi):
         out[hi] = _upper_gamma_cf(a, x[hi])
     lo = ~hi

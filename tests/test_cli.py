@@ -260,6 +260,49 @@ def test_benchmark_tracer_still_binds():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracer_reads_the_arguments_it_counts():
+    # the benchmark's counters bind the arguments of petersson (fe, ge, N,
+    # grid), RankinSeries.build (fe, ge, k_max) and afe_weight (rs, sigma,
+    # T) by name: a renamed argument must fail here, not in a traced run
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import contextlib, io
+        import tracer
+        from ellrank import cli
+        tr = tracer.Tracer()
+        tracer.install(tr)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--set", "depth=0", "petersson"]) == 0
+            assert cli.main(["lvalue", "-s", "1.5"]) == 0
+        for key in ("domain.petersson.calls", "domain.sweep_pair_family.calls",
+                    "lseries.RankinSeries.build.calls", "lseries.afe_weight.calls"):
+            assert tr.counters.get(key, 0) >= 1, (key, tr.counters)
+    """)
+    paths = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_with_short_coefficient_tables(tmp_path, capsys):
+    # n_max=100 gives 101-entry tables: unfolding sums the 100 terms both
+    # tables have, and the run ends in its report (exit 1: the isogenous
+    # Rankin-Selberg series fails on its 100-term tail), not a traceback
+    out = str(tmp_path)
+    assert main(["--out", out, "--set", "n_max=100", "--set", "depth=0", "verify"]) == 1
+    recs = {r["name"]: r for r in json.load(open(os.path.join(out, "report.json")))["checks"]}
+    assert recs["unfolding"]["status"] == "pass"
+    assert recs["rankin_selberg_isogenous"]["status"] == "fail"
+    for name in ("cnf_a_vs_b", "pole_orders", "triple_product"):
+        assert recs[name]["status"] == "skip" and "too small" in recs[name]["extra"]["skipped"]
+
+
 def test_benchmark_qlog_counters_read_the_deep_mask():
     # the benchmark counts the cyclotomic kernel's points from args[0] and its
     # eta-fallback points from result[1]: one cnf sweep at N = 154, depth 0,

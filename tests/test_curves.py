@@ -82,7 +82,8 @@ def test_11a_multiplicative_with_tangent_oracle():
 def test_enumeration_matches_oracles():
     """(n, sing) at every prime <= 4200 and every prime dividing the
     discriminant, for each built-in curve: the quadratic-character sum
-    at odd p, the (x, y) brute force at p = 2 and 3."""
+    at odd p, the (x, y) brute force at p = 2 and 3, and the reduction
+    kind and a_p at p = 3 against the brute force."""
     from ellrank.curves import _REGISTRY, _count_points_enum
 
     for label in _REGISTRY:
@@ -95,6 +96,12 @@ def test_enumeration_matches_oracles():
             if p > 2:
                 assert got == qr_table_count(e, p), (label, p)
             assert (got[1] > 0) == (e.conductor % p == 0), (label, p)
+        # p = 3 counts through the bincounts like any odd p: multiplicative
+        # at 15a, additive at 36a, good elsewhere
+        n, sing = brute_force_count(e, 3)
+        info = reduce_mod_p(e, 3)
+        assert (info.kind == "good") == (sing == 0), label
+        assert info.ap == (3 + 1 - n if sing == 0 else 3 - n), label
 
 
 def test_enumeration_reduces_before_int64_overflow():

@@ -50,11 +50,10 @@ def test_grid_nodes_in_domain():
     assert np.all(g.xs > 0) and np.all(g.xs <= 0.5 + 1e-12)
     assert np.all(g.xs**2 + g.ys**2 >= 1.0 - 1e-12)
     assert np.all(g.ys <= 12.0 + 1e-12)
-    # the depth-2 nodes, then the depth-1 nodes, one weight row each
-    n = g.n_fine
-    assert g.ws.shape == (2, len(g.xs)) and (n, len(g.xs) - n) == (2304, 576)
-    assert np.all(g.ws[0, :n] > 0) and not g.ws[0, n:].any()
-    assert np.all(g.ws[1, n:] > 0) and not g.ws[1, :n].any()
+    # one weight row per rule: 2304 nodes of the depth-2 rule, 576 of the
+    # depth-1 rule
+    assert g.ws.shape == (2, len(g.xs)) and np.all(g.ws >= 0)
+    assert (np.count_nonzero(g.ws[0]), np.count_nonzero(g.ws[1])) == (2304, 576)
     # each rule's weights sum to the truncated hyperbolic area
     area = math.pi / 3.0 - 1.0 / 12.0
     assert abs(g.ws[0].sum() - area) < 1e-10
@@ -63,9 +62,9 @@ def test_grid_nodes_in_domain():
 
 def test_area_constant_integrand():
     one = lambda x, y: np.ones_like(np.asarray(x))
-    r = integrate_invariant(1, one, build_grid(1, depth=2), check=False)
+    r = integrate_invariant(1, one, build_grid(1, depth=2))
     assert abs(r.value.real - (math.pi / 3.0 - 1.0 / 12.0)) < 1e-9
-    r11 = integrate_invariant(11, one, build_grid(11, depth=2), check=False)
+    r11 = integrate_invariant(11, one, build_grid(11, depth=2))
     assert abs(r11.value.real - 12.0 * (math.pi / 3.0 - 1.0 / 12.0)) < 1e-8
 
 
@@ -86,9 +85,9 @@ def test_invariance_gate_catches_asymmetric_integrand(form_11a):
     check_invariance(11, H)
     with pytest.raises(InvarianceError, match="conjugate-symmetric"):
         check_invariance(11, lambda x, y: 1j * H(x, y))
-    # skipping the group gate keeps the symmetry gate the real part relies on
+    # integrate_invariant takes the real part, so it gates the symmetry too
     with pytest.raises(InvarianceError, match="conjugate-symmetric"):
-        integrate_invariant(11, lambda x, y: 1j * H(x, y), build_grid(11, depth=0), check=False)
+        integrate_invariant(11, lambda x, y: 1j * H(x, y), build_grid(11, depth=0))
 
 
 @pytest.mark.parametrize("N, depth", [(154, 0), (11, 2)])
@@ -374,7 +373,7 @@ def test_sweep_matches_per_point_integrals(N, form_11a):
     def pointwise(weight):
         def H(x, y):
             return np.abs(eval_form_array(form_11a, x, y)) ** 2 * y**2 * weight(x, y)
-        return integrate_invariant(N, H, grid=grid, check=False).value
+        return integrate_invariant(N, H, grid=grid).value
 
     # the sweep's normalisations: 1/psi(N), -pi/3 and -4 pi
     pet = pointwise(lambda x, y: 1.0)
@@ -409,3 +408,57 @@ def test_sweep_error_is_the_depth_doubling_difference(depth, form_11a):
         assert shift > 1e-10 * max(abs(fine[key].value), scale), key
         assert abs(fine[key].abs_error_bound - extra - shift) < 1e-12 * max(
             abs(fine[key].value), scale), (key, fine[key], shift)
+
+
+_SWEEP_KW = dict(s_values=(2.0,), want_regulator=True, want_cnf=True)
+
+
+def test_node_order_is_free(form_11a, rng):
+    # ws is the grid's only description of its rules: permuting the nodes
+    # (columns of xs, ys and ws) leaves every integral and bar unchanged
+    from dataclasses import replace
+
+    grid = build_grid(11, depth=1)
+    perm = rng.permutation(grid.xs.size)
+    shuffled = replace(grid, xs=grid.xs[perm], ys=grid.ys[perm], ws=grid.ws[:, perm])
+    a, b = (sweep_pair_family(form_11a, form_11a, 11, g, **_SWEEP_KW) for g in (grid, shuffled))
+    for key in a:
+        if key == "deep_fraction":
+            assert a[key] == b[key] == 0.0
+            continue
+        scale = abs(a[key].value)
+        assert abs(a[key].value - b[key].value) < 1e-13 * scale, key
+        assert abs(a[key].abs_error_bound - b[key].abs_error_bound) < 1e-13 * scale, key
+    one = lambda x, y: np.ones_like(np.asarray(x))
+    u, v = (integrate_invariant(11, one, g) for g in (grid, shuffled))
+    assert abs(u.value - v.value) < 1e-13 * u.value
+    assert abs(u.abs_error_bound - v.abs_error_bound) < 1e-13 * u.value
+
+
+def test_equal_rules_leave_only_the_tail(form_11a):
+    # rows may share nodes: with the depth rule in both rows, every bar is
+    # its cusp tail alone (0 outside the Petersson keys)
+    from dataclasses import replace
+
+    grid = build_grid(11, depth=1)
+    same = replace(grid, ws=np.vstack([grid.ws[0], grid.ws[0]]))
+    fam = sweep_pair_family(form_11a, form_11a, 11, same, **_SWEEP_KW)
+    ref = sweep_pair_family(form_11a, form_11a, 11, grid, **_SWEEP_KW)
+    tail = pair_tail_bound(form_11a, form_11a, 11, grid.y_cut)
+    for key, r in fam.items():
+        if key == "deep_fraction":
+            continue
+        assert abs(r.value - ref[key].value) <= 1e-15 * abs(ref[key].value), key
+        assert r.abs_error_bound == (tail if key in ("pet_fg", "pet_ff", "pet_gg") else 0.0), key
+    one = lambda x, y: np.ones_like(np.asarray(x))
+    assert integrate_invariant(11, one, same).abs_error_bound == 0.0
+
+
+def test_grid_of_another_level_is_refused(form_11a):
+    grid = build_grid(11, depth=0)
+    with pytest.raises(ValueError, match="level 11"):
+        sweep_pair_family(form_11a, form_11a, 22, grid, **_SWEEP_KW)
+    with pytest.raises(ValueError, match="level 11"):
+        petersson(form_11a, form_11a, 22, grid)
+    with pytest.raises(ValueError, match="level 11"):
+        integrate_invariant(22, lambda x, y: np.ones_like(np.asarray(x)), grid)
