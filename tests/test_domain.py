@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -416,8 +417,6 @@ _SWEEP_KW = dict(s_values=(2.0,), want_regulator=True, want_cnf=True)
 def test_node_order_is_free(form_11a, rng):
     # ws is the grid's only description of its rules: permuting the nodes
     # (columns of xs, ys and ws) leaves every integral and bar unchanged
-    from dataclasses import replace
-
     grid = build_grid(11, depth=1)
     perm = rng.permutation(grid.xs.size)
     shuffled = replace(grid, xs=grid.xs[perm], ys=grid.ys[perm], ws=grid.ws[:, perm])
@@ -438,8 +437,6 @@ def test_node_order_is_free(form_11a, rng):
 def test_equal_rules_leave_only_the_tail(form_11a):
     # rows may share nodes: with the depth rule in both rows, every bar is
     # its cusp tail alone (0 outside the Petersson keys)
-    from dataclasses import replace
-
     grid = build_grid(11, depth=1)
     same = replace(grid, ws=np.vstack([grid.ws[0], grid.ws[0]]))
     fam = sweep_pair_family(form_11a, form_11a, 11, same, **_SWEEP_KW)
