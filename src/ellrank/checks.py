@@ -257,12 +257,11 @@ def check_class_number_formula(ctx: RunContext) -> list[dict]:
     r = cnf.value / phi0.value      # with its first-order error
     ratio = EvalResult(r, (cnf.abs_error_bound + abs(r) * phi0.abs_error_bound) / abs(phi0.value))
     br = arith.best_rational(r, 48)
-    deep = fam["deep_fraction"]
     nonvanishing = abs(phi0.value) > 10.0 * (phi0.abs_error_bound + abs(phi0.value - reg.value))
     return [
         _record("cnf_a_vs_b", phi0, reg, 1e-3 * abs(phi0.value), pipelines="afe,regulator"),
         _record("cnf_c_ratio", ratio, br.numerator / br.denominator, 1e-4,
-                extra={"recognized": [br.numerator, br.denominator], "deep_fraction": _num(deep)},
+                extra={"recognized": [br.numerator, br.denominator]},
                 pipelines="cyclotomic-qlog,afe"),
         _record("cnf_nonvanishing", 1.0 if nonvanishing else 0.0, 1.0, 0.5, pipelines="afe"),
     ]

@@ -27,9 +27,8 @@ absolute terms for the levels used here (about 2e-6 relative to
 One primitive, sweep_pair_family, computes every pair integral over
 X_0(N) with its error and returns the paper's quantities, each
 normalised there and nowhere else: the Petersson products (1/psi(N)),
-the regulator side of the class-number formula (-pi/3), its cyclotomic
-q-logarithm side (-4 pi) and the share of the domain on the eta
-fallback.  The grid, the Rankin series and any sweep a function only
+the regulator side of the class-number formula (-pi/3) and its
+cyclotomic q-logarithm side (-4 pi).  The grid, the Rankin series and any sweep a function only
 reads are the caller's to build (checks.RunContext builds each once per
 run).
 
@@ -52,12 +51,18 @@ diag(m, 1) gamma_j = sigma U (sigma in SL2(Z), 0 <= beta < delta):
     exactly when they share a Gamma_0(L) coset, so f runs once per
     level-L class (12 and 24 times for 11a and 14a at N = 154).
 
-Im(U w) = alpha y / delta >= sqrt(3) / (2N): for N <= 346 no cyclotomic
-node reaches the eta fallback below 0.0025, so C runs through the Moebius
-factorisation log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}| at every
-node, independently of the eta product.  The classes are streamed
-(their arrays folded by ws into per-rep scalar pairs, one per rule, then
-dropped); each key's scalars are combined rule by rule with math.fsum.
+Atkin-Lehner families: gcd(Q, c_j) = 1 (N square-free) makes alpha = 1,
+so the cyclotomic class of rep j is U = [1 beta_j; 0 Q], and the reps with
+the same Q have beta_j = 0 .. Q-1, once each (8 families for the 288
+reps at N = 154).  modular.cyclotomic_qlog_sum_family evaluates C at
+(w + beta) / Q for every beta of a family at once: the q-expansion of C at
+the point itself, split into Q residue classes of the exponent, one
+matrix product over the nodes' own q and one FFT of length Q over beta.
+It reads no eta value, no modular transformation and no regulator, and
+its cost depends on the height of w in F, not on that of U w.  Each
+family's rows and each Hermite class's arrays are folded by ws into
+per-rep scalar pairs, one per rule, as soon as they are built; each key's
+scalars are combined rule by rule with math.fsum.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from .lseries import L_direct
 from .modular import (
     CuspFormEval,
     _qseries,
-    cyclotomic_qlog_sum_array,
+    cyclotomic_qlog_sum_family,
     eval_form_array,
     log_abs_delta_array,
 )
@@ -136,6 +141,20 @@ def _hermite_classes(N: int, reps: tuple) -> dict:
         for d in divisors(N):
             classes.setdefault(hermite(N // d, rep.a, rep.b, rep.c, rep.d), []).append((j, d))
     return classes
+
+
+@lru_cache(maxsize=None)
+def _cusp_families(N: int, reps: tuple) -> dict:
+    """Each Q | N over the (index j in reps, beta) of the reps with
+    N / gcd(c_j, N) = Q, where [1 beta; 0 Q] is the Hermite form of
+    diag(Q, 1) gamma_j (N square-free: gcd(Q, c_j) = 1 makes alpha = 1)."""
+    families: dict = {}
+    for j, rep in enumerate(reps):
+        Q = N // math.gcd(rep.c, N)
+        alpha, beta, delta = hermite(Q, rep.a, rep.b, rep.c, rep.d)
+        assert alpha == 1 and delta == Q
+        families.setdefault(Q, []).append((j, beta))
+    return families
 
 
 # ------------------------------------------------------------------ grid
@@ -314,17 +333,15 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                            class-number formula without H(0),
                            sum_k (1/2 pi i) Int log_q(xi^k) f conj(g)
                            dq/q dqbar/qbar (want_cnf)
-      'deep_fraction'      share of the truncated domain's hyperbolic
-                           measure on the eta fallback of C, a float; 0
-                           for N <= 346 (want_cnf)
 
-    Every key but 'deep_fraction' is an EvalResult of floats: the value
+    Every key is an EvalResult of floats: the value
     (the real part of the half-domain sum, module docstring) on the depth
     rule (grid.ws row 0) with, as error, its distance to the value on the
     depth - 1 rule (row 1), both from this one pass over the grid's nodes;
     the Petersson keys add the cusp-truncation tail (pair_tail_bound).
-    The forms are evaluated once per coset of their own level; E*, h and
-    the cyclotomic sum once per Hermite class (module docstring).  The
+    The forms are evaluated once per coset of their own level, E* and h
+    once per Hermite class, and the cyclotomic sum once per Atkin-Lehner
+    family (module docstring).  The
     grid must be of level N, both form levels must divide N, and
     f conj(g) y^2 must pass check_invariance.
     """
@@ -346,7 +363,6 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     parts: dict = {"pet_fg": [grid.ws @ b for b in bs]}
     for key, A in (("pet_ff", fs), ("pet_gg", gs)):
         parts[key] = [grid.ws @ ((F * np.conj(F)).real * y2) for F in A]
-    deep_mass = []
 
     def add(key, v):
         parts.setdefault(key, []).append(grid.ws @ v)
@@ -355,40 +371,32 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
     if want_regulator:
         parts["regulator"] = [-6.0 * lam * p for p in parts["pet_fg"]]
-    # rep j's cyclotomic sum runs on its class for d = gcd(c_j, N)
-    cusp = {(j, math.gcd(r.c, N)) for j, r in enumerate(grid.reps)} if want_cnf else set()
     mu = {d: moebius(d) for d in divisors(N)}
-    for U, members in _hermite_classes(N, grid.reps).items():
-        if not (s_values or want_regulator):
-            members = [jd for jd in members if jd in cusp]
-        if not members:
-            continue
+    classes = _hermite_classes(N, grid.reps) if s_values or want_regulator else {}
+    for U, members in classes.items():
         ux, uy = _upper_image(U, grid)
         rx, ry = sl2z_reduce(ux, uy)[:2]
         estar = {s: epstein_star_array(rx, ry, s) for s in s_values}
         if want_regulator:
             h = log_abs_delta_array(rx, ry) + 6.0 * np.log(ry)
-        if cusp.intersection(members):
-            cvals, deep = cyclotomic_qlog_sum_array(ux, uy, N)
         for j, d in members:
             b = bs[j]
             for s in s_values:
                 add(("eis", s, d), b * estar[s])
             if want_regulator and mu[d]:
                 add("regulator", mu[d] * (b * h))
-            if (j, d) in cusp:      # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
-                mq = mu[N // d]
-                add("cnf", b * (mq * cvals + (mq - 1) * lam / 4.0))
-                deep_mass.append(grid.ws[0] @ deep)
+    families = _cusp_families(N, grid.reps) if want_cnf else {}
+    for Q, members in families.items():
+        C = cyclotomic_qlog_sum_family(grid.xs, grid.ys, N, Q)     # row beta: C(U w)
+        mq = mu[Q]
+        for j, beta in members:     # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
+            add("cnf", bs[j] * (mq * C[beta] + (mq - 1) * lam / 4.0))
     psi = len(grid.reps)            # psi(N), one rep per coset
     tail = {key: pair_tail_bound(a, b, N, grid.y_cut)
             for key, a, b in (("pet_fg", fe, ge), ("pet_ff", fe, fe), ("pet_gg", ge, ge))}
     scale = dict.fromkeys(tail, 1.0 / psi) | {"regulator": -math.pi / 3.0, "cnf": -4.0 * math.pi}
-    out = {key: _rule_result(pairs, scale.get(key, 1.0), tail.get(key, 0.0))
-           for key, pairs in parts.items()}
-    if want_cnf:
-        out["deep_fraction"] = math.fsum(deep_mass) / (psi * (math.pi / 3.0 - 1.0 / grid.y_cut))
-    return out
+    return {key: _rule_result(pairs, scale.get(key, 1.0), tail.get(key, 0.0))
+            for key, pairs in parts.items()}
 
 
 def rs_identity_check(fe: CuspFormEval, ge: CuspFormEval, N: int, s: float,

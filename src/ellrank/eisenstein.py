@@ -36,6 +36,7 @@ E*(z,s) = E*(z,1-s) termwise in the Fourier form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,11 +60,19 @@ def _check_s_not_pole(s: float):
                          "evaluate at |s - 1/2| >= 1e-4")
 
 
+@lru_cache(maxsize=64)
+def _star_constants(s: float, nmax: int) -> tuple:
+    """E*'s per-(s, nmax) constants: 2 xi(2s), 2 xi(2s - 1) and the
+    read-only table sigma_{1-2s}(n), n = 0..nmax."""
+    sig = divisor_sigma_table(nmax, 1.0 - 2.0 * s)
+    sig.flags.writeable = False
+    return 2.0 * completed_zeta(2.0 * s), 2.0 * completed_zeta(2.0 * s - 1.0), sig
+
+
 def epstein_star_array(x, y, s: float) -> np.ndarray:
     """Completed Epstein series E*(z,s) on arrays of points (Fourier form)."""
     _check_s_not_pole(s)
     xr, yr, _, _ = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
-    c = 2.0 * completed_zeta(2.0 * s) * yr**s + 2.0 * completed_zeta(2.0 * s - 1.0) * yr ** (1.0 - s)
     nu = s - 0.5
     # truncation: K_nu(2 pi n y) < sqrt(pi/(4 pi n y)) e^{-2 pi n y + nu^2/(4 pi n y)}
     ymin = float(np.min(yr))
@@ -72,7 +81,8 @@ def epstein_star_array(x, y, s: float) -> np.ndarray:
         nmax += 1
         if nmax > 64:
             break
-    sig = divisor_sigma_table(nmax, 1.0 - 2.0 * s)
+    xi2s, xi2s1, sig = _star_constants(s, nmax)
+    c = xi2s * yr**s + xi2s1 * yr ** (1.0 - s)
     m = round(abs(nu) - 0.5)
     if abs(nu) == m + 0.5:      # half-integer order: Horner in q (module docstring)
         k, n = np.arange(m + 1), np.arange(1.0, nmax + 1.0)[:, None]

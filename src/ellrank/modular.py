@@ -12,11 +12,18 @@ after M terms is below
 2 e^{-2 pi y (M+1)} ((M+1)/(1-r) + r/(1-r)^2), r = e^{-2 pi y};
 every form value is truncated below FORM_TOL.
 
-The summed cyclotomic q-logarithm runs through the Moebius factorisation
-log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|, in one loop over the
+The summed cyclotomic q-logarithm C = log|Delta_N| / 24 runs through the
+Moebius factorisation log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|,
+whose q-expansion has the coefficients
+c_k = sum_{d|N, (N/d)|k} mu(d) sigma_{-1}(k d / N).  The sweep's route is
+cyclotomic_qlog_sum_family: C at (z + beta) / Q for every beta mod Q and
+a point z of F, one matrix product in q = e^{2 pi i z} and one FFT of
+length Q over beta, every omitted term below e^{-40}.
+cyclotomic_qlog_sum_array is the point-wise reference, kept for the tests
+and for the benchmark's tracer, which binds its name: per point, the
 (divisor, point) rows sorted into octaves of their effective height
-(N/d) y: per octave a direct head of ceil(sqrt(40/r)) terms and a Lambert
-tail cut below e^{-40}; a product with the mu(d) folds the rows back.
+(N/d) y, per octave a direct head of ceil(sqrt(40/r)) terms and a Lambert
+tail cut below e^{-40}, and the eta product below y = 0.0025.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import divisors, is_squarefree, moebius, prime_divisors, totient
+from .arith import divisor_sigma_table, divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
 from .halfplane import UHPoint, boost_array, sl2z_reduce
 TWO_PI = 2.0 * math.pi
@@ -139,8 +147,9 @@ def _powers(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
-    """sum over primitive k mod N of qlog(z, xi^k), evaluated pointwise
-    through the Moebius factorisation of the cyclotomic polynomial,
+    """sum over primitive k mod N of qlog(z, xi^k), the point-wise reference
+    for cyclotomic_qlog_sum_family, through the Moebius factorisation of the
+    cyclotomic polynomial,
     log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|:
 
         phi(N)/24 * log|q| + sum_{d|N} mu(d) sum_{n>=1} log|1 - u^n|,
@@ -189,6 +198,55 @@ def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
         terms[order[a:b]] = np.log(np.abs(np.prod(V, axis=0))) - tail
     out[~deep] = -TWO_PI * yk * totient(N) / 24.0 + mu @ terms.reshape(mu.size, -1)
     return out, deep
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic_coeffs(N: int, K: int) -> np.ndarray:
+    """c_0 .. c_{K-1} of sum_{d|N} mu(d) sum_{n>=1} log|1 - q^{n N/d}| =
+    -Re sum_k c_k q^k: c_k = sum_{d|N, (N/d)|k} mu(d) sigma_{-1}(k d / N),
+    c_0 = 0 (read-only)."""
+    sig = divisor_sigma_table(K, -1.0)
+    c = np.zeros(K)
+    for d in divisors(N):
+        e = N // d
+        c[::e] += moebius(d) * sig[:(K - 1) // e + 1]     # k = e j takes sigma_{-1}(j)
+    c.flags.writeable = False
+    return c
+
+
+_FAMILY_BLOCK = 1 << 15     # complex entries per node block's (nodes, Q) arrays, 0.5 MB
+
+
+def cyclotomic_qlog_sum_family(x, y, N: int, Q: int) -> np.ndarray:
+    """The cyclotomic q-logarithm sum C at ((x + beta) / Q, y / Q), row beta
+    of a (Q, n) array for beta = 0 .. Q-1, at n points (x, y) of F.
+
+    With t = e^{2 pi i (z + beta) / Q}, the q-expansion of log|Delta_N| / 24
+    (Apostol, GTM 41, ch. 3) gives C = -2 pi (y/Q) phi(N)/24 - Re sum_k c_k t^k
+    (_cyclotomic_coeffs).  Split k = r + m Q: since beta is an integer,
+
+        sum_k c_k t^k = sum_{r<Q} e^{2 pi i r (z + beta) / Q} P_r(q),
+        P_r(q) = sum_{m<M} c_{r + m Q} q^m,  q = e^{2 pi i z},
+
+    and the omitted terms, k >= M Q with M = ceil(40 / (2 pi min y)) (8 on
+    F), are below e^{-40}, the cut of cyclotomic_qlog_sum_array.  Every
+    P_r comes from one (n, M) @ (M, Q) product, and the sum over r for all
+    beta is one inverse FFT of length Q.  The nodes run in blocks of
+    _FAMILY_BLOCK // Q, so no temporary exceeds about 0.5 MB."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    M = math.ceil(40.0 / (TWO_PI * float(y.min())))
+    c = _cyclotomic_coeffs(N, M * Q).reshape(M, Q)     # row m, column r: c_{r + m Q}
+    ifft = np.fft.ifft                                  # loaded on first use, not at import
+    phase = (2j * math.pi / Q) * np.arange(Q)
+    out = np.empty((Q, x.size))
+    step = max(1, _FAMILY_BLOCK // Q)
+    for a in range(0, x.size, step):
+        z = x[a:a + step] + 1j * y[a:a + step]
+        P = np.exp(np.multiply.outer(TWO_PI * 1j * z, np.arange(M))) @ c
+        S = ifft(P * np.exp(np.multiply.outer(z, phase)), axis=1)
+        out[:, a:a + step] = (-TWO_PI * totient(N) / (24.0 * Q)) * y[a:a + step] - Q * S.real.T
+    return out
 
 
 _FORM_CACHE: dict = {}

@@ -305,8 +305,10 @@ def test_verify_with_short_coefficient_tables(tmp_path, capsys):
 
 def test_benchmark_qlog_counters_read_the_deep_mask():
     # the benchmark counts the cyclotomic kernel's points from args[0] and its
-    # eta-fallback points from result[1]: one cnf sweep at N = 154, depth 0,
-    # calls it once per cusp class, with no node on the fallback
+    # eta-fallback points from result[1]; a cnf sweep at N = 154, depth 0, runs
+    # the family route and never calls the kernel, so the sweep leaves no
+    # kernel counter, and the kernel called directly on the sweep's cusp
+    # classes (no node on the fallback) and on one deep point is counted
     import subprocess
     import sys
     import textwrap
@@ -315,6 +317,7 @@ def test_benchmark_qlog_counters_read_the_deep_mask():
     root = Path(__file__).resolve().parent.parent
     code = textwrap.dedent("""
         import math
+        import numpy as np
         import tracer
         from ellrank import curves, domain, halfplane, modular
         tr = tracer.Tracer()
@@ -324,12 +327,19 @@ def test_benchmark_qlog_counters_read_the_deep_mask():
         N = 154
         grid = domain.build_grid(N, depth=0)
         domain.sweep_pair_family(fe, ge, N, grid, want_cnf=True)
+        layer = "modular.cyclotomic_qlog_sum_array"
+        assert f"{layer}.points" not in tr.counters, tr.counters
+        assert tr.counters["domain.sweep_pair_family.nodes"] == len(grid.xs) * len(grid.reps)
         classes = {halfplane.hermite(N // math.gcd(r.c, N), r.a, r.b, r.c, r.d)
                    for r in grid.reps}
-        layer = "modular.cyclotomic_qlog_sum_array"
+        for alpha, beta, delta in classes:
+            modular.cyclotomic_qlog_sum_array((alpha * grid.xs + beta) / delta,
+                                              alpha * grid.ys / delta, N)
         assert tr.counters[f"{layer}.points"] == len(grid.xs) * len(classes), tr.counters
         assert tr.counters[f"{layer}.deep_points"] == 0, tr.counters
-        assert tr.counters["domain.sweep_pair_family.nodes"] == len(grid.xs) * len(grid.reps)
+        modular.cyclotomic_qlog_sum_array(np.array([0.1, 0.2]), np.array([1e-3, 1.0]), N)
+        assert tr.counters[f"{layer}.points"] == len(grid.xs) * len(classes) + 2, tr.counters
+        assert tr.counters[f"{layer}.deep_points"] == 1, tr.counters
     """)
     paths = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))

@@ -126,7 +126,7 @@ def test_half_domain_equals_full_domain(N, depth, form_11a, form_14a):
         for key, v in terms.items():
             full[key] = full.get(key, 0.0) + np.sum(v)
             mass[key] = mass.get(key, 0.0) + np.sum(np.abs(v))
-    assert set(full) == set(fam) - {"deep_fraction"}
+    assert set(full) == set(fam)
     for key, v in full.items():
         # pet_fg and the eis keys for d > 1 vanish when f != g: a rounding floor
         floor = 1e-15 * abs(fam["pet_ff"].value) if key == "pet_fg" else 1e-13 * mass[key]
@@ -359,6 +359,28 @@ def test_cusp_matrix_atkin_lehner_covariance(N, rng):
         assert np.max(np.abs(moebius(Q) * c - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref))), rep
 
 
+@pytest.mark.parametrize("N", [6, 11, 14, 154, 165, 210, 407])
+def test_cusp_classes_form_atkin_lehner_families(N):
+    # square-free N: the cyclotomic class of every rep is [1 beta; 0 Q],
+    # Q = N / gcd(c, N), and each Q's reps take every beta mod Q once
+    from ellrank.domain import _cusp_families
+    from ellrank.halfplane import hermite
+
+    reps = coset_reps(N)
+    betas: dict = {}
+    for rep in reps:
+        Q = N // math.gcd(rep.c, N)
+        alpha, beta, delta = hermite(Q, rep.a, rep.b, rep.c, rep.d)
+        assert (alpha, delta) == (1, Q), rep
+        betas.setdefault(Q, []).append(beta)
+    assert sorted(betas) == divisors(N)
+    for Q, bs in betas.items():
+        assert sorted(bs) == list(range(Q)), Q
+    fams = _cusp_families(N, reps)
+    assert {Q: [b for _, b in m] for Q, m in fams.items()} == betas
+    assert sorted(j for m in fams.values() for j, _ in m) == list(range(len(reps)))
+
+
 @pytest.mark.parametrize("N", [11, 22])
 def test_sweep_matches_per_point_integrals(N, form_11a):
     # the class-streamed sweep against integrate_invariant on the same grid,
@@ -401,9 +423,8 @@ def test_sweep_error_is_the_depth_doubling_difference(depth, form_11a):
                     for d in (depth, depth - 1))
     tail = pair_tail_bound(form_11a, form_11a, 11, 12.0)
     scale = abs(fine["pet_fg"].value)
-    keys = [k for k in fine if k != "deep_fraction"]
-    assert len(keys) == 7
-    for key in keys:
+    assert len(fine) == 7
+    for key in fine:
         shift = abs(fine[key].value - coarse[key].value)
         extra = tail if key in ("pet_fg", "pet_ff", "pet_gg") else 0.0
         assert shift > 1e-10 * max(abs(fine[key].value), scale), key
@@ -422,9 +443,6 @@ def test_node_order_is_free(form_11a, rng):
     shuffled = replace(grid, xs=grid.xs[perm], ys=grid.ys[perm], ws=grid.ws[:, perm])
     a, b = (sweep_pair_family(form_11a, form_11a, 11, g, **_SWEEP_KW) for g in (grid, shuffled))
     for key in a:
-        if key == "deep_fraction":
-            assert a[key] == b[key] == 0.0
-            continue
         scale = abs(a[key].value)
         assert abs(a[key].value - b[key].value) < 1e-13 * scale, key
         assert abs(a[key].abs_error_bound - b[key].abs_error_bound) < 1e-13 * scale, key
@@ -443,8 +461,6 @@ def test_equal_rules_leave_only_the_tail(form_11a):
     ref = sweep_pair_family(form_11a, form_11a, 11, grid, **_SWEEP_KW)
     tail = pair_tail_bound(form_11a, form_11a, 11, grid.y_cut)
     for key, r in fam.items():
-        if key == "deep_fraction":
-            continue
         assert abs(r.value - ref[key].value) <= 1e-15 * abs(ref[key].value), key
         assert r.abs_error_bound == (tail if key in ("pet_fg", "pet_ff", "pet_gg") else 0.0), key
     one = lambda x, y: np.ones_like(np.asarray(x))

@@ -6,9 +6,9 @@ import pytest
 
 from ellrank.curves import curve_by_label
 from ellrank.halfplane import UHPoint, apply_moebius, boost_array
-from ellrank.modular import (cyclotomic_qlog_sum_array, eval_form_array,
-                             log_abs_delta_N_array, log_abs_eta, log_abs_eta_array,
-                             qlog, series_length)
+from ellrank.modular import (cyclotomic_qlog_sum_array, cyclotomic_qlog_sum_family,
+                             eval_form_array, log_abs_delta_N_array, log_abs_eta,
+                             log_abs_eta_array, qlog, series_length)
 
 
 def _form_at(form, z: complex) -> complex:
@@ -286,6 +286,34 @@ def test_cyclotomic_qlog_matches_horner_oracle(rng, head):
     # far up the cusp (octave 99 and beyond) only phi(N)/24 log|q| is left
     v, _ = cyclotomic_qlog_sum_array(np.array([0.1, 0.1]), np.array([1e30, 2.0**99]), 6)
     assert np.allclose(v, -2.0 * math.pi * np.array([1e30, 2.0**99]) * 2 / 24.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("N", [6, 11, 154, 165, 210, 407])
+def test_cyclotomic_family_matches_pointwise_kernel(N, rng):
+    # row beta of the family route is C at ((x + beta) / Q, y / Q), for every
+    # Q | N and beta mod Q: against the point-wise kernel and log|Delta_N| / 24,
+    # on the depth-0 grid's nodes and on random F-points up to y = 30; at
+    # N = 407 the kernel takes its eta fallback on some of these points
+    from ellrank.arith import divisors
+    from ellrank.domain import build_grid
+
+    g = build_grid(N, depth=0)
+    x = rng.uniform(-0.5, 0.5, 100)
+    y = np.exp(rng.uniform(np.log(np.sqrt(1.0 - x * x)), math.log(30.0)))
+    deep_seen = False
+    for xs, ys in ((g.xs, g.ys), (x, y)):
+        for Q in divisors(N):
+            fam = cyclotomic_qlog_sum_family(xs, ys, N, Q)
+            assert fam.shape == (Q, xs.size)
+            px = ((xs + np.arange(Q)[:, None]) / Q).ravel()     # row beta, as fam
+            py = np.broadcast_to(ys / Q, fam.shape).ravel()
+            old, deep = cyclotomic_qlog_sum_array(px, py, N)
+            ref = log_abs_delta_N_array(px, py, N) / 24.0
+            scale = np.maximum(1.0, np.abs(ref))
+            assert np.max(np.abs(fam.ravel() - old) / scale) < 1e-12, (N, Q)
+            assert np.max(np.abs(fam.ravel() - ref) / scale) < 1e-12, (N, Q)
+            deep_seen |= bool(deep.any())
+    assert deep_seen == (N == 407)
 
 
 def test_eval_form_sign_table_bit_identical(form_14a, rng):
