@@ -391,6 +391,7 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         mq = mu[Q]
         for j, beta in members:     # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
             add("cnf", bs[j] * (mq * C[beta] + (mq - 1) * lam / 4.0))
+        del C                       # before the next family's rows are built
     psi = len(grid.reps)            # psi(N), one rep per coset
     tail = {key: pair_tail_bound(a, b, N, grid.y_cut)
             for key, a, b in (("pet_fg", fe, ge), ("pet_ff", fe, fe), ("pet_gg", ge, ge))}

@@ -214,7 +214,7 @@ def _cyclotomic_coeffs(N: int, K: int) -> np.ndarray:
     return c
 
 
-_FAMILY_BLOCK = 1 << 15     # complex entries per node block's (nodes, Q) arrays, 0.5 MB
+_FAMILY_BLOCK = 1 << 13     # complex entries per node block's (nodes, Q) arrays, 128 kB
 
 
 def cyclotomic_qlog_sum_family(x, y, N: int, Q: int) -> np.ndarray:
@@ -232,7 +232,7 @@ def cyclotomic_qlog_sum_family(x, y, N: int, Q: int) -> np.ndarray:
     F), are below e^{-40}, the cut of cyclotomic_qlog_sum_array.  Every
     P_r comes from one (n, M) @ (M, Q) product, and the sum over r for all
     beta is one inverse FFT of length Q.  The nodes run in blocks of
-    _FAMILY_BLOCK // Q, so no temporary exceeds about 0.5 MB."""
+    _FAMILY_BLOCK // Q, so no temporary exceeds about 128 kB."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     M = math.ceil(40.0 / (TWO_PI * float(y.min())))
