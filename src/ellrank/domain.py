@@ -28,9 +28,9 @@ One primitive, sweep_pair_family, computes every pair integral over
 X_0(N) with its error and returns the paper's quantities, each
 normalised there and nowhere else: the Petersson products (1/psi(N)),
 the regulator side of the class-number formula (-pi/3) and its
-cyclotomic q-logarithm side (-4 pi).  The grid, the Rankin series and any sweep a function only
-reads are the caller's to build (checks.RunContext builds each once per
-run).
+cyclotomic q-logarithm side (-4 pi).  The grid, the Rankin series and
+any sweep a function only reads are the caller's to build
+(checks.RunContext builds each once per run).
 
 Upper-triangular classes (Cohen, GTM 138; Cremona, Algorithms for
 Modular Elliptic Curves): no layer searches a point's orbit.  Each runs
@@ -334,16 +334,15 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                            sum_k (1/2 pi i) Int log_q(xi^k) f conj(g)
                            dq/q dqbar/qbar (want_cnf)
 
-    Every key is an EvalResult of floats: the value
-    (the real part of the half-domain sum, module docstring) on the depth
-    rule (grid.ws row 0) with, as error, its distance to the value on the
-    depth - 1 rule (row 1), both from this one pass over the grid's nodes;
-    the Petersson keys add the cusp-truncation tail (pair_tail_bound).
-    The forms are evaluated once per coset of their own level, E* and h
-    once per Hermite class, and the cyclotomic sum once per Atkin-Lehner
-    family (module docstring).  The
-    grid must be of level N, both form levels must divide N, and
-    f conj(g) y^2 must pass check_invariance.
+    Every key is an EvalResult of floats: the value (the real part of the
+    half-domain sum, module docstring) on the depth rule (grid.ws row 0)
+    with, as error, its distance to the value on the depth - 1 rule (row
+    1), both from this one pass over the grid's nodes; the Petersson keys
+    add the cusp-truncation tail (pair_tail_bound).  The forms are
+    evaluated once per coset of their own level, E* and h once per Hermite
+    class, and the cyclotomic sum once per Atkin-Lehner family (module
+    docstring).  The grid must be of level N, both form levels must divide
+    N, and f conj(g) y^2 must pass check_invariance.
     """
     if grid.level != N:
         raise ValueError(f"grid of level {grid.level}, integral over X_0({N})")
