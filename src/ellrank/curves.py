@@ -399,29 +399,22 @@ def an_table(level: int, ap: dict[int, ReductionInfo], n_max: int) -> Coefficien
     level, a_{p^k} = a_p^k for p | level, and multiplicativity across
     coprime indices.
     """
-    spf = np.zeros(n_max + 1, dtype=np.int64)
+    a = np.ones(n_max + 1, dtype=np.int64)
+    a[0] = 0
     for p in primes_up_to(n_max):
-        sl = spf[p::p]
-        sl[sl == 0] = p
-    a = np.zeros(n_max + 1, dtype=np.int64)
-    a[1] = 1
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m > 1:
-            a[n] = a[n // m] * a[m]       # coprime split n = p^e * m
-        elif e == 1:
-            if p not in ap:
-                raise KeyError(f"missing a_p for prime {p}")
-            a[n] = ap[p].ap
-        elif level % p == 0:
-            a[n] = int(a[p]) ** e
-        else:
-            a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
+        if p not in ap:
+            raise KeyError(f"missing a_p for prime {p}")
+        if p * p > n_max:
+            a[p::p] *= ap[p].ap
+            continue
+        ape = [1, ap[p].ap]                     # a_{p^e}, e = 0, 1, ...
+        while p ** len(ape) <= n_max:
+            ape.append(ape[1] * ape[-1] - (0 if level % p == 0 else p * ape[-2]))
+        # a[p::p] holds n = (i + 1) p, and p^e | n for i = -1 mod p^(e-1)
+        fac = np.full((n_max - p) // p + 1, ape[1], dtype=np.int64)
+        for e in range(2, len(ape)):
+            fac[p ** (e - 1) - 1::p ** (e - 1)] = ape[e]
+        a[p::p] *= fac
     return CoefficientTable(level, a, n_max)
 
 

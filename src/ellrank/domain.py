@@ -41,8 +41,9 @@ diag(m, 1) gamma_j = sigma U (sigma in SL2(Z), 0 <= beta < delta):
     SL2(Z)-invariant, so E*(N gamma_j w/d, s) = E*(U w, s) and
     log|Delta_N(gamma_j w)| = sum_d mu(d) h(U_{j,d} w) - 6 Lambda(N).
     At N = 154 the 2304 pairs (j, d) form sum_{m|N} sigma_1(m) = 468
-    classes, each evaluated once, and both at the class's one SL2(Z)
-    reduction of U w.
+    classes, each evaluated once, in blocks of at most 2^13 nodes: per
+    block one SL2(Z) reduction of U w and one q = e^{2 pi i z} per reduced
+    node, read by both E* and h.
   - m = Q = N / gcd(c_j, N).  sigma^{-1} diag(Q, 1) lies in W_Q Gamma_0(N)
     (N square-free), so the cyclotomic sum C = log|Delta_N| / 24 has
     C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4 (Lambda(N) = 0
@@ -60,9 +61,10 @@ the point itself, split into Q residue classes of the exponent, one
 matrix product over the nodes' own q and one FFT of length Q over beta.
 It reads no eta value, no modular transformation and no regulator, and
 its cost depends on the height of w in F, not on that of U w.  Each
-family's rows and each Hermite class's arrays are folded by ws into
-per-rep scalar pairs, one per rule, as soon as they are built; each key's
-scalars are combined rule by rule with math.fsum.
+family's rows, and each block's (coset, d) members in gathered chunks of
+at most 2^13 elements, are folded by ws into per-member scalar pairs, one
+per rule, as soon as they are built; each key's scalars are combined rule
+by rule with math.fsum.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisors, index_psi, is_squarefree, moebius, prime_divisors
-from .eisenstein import epstein_star_array
+from .eisenstein import epstein_star_reduced
 from .halfplane import apply_moebius, ext_gcd, hermite, sl2z_reduce
 from .lseries import L_direct
 from .modular import (
@@ -82,7 +84,7 @@ from .modular import (
     _qseries,
     cyclotomic_qlog_sum_family,
     eval_form_array,
-    log_abs_delta_array,
+    log_abs_eta_reduced,
 )
 from .specialfn import EvalResult, gauss_panels
 
@@ -101,17 +103,17 @@ class CosetRep:
 
 @lru_cache(maxsize=None)
 def _p1_classes(N: int) -> tuple:
-    """Canonical representatives of P^1(Z/N): orbits of unit scaling."""
-    units = [u for u in range(1, N) if math.gcd(u, N) == 1] or [1]
-    seen = set()
-    classes = []
-    for c in range(N):
-        for d in range(N):
-            if math.gcd(math.gcd(c, d), N) != 1 or (c, d) in seen:
-                continue
-            orbit = {((u * c) % N, (u * d) % N) for u in units}
-            seen.update(orbit)
-            classes.append(min(orbit))
+    """Canonical representatives of P^1(Z/N), N square-free: the least pair
+    of each orbit of unit scaling.  A unit moves c to g = gcd(c, N) and then
+    d through every unit mod g at fixed d mod N/g, so the classes are (0, 1)
+    and, for each divisor g < N and r mod N/g, (g, the least d = r mod N/g
+    prime to g)."""
+    if not is_squarefree(N):
+        raise ValueError(f"coset representatives need square-free N, not {N}")
+    classes = [(0, 1 % N)]
+    for g in divisors(N)[:-1]:
+        classes += [(g, next(d for d in range(r, N, N // g) if math.gcd(d, g) == 1))
+                    for r in range(N // g)]
     return tuple(sorted(classes))
 
 
@@ -249,8 +251,12 @@ def _rule_result(pairs: list, scale: float, tail: float) -> EvalResult:
     return EvalResult(fine, abs(fine - coarse) + tail)
 
 
-def _upper_image(U: tuple[int, int, int], grid: "QuadratureGrid"):
-    """U w = (alpha w + beta) / delta on the grid nodes w."""
+_NODE_BLOCK = 1 << 13    # nodes per Hermite-class block, member rows per fold
+
+
+def _upper_image(U, grid: "QuadratureGrid"):
+    """U w = (alpha w + beta) / delta on the grid nodes w; alpha, beta and
+    delta may be (k, 1) columns, for k matrices U at once."""
     alpha, beta, delta = U
     return (alpha * grid.xs + beta) / delta, alpha * grid.ys / delta
 
@@ -340,8 +346,8 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     1), both from this one pass over the grid's nodes; the Petersson keys
     add the cusp-truncation tail (pair_tail_bound).  The forms are
     evaluated once per coset of their own level, E* and h once per Hermite
-    class, and the cyclotomic sum once per Atkin-Lehner family (module
-    docstring).  The grid must be of level N, both form levels must divide
+    class (classes in node blocks sharing one reduction and one q), and the
+    cyclotomic sum once per Atkin-Lehner family (module docstring).  The grid must be of level N, both form levels must divide
     N, and f conj(g) y^2 must pass check_invariance.
     """
     if grid.level != N:
@@ -358,7 +364,9 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     # the other factors are real, so the keys, real parts (module docstring),
     # need only Re(f conj(g)) y^2; ws @ v sums v on both rules
     y2 = grid.ys**2
-    bs = [(F * np.conj(G)).real * y2 for F, G in zip(fs, gs)]
+    bs = np.empty((len(grid.reps), y2.size))      # row j: Re(f conj(g)) y^2 at coset j
+    for b, F, G in zip(bs, fs, gs):
+        b[:] = (F * np.conj(G)).real * y2
     parts: dict = {"pet_fg": [grid.ws @ b for b in bs]}
     for key, A in (("pet_ff", fs), ("pet_gg", gs)):
         parts[key] = [grid.ws @ ((F * np.conj(F)).real * y2) for F in A]
@@ -371,19 +379,26 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     if want_regulator:
         parts["regulator"] = [-6.0 * lam * p for p in parts["pet_fg"]]
     mu = {d: moebius(d) for d in divisors(N)}
-    classes = _hermite_classes(N, grid.reps) if s_values or want_regulator else {}
-    for U, members in classes.items():
-        ux, uy = _upper_image(U, grid)
-        rx, ry = sl2z_reduce(ux, uy)[:2]
-        estar = {s: epstein_star_array(rx, ry, s) for s in s_values}
-        if want_regulator:
-            h = log_abs_delta_array(rx, ry) + 6.0 * np.log(ry)
-        for j, d in members:
-            b = bs[j]
-            for s in s_values:
-                add(("eis", s, d), b * estar[s])
-            if want_regulator and mu[d]:
-                add("regulator", mu[d] * (b * h))
+    classes = list(_hermite_classes(N, grid.reps).items()) if s_values or want_regulator else []
+    per = max(1, _NODE_BLOCK // y2.size)      # classes per block, members per fold
+    for i in range(0, len(classes), per):
+        block = classes[i:i + per]
+        ux, uy = _upper_image(np.array([U for U, _ in block], dtype=float).T[:, :, None], grid)
+        rx, ry = sl2z_reduce(ux.ravel(), uy.ravel())[:2]
+        q = np.exp(2j * math.pi * (rx + 1j * ry))
+        vals = [epstein_star_reduced(rx, ry, q, s) for s in s_values]
+        if want_regulator:      # h = log|Delta| + 6 log y
+            vals.append(24.0 * log_abs_eta_reduced(ry, q) + 6.0 * np.log(ry))
+        V = np.reshape(vals, (len(vals), len(block), y2.size))
+        members = [(c, j, d) for c, (_, ms) in enumerate(block) for j, d in ms]
+        for m in range(0, len(members), per):
+            cs, js, ds = zip(*members[m:m + per])
+            folded = ((bs[list(js)] * V[:, list(cs)]) @ grid.ws.T).tolist()  # [value][member]
+            for s, pairs in zip(s_values, folded):
+                for d, pair in zip(ds, pairs):
+                    parts.setdefault(("eis", s, d), []).append(pair)
+            if want_regulator:
+                parts["regulator"] += [(mu[d] * u, mu[d] * v) for d, (u, v) in zip(ds, folded[-1])]
     families = _cusp_families(N, grid.reps) if want_cnf else {}
     for Q, members in families.items():
         C = cyclotomic_qlog_sum_family(grid.xs, grid.ys, N, Q)     # row beta: C(U w)

@@ -71,8 +71,14 @@ def _star_constants(s: float, nmax: int) -> tuple:
 
 def epstein_star_array(x, y, s: float) -> np.ndarray:
     """Completed Epstein series E*(z,s) on arrays of points (Fourier form)."""
+    xr, yr = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))[:2]
+    return epstein_star_reduced(xr, yr, np.exp(2j * math.pi * (xr + 1j * yr)), s)
+
+
+def epstein_star_reduced(xr, yr, q, s: float) -> np.ndarray:
+    """E*(z,s) at SL2(Z)-reduced points z = xr + i yr, q = e^{2 pi i z}:
+    the Horner route reads q, the Bessel route xr and yr."""
     _check_s_not_pole(s)
-    xr, yr, _, _ = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
     nu = s - 0.5
     # truncation: K_nu(2 pi n y) < sqrt(pi/(4 pi n y)) e^{-2 pi n y + nu^2/(4 pi n y)}
     ymin = float(np.min(yr))
@@ -88,7 +94,7 @@ def epstein_star_array(x, y, s: float) -> np.ndarray:
         k, n = np.arange(m + 1), np.arange(1.0, nmax + 1.0)[:, None]
         polyval = np.polynomial.polynomial.polyval    # loaded on first use, not at import
         coef = np.vstack([0.0 * k, bessel_k_half_coeffs(m) * sig[1:, None] * n ** (s - 1.0 - k)])
-        P = polyval(np.exp(2j * math.pi * (xr + 1j * yr)), coef)     # row k: P_k(q)
+        P = polyval(q, coef)     # row k: P_k(q)
         return c + 4.0 * polyval(0.5 / (math.pi * yr), P.real, tensor=False)
     acc = np.zeros_like(yr)
     for n in range(1, nmax + 1):

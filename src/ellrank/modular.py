@@ -80,16 +80,21 @@ def _qseries(coeffs: np.ndarray, x, y) -> np.ndarray:
 # ------------------------------------------------------------------- eta
 
 def log_abs_eta_array(x, y) -> np.ndarray:
-    """log|eta(z)| for arbitrary points, via SL2(Z) reduction:
-    log|eta| = -pi y/12 + log|prod_{n<=8} (1 - q^n)| at the reduced point, minus
-    half the accumulated log|w| from the inversion steps."""
+    """log|eta(z)| for arbitrary points, via SL2(Z) reduction: log|eta| at
+    the reduced point, minus half the accumulated log|w| from the inversion
+    steps."""
     xr, yr, _, loghalf = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
-    q = np.exp(TWO_PI * (1j * xr - yr))
+    return log_abs_eta_reduced(yr, np.exp(TWO_PI * (1j * xr - yr))) - 0.5 * loghalf
+
+
+def log_abs_eta_reduced(yr, q) -> np.ndarray:
+    """log|eta(z)| = -pi y/12 + log|prod_{n<=8} (1 - q^n)| at SL2(Z)-reduced
+    points z = xr + i yr, q = e^{2 pi i z}."""
     qk, prod = q, 1.0 - q
     for _ in range(7):  # |q| <= e^{-pi sqrt 3}, so |q|^9 < 1e-21: 8 factors
         qk = qk * q
         prod *= 1.0 - qk
-    return -math.pi * yr / 12.0 + np.log(np.abs(prod)) - 0.5 * loghalf
+    return -math.pi * yr / 12.0 + np.log(np.abs(prod))
 
 
 def log_abs_eta(x: float, y: float) -> float:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -219,16 +220,114 @@ def test_regulator_plumbing(form_11a):
 
 
 def test_sweep_reduces_each_hermite_class_once(form_11a, monkeypatch):
-    # E* and h = log|Delta| + 6 log y share one SL2(Z) reduction per class
+    # E* and h = log|Delta| + 6 log y share one SL2(Z) reduction per block of
+    # whole Hermite classes, each block of at most max(n, 2^13) nodes
     import ellrank.domain as domain
     from ellrank import halfplane
 
     calls = []
     monkeypatch.setattr(domain, "sl2z_reduce",
                         lambda x, y: calls.append(x.size) or halfplane.sl2z_reduce(x, y))
-    grid = build_grid(11, depth=0)
-    sweep_pair_family(form_11a, form_11a, 11, grid, s_values=(2.0, 3.0), want_regulator=True)
-    assert calls == [grid.xs.size] * len(domain._hermite_classes(11, grid.reps))
+    for N in (11, 154):
+        grid = build_grid(N, depth=0)
+        n = grid.xs.size
+        calls.clear()
+        sweep_pair_family(form_11a, form_11a, N, grid, s_values=(2.0, 3.0), want_regulator=True)
+        assert sum(calls) == n * len(domain._hermite_classes(N, grid.reps)), N
+        assert all(c % n == 0 and c <= max(n, domain._NODE_BLOCK) for c in calls), (N, calls)
+    assert len(calls) > 1
+
+
+def _per_class_reference(fe, ge, grid, s_values):
+    """The E* and regulator keys class by class: E*(U w) and
+    h(U w) = log|Delta(U w)| + 6 log Im(U w) at the unreduced points, each
+    member's product with its coset's Re(f conj g) y^2 folded by ws alone."""
+    from ellrank.domain import _hermite_classes, slash_on_cosets
+    from ellrank.eisenstein import epstein_star_array
+    from ellrank.modular import log_abs_delta_array
+
+    fs, gs = slash_on_cosets(fe, grid), slash_on_cosets(ge, grid)
+    bs = [(F * np.conj(G)).real * grid.ys**2 for F, G in zip(fs, gs)]
+    parts: dict = {}
+    for U, members in _hermite_classes(grid.level, grid.reps).items():
+        ux, uy = _upper(U, grid.xs, grid.ys)
+        estar = {s: epstein_star_array(ux, uy, s) for s in s_values}
+        h = log_abs_delta_array(ux, uy) + 6.0 * np.log(uy)
+        for j, d in members:
+            for s in s_values:
+                parts.setdefault(("eis", s, d), []).append(grid.ws @ (bs[j] * estar[s]))
+            parts.setdefault("regulator", []).append(moebius(d) * (grid.ws @ (bs[j] * h)))
+    out = {}
+    for key, pairs in parts.items():
+        c = -math.pi / 3.0 if key == "regulator" else 1.0
+        fine, coarse = (c * math.fsum(col) for col in np.asarray(pairs).T)
+        out[key] = (fine, abs(fine - coarse))
+    return out
+
+
+def _assert_keys_agree(fam, ref, tol):
+    # the d != 1 keys vanish by symmetry: their errors are measured
+    # against |('eis', s, 1)|
+    for key, (value, bar) in ref.items():
+        scale = abs(ref[("eis", key[1], 1)][0] if key != "regulator" else value)
+        assert abs(fam[key].value - value) <= tol * scale, (key, fam[key], value)
+        assert abs(fam[key].abs_error_bound - bar) <= tol * scale, (key, fam[key], bar)
+
+
+_BLOCK_PAIRS = {154: ("11a", "14a"), 210: ("14a", "15a")}
+_BLOCK_S = (2.0, 2.5)       # E*'s Horner route and its Bessel route
+
+
+def _block_sweep_inputs(N):
+    from ellrank.curves import curve_by_label
+    from ellrank.modular import CuspFormEval
+
+    fe, ge = (CuspFormEval.from_curve(curve_by_label(c), 4200) for c in _BLOCK_PAIRS[N])
+    return fe, ge, build_grid(N, depth=0)
+
+
+@lru_cache(maxsize=None)
+def _block_sweep(N):
+    fe, ge, grid = _block_sweep_inputs(N)
+    return sweep_pair_family(fe, ge, N, grid, s_values=_BLOCK_S, want_regulator=True)
+
+
+@pytest.mark.parametrize("N", sorted(_BLOCK_PAIRS))
+def test_blocked_class_layer_matches_per_class_reference(N):
+    # Lambda(N) = 0 at both levels
+    fam = _block_sweep(N)
+    ref = _per_class_reference(*_block_sweep_inputs(N), _BLOCK_S)
+    assert set(ref) == set(fam) - {"pet_fg", "pet_ff", "pet_gg"}
+    _assert_keys_agree(fam, ref, 1e-13)
+
+
+def test_one_class_blocks_agree(monkeypatch):
+    # blocks of one class each give every key of the default blocks
+    import ellrank.domain as domain
+
+    fe, ge, grid = _block_sweep_inputs(154)
+    monkeypatch.setattr(domain, "_NODE_BLOCK", grid.xs.size)
+    one = sweep_pair_family(fe, ge, 154, grid, s_values=_BLOCK_S, want_regulator=True)
+    _assert_keys_agree(one, {k: (r.value, r.abs_error_bound) for k, r in _block_sweep(154).items()
+                             if k not in ("pet_fg", "pet_ff", "pet_gg")}, 1e-14)
+
+
+def test_verify_sweep_memory_peak(form_11a, form_14a):
+    # the traced peak of the N = 154 verify sweep, caches warmed at depth 0:
+    # the class layer's blocks and fold chunks stay bounded
+    import tracemalloc
+
+    kw = dict(s_values=(2.0,), want_regulator=True, want_cnf=True)
+    sweep_pair_family(form_11a, form_14a, 154, build_grid(154, depth=0), **kw)
+    for depth, cap_mb in ((1, 6.0), (2, 16.0)):
+        grid = build_grid(154, depth=depth)
+        tracemalloc.start()
+        try:
+            sweep_pair_family(form_11a, form_14a, 154, grid, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap_mb * 1e6, (depth, peak)
 
 
 def test_cnf_guard_N1(form_11a):
@@ -359,7 +458,32 @@ def test_cusp_matrix_atkin_lehner_covariance(N, rng):
         assert np.max(np.abs(moebius(Q) * c - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref))), rep
 
 
-@pytest.mark.parametrize("N", [6, 11, 14, 154, 165, 210, 407])
+def _p1_orbit_minima(N: int) -> tuple:
+    # P^1(Z/N) by enumeration: the least pair of each unit-scaling orbit
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1] or [1]
+    seen, classes = set(), []
+    for c in range(N):
+        for d in range(N):
+            if math.gcd(math.gcd(c, d), N) != 1 or (c, d) in seen:
+                continue
+            orbit = {((u * c) % N, (u * d) % N) for u in units}
+            seen.update(orbit)
+            classes.append(min(orbit))
+    return tuple(sorted(classes))
+
+
+def test_p1_classes_are_the_orbit_minima():
+    from ellrank.arith import is_squarefree
+    from ellrank.domain import _p1_classes
+
+    for N in [n for n in range(1, 80) if is_squarefree(n)] + [154, 165, 210]:
+        assert _p1_classes(N) == _p1_orbit_minima(N), N
+    for N in (4, 36):
+        with pytest.raises(ValueError, match="square-free"):
+            coset_reps(N)
+
+
+@pytest.mark.parametrize("N", [6, 11, 14, 154, 165, 210, 407, 1155])
 def test_cusp_classes_form_atkin_lehner_families(N):
     # square-free N: the cyclotomic class of every rep is [1 beta; 0 Q],
     # Q = N / gcd(c, N), and each Q's reps take every beta mod Q once
