@@ -251,7 +251,7 @@ def _rule_result(pairs: list, scale: float, tail: float) -> EvalResult:
     return EvalResult(fine, abs(fine - coarse) + tail)
 
 
-_NODE_BLOCK = 1 << 13    # nodes per Hermite-class block, member rows per fold
+_NODE_BLOCK = 1 << 13    # nodes per Hermite-class block, gathered elements per fold
 
 
 def _upper_image(U, grid: "QuadratureGrid"):
@@ -347,8 +347,9 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     add the cusp-truncation tail (pair_tail_bound).  The forms are
     evaluated once per coset of their own level, E* and h once per Hermite
     class (classes in node blocks sharing one reduction and one q), and the
-    cyclotomic sum once per Atkin-Lehner family (module docstring).  The grid must be of level N, both form levels must divide
-    N, and f conj(g) y^2 must pass check_invariance.
+    cyclotomic sum once per Atkin-Lehner family (module docstring).  The
+    grid must be of level N, both form levels must divide N, and
+    f conj(g) y^2 must pass check_invariance.
     """
     if grid.level != N:
         raise ValueError(f"grid of level {grid.level}, integral over X_0({N})")
@@ -370,9 +371,6 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     parts: dict = {"pet_fg": [grid.ws @ b for b in bs]}
     for key, A in (("pet_ff", fs), ("pet_gg", gs)):
         parts[key] = [grid.ws @ ((F * np.conj(F)).real * y2) for F in A]
-
-    def add(key, v):
-        parts.setdefault(key, []).append(grid.ws @ v)
 
     # Lambda(N) = sum_d mu(d) log(N/d), von Mangoldt
     lam = math.log(pd[0]) if len(pd := prime_divisors(N)) == 1 else 0.0
@@ -404,7 +402,8 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         C = cyclotomic_qlog_sum_family(grid.xs, grid.ys, N, Q)     # row beta: C(U w)
         mq = mu[Q]
         for j, beta in members:     # C(gamma_j w) = mu(Q) C(U w) + (mu(Q) - 1) Lambda(N) / 4
-            add("cnf", bs[j] * (mq * C[beta] + (mq - 1) * lam / 4.0))
+            v = bs[j] * (mq * C[beta] + (mq - 1) * lam / 4.0)
+            parts.setdefault("cnf", []).append(grid.ws @ v)
         del C                       # before the next family's rows are built
     psi = len(grid.reps)            # psi(N), one rep per coset
     tail = {key: pair_tail_bound(a, b, N, grid.y_cut)
