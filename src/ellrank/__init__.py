@@ -9,7 +9,7 @@ coset representatives).
 from .arith import moebius, totient, divisors, cyclotomic, recognize_rational, index_psi
 from .curves import (CurveModel, curve_by_label, reduce_mod_p, ap_table, an_table,
                      period_lattice, check_ogg_pm1)
-from .specialfn import EvalResult, PoleError, gamma, zeta, zeta_depleted
+from .specialfn import EvalResult, PoleError, zeta, zeta_depleted
 from .halfplane import UHPoint
 from .eisenstein import (
     epstein_lattice,
@@ -17,7 +17,7 @@ from .eisenstein import (
     epstein_residue,
     kronecker_limit_check,
 )
-from .modular import CuspFormEval, qlog
+from .modular import CuspFormEval
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, sweep_pair_family,
                      rs_identity_check, unfolding_check)
@@ -29,11 +29,11 @@ __all__ = [
     "moebius", "totient", "divisors", "cyclotomic", "recognize_rational", "index_psi",
     "CurveModel", "curve_by_label", "reduce_mod_p", "ap_table", "an_table",
     "period_lattice", "check_ogg_pm1",
-    "EvalResult", "PoleError", "gamma", "zeta", "zeta_depleted",
+    "EvalResult", "PoleError", "zeta", "zeta_depleted",
     "UHPoint",
     "epstein_lattice", "epstein_completed", "epstein_residue",
     "kronecker_limit_check",
-    "CuspFormEval", "qlog",
+    "CuspFormEval",
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
     "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
     "unfolding_check",

@@ -176,10 +176,6 @@ class RationalGuess:
         if math.gcd(self.numerator, self.denominator) != 1:
             raise ValueError("fraction not in lowest terms")
 
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
 
 def best_rational(x: float, max_denominator: int) -> RationalGuess:
     """The fraction p/q closest to x over q <= max_denominator.

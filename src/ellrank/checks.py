@@ -56,7 +56,6 @@ class RunContext:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self.depth = int(cfg["depth"])
-        self.y_cut = float(cfg["y_cut"])
         self.n_max = int(cfg["n_max"])
         self.c1 = curve_from_config(cfg, 1)
         self.c2 = curve_from_config(cfg, 2)
@@ -74,8 +73,8 @@ class RunContext:
         return lseries.RankinSeries.build(self.fe, self.fe)
 
     def grid(self, level: int) -> domain.QuadratureGrid:
-        """The X_0(level) grid at the configured depth and y_cut."""
-        return domain.build_grid(level, self.depth, self.y_cut)
+        """The X_0(level) grid at the configured depth."""
+        return domain.build_grid(level, self.depth)
 
     @cached_property
     def fam(self) -> dict:

@@ -2,8 +2,9 @@
 report emission.
 
 Subcommands: ap, verify, lvalue, petersson, eisenstein, report.
-Exit codes: 0 success, 1 check failure, 2 usage error or a config that
-does not validate.
+Exit codes: 0 success, 1 check failure, 2 usage error, a config that
+does not validate (validate_config) or an eisenstein point that cannot
+be reduced in double precision.
 
 Configuration is a flat key=value text file (see DEFAULT_CONFIG);
 --set key=value overrides individual entries.  verify runs the check
@@ -32,12 +33,12 @@ DEFAULT_CONFIG = {
     "n_max": "4200",
     "p_max": "1000",
     "depth": "2",
-    "y_cut": "12.0",
     "out": ".",
 }
 
-_NUMBER_KEYS = {"n_max": int, "p_max": int, "depth": int, "y_cut": float,
+_NUMBER_KEYS = {"n_max": int, "p_max": int, "depth": int,
                 "curve1.conductor": int, "curve2.conductor": int}
+DEPTH_MAX = 4       # verify on 11a/14a peaks at 220 MB RSS at depth 4, 9.6 s
 _CURVE_COMMANDS = ("ap", "verify", "lvalue", "petersson")
 _FORM_COMMANDS = ("verify", "lvalue", "petersson")
 
@@ -72,11 +73,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def validate_config(cfg: dict, command: str) -> None:
     """Raise UsageError unless every key is one of DEFAULT_CONFIG's, the
-    numeric keys parse, depth is at least 0, y_cut is finite and above 1
-    (the top of F's arc), n_max and p_max are at least 2 and, for the
-    subcommands that use the two curves, each curve's ainvs have its
-    stated conductor; subcommands that build cusp forms also need a
-    square-free conductor."""
+    numeric keys parse, depth is in [0, DEPTH_MAX], n_max and p_max are at
+    least 2 and, for the subcommands that use the two curves, each curve's
+    ainvs have its stated conductor; subcommands that build cusp forms
+    also need a square-free conductor, and an n_max that covers the
+    q-series at the lowest height a form is evaluated at, sqrt(3)/(2L)
+    for L the larger level (halfplane.boost_array)."""
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
@@ -89,15 +91,15 @@ def validate_config(cfg: dict, command: str) -> None:
             raise UsageError(f"{key} = {value!r} is not a number") from None
     if int(cfg["depth"]) < 0:
         raise UsageError(f"depth = {cfg['depth']!r} is below 0")
-    y_cut = float(cfg["y_cut"])
-    if not (math.isfinite(y_cut) and y_cut > 1.0):
-        raise UsageError(f"y_cut = {cfg['y_cut']!r} is not a finite number above 1")
+    if int(cfg["depth"]) > DEPTH_MAX:
+        raise UsageError(f"depth = {cfg['depth']!r} is above {DEPTH_MAX}")
     for key in ("n_max", "p_max"):
         if int(cfg[key]) < 2:
             raise UsageError(f"{key} = {cfg[key]!r} is below 2")
     if command not in _CURVE_COMMANDS:
         return
     from .arith import is_squarefree
+    from .modular import FORM_TOL, series_length
 
     for idx in (1, 2):
         try:
@@ -110,6 +112,12 @@ def validate_config(cfg: dict, command: str) -> None:
         if command in _FORM_COMMANDS and not is_squarefree(curve.conductor):
             raise UsageError(f"curve{idx}: conductor {curve.conductor} is not square-free "
                              f"(cusp forms are built at square-free levels only)")
+    if command in _FORM_COMMANDS:
+        L = max(int(cfg["curve1.conductor"]), int(cfg["curve2.conductor"]))
+        need = series_length(math.sqrt(3.0) / (2 * L), FORM_TOL)
+        if int(cfg["n_max"]) < need:
+            raise UsageError(f"n_max = {cfg['n_max']!r} is below {need}, the q-series length "
+                             f"of a level-{L} form at height sqrt(3)/{2 * L}")
 
 
 def _write_ap_csv(path: str, table: dict):
@@ -155,7 +163,7 @@ def cmd_ap(cfg: dict) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
+def cmd_verify(cfg: dict, only: str | None) -> int:
     if only is not None and only not in checks.CHECKS:
         raise UsageError(f"--only must be one of {list(checks.CHECKS)}")
     records, timings = checks.run(checks.RunContext(cfg), only)
@@ -168,7 +176,7 @@ def cmd_verify(cfg: dict, only: str | None, json_indent: int | None) -> int:
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=json_indent)
+        json.dump(report, fh)
         fh.write("\n")
     with open(os.path.join(out_dir, "timing.json"), "w") as fh:
         json.dump({k: round(v, 3) for k, v in timings.items()}, fh, indent=2)
@@ -228,7 +236,7 @@ def cmd_petersson(cfg: dict) -> int:
 
 def cmd_eisenstein(cfg: dict, z: str, s: float) -> int:
     from .eisenstein import epstein_completed, epstein_lattice
-    from .halfplane import UHPoint
+    from .halfplane import Y_MIN, UHPoint
 
     try:
         x, y = (float(t) for t in z.split(","))
@@ -236,6 +244,9 @@ def cmd_eisenstein(cfg: dict, z: str, s: float) -> int:
         raise UsageError(f"--z {z!r} is not of the form x,y") from None
     if not (math.isfinite(x) and math.isfinite(y) and y > 0):
         raise UsageError(f"--z {z!r} is not a point of the upper half-plane (finite x, y > 0)")
+    if y < Y_MIN:
+        raise UsageError(f"--z {z!r} is too deep: below y = {Y_MIN:.3g} the SL2(Z) reduction "
+                         f"underflows")
     if not math.isfinite(s):
         raise UsageError(f"-s {s!r} is not a finite number")
     pt = UHPoint(x, y)
@@ -277,8 +288,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ap")
-    pv = sub.add_parser("verify")
-    pv.add_argument("--json-indent", type=int, default=None)
+    sub.add_parser("verify")
     pl = sub.add_parser("lvalue")
     pl.add_argument("-s", type=float, required=True)
     sub.add_parser("petersson")
@@ -295,7 +305,7 @@ def main(argv=None) -> int:
         if args.command == "ap":
             return cmd_ap(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, args.only, args.json_indent)
+            return cmd_verify(cfg, args.only)
         if args.command == "lvalue":
             return cmd_lvalue(cfg, args.s)
         if args.command == "petersson":

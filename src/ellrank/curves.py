@@ -469,15 +469,15 @@ def _eisenstein_E(weight: int, tau: complex) -> complex:
 
 def _lattice_invariant_g2(omega1: complex, omega2: complex) -> complex:
     """g2 of the lattice Z w1 + Z w2, via E4 at an SL2(Z)-reduced tau.
-    A reduction matrix that wrapped in int64 (det != 1, heights below
-    about 1e-38) raises OverflowError."""
+    A reduction matrix that int64 could not hold (det != 1: a translation
+    past 2^62, or heights below about 1e-38) raises OverflowError."""
     from .halfplane import sl2z_reduce
 
     tau = omega2 / omega1
     if tau.imag < 0:
         omega2 = -omega2
         tau = -tau
-    xr, yr, g, _ = sl2z_reduce(np.array([tau.real]), np.array([tau.imag]))
+    xr, yr, g = sl2z_reduce(np.array([tau.real]), np.array([tau.imag]))
     a, b, c, d = (int(e[0]) for e in g)
     if a * d - b * c != 1:
         raise OverflowError("SL2(Z) reduction matrix overflowed int64")

@@ -334,7 +334,7 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
                            Phi(0) = L'_{f,g}(0) for coprime square-free
                            levels with at least two primes dividing N
       'cnf'                -4 pi Int C f conj(g) y^2 dmu, C(z) the sum of
-                           qlog(z, xi^k) over primitive k mod N: the
+                           log_q(xi^k) at z over primitive k mod N: the
                            cyclotomic q-logarithm side of the
                            class-number formula without H(0),
                            sum_k (1/2 pi i) Int log_q(xi^k) f conj(g)

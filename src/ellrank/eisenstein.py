@@ -113,7 +113,7 @@ def epstein_star_theta(x: float, y: float, s: float, tol: float = 1e-13) -> tupl
     below costs ~ y^{-1/2}.  Points of F pass through unchanged.
     """
     _check_s_not_pole(s)
-    xr, yr, _, _ = sl2z_reduce(np.array([x], float), np.array([y], float))
+    xr, yr, _ = sl2z_reduce(np.array([x], float), np.array([y], float))
     x, y = float(xr[0]), float(yr[0])
     X = max(12.0, math.log(1.0 / tol) + 6.0)
     while (4.0 + 2.0 * math.sqrt(X)) * math.exp(-X) > tol:

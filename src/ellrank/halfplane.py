@@ -22,6 +22,8 @@ import numpy as np
 
 from .arith import is_squarefree
 
+Y_MIN = math.sqrt(np.finfo(float).tiny)     # the lowest height sl2z_reduce takes
+
 
 @dataclass(frozen=True)
 class UHPoint:
@@ -51,21 +53,28 @@ def apply_moebius(a, b, c, d, x, y):
 def sl2z_reduce(x, y):
     """Reduce points to the standard fundamental domain of SL2(Z).
 
-    Returns (xr, yr, (a, b, c, d), loghalf) with [[a,b],[c,d]] integral
-    of det 1 mapping the input points to the reduced ones, and
-    loghalf = sum of log|w| over the inversion steps, accumulated
-    incrementally (stable even for very deep starting points).  For a
-    weight-k form F this gives log|F(w_in)| = log|F(w_red)| - k*loghalf.
+    Returns (xr, yr, (a, b, c, d)) with [[a,b],[c,d]] integral of det 1
+    mapping the input points to the reduced ones.  The translations run in
+    floating point, so every finite x reduces.  A point whose matrix needs
+    a translation of 2^62 or more gets the zero matrix instead, which the
+    readers of the matrix refuse (det != 1).  Heights below Y_MIN raise
+    ValueError: there |z|^2 can underflow to 0.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
+    if y.size and not y.min() >= Y_MIN:
+        raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
     n = x.shape
     a = np.ones(n, dtype=np.int64); b = np.zeros(n, dtype=np.int64)
     c = np.zeros(n, dtype=np.int64); d = np.ones(n, dtype=np.int64)
-    loghalf = np.zeros(n, dtype=float)
+    wide = np.zeros(n, dtype=bool)
     for _ in range(600):
-        k = np.rint(x).astype(np.int64)
-        x -= k
+        kf = np.rint(x)
+        x -= kf
+        if np.abs(kf).max(initial=0.0) >= 2.0**62:      # beyond int64's reach
+            wide |= np.abs(kf) >= 2.0**62
+            kf[wide] = 0.0
+        k = kf.astype(np.int64)
         a -= k * c
         b -= k * d
         r2 = x * x + y * y
@@ -74,7 +83,6 @@ def sl2z_reduce(x, y):
             break
         # z -> -1/z on the mask
         xm, ym, rm = x[m], y[m], r2[m]
-        loghalf[m] += 0.5 * np.log(rm)
         x[m] = -xm / rm
         y[m] = ym / rm
         am, bm = a[m].copy(), b[m].copy()
@@ -82,7 +90,9 @@ def sl2z_reduce(x, y):
         c[m], d[m] = am, bm
     else:
         raise RuntimeError("sl2z_reduce did not converge")
-    return x, y, (a, b, c, d), loghalf
+    for e in (a, b, c, d):
+        e[wide] = 0
+    return x, y, (a, b, c, d)
 
 
 def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
@@ -117,12 +127,13 @@ def boost_array(level: int, x, y):
     matrices M = [A B; C D] of det Q, mapping the input points to the
     boosted ones.  M is composed in Python integers, so an entry beyond
     int64 raises OverflowError instead of wrapping; so does a reduction
-    matrix that wrapped in sl2z_reduce (seen as det != 1; that takes
+    matrix that sl2z_reduce could not hold in int64 (seen as det != 1:
+    the zero matrix of a translation past 2^62, or a wrapped product at
     heights below about 1e-38).
     """
     if not is_squarefree(level):
         raise ValueError("boosting implemented for square-free level only")
-    xr, yr, g, _ = sl2z_reduce(x, y)
+    xr, yr, g = sl2z_reduce(x, y)
     cols = np.empty((6,) + xr.shape, dtype=np.int64)
     for i, (a, b, c, d) in enumerate(zip(*(e.tolist() for e in g))):
         if a * d - b * c != 1:

@@ -1,5 +1,5 @@
 """Weight-2 cusp forms from q-expansions, log|eta| and the modular
-unit log|Delta_N|, the q-logarithm, and the summed cyclotomic q-logarithm.
+unit log|Delta_N|, and the summed cyclotomic q-logarithm.
 
 Evaluation strategy for f(z) = sum a_n q^n at square-free level L: map
 z by its Atkin-Lehner cusp matrix M in W_Q Gamma_0(L)
@@ -28,7 +28,6 @@ tail cut below e^{-40}, and the eta product below y = 0.0025.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +36,7 @@ import numpy as np
 
 from .arith import divisor_sigma_table, divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
-from .halfplane import UHPoint, boost_array, sl2z_reduce
+from .halfplane import boost_array, sl2z_reduce
 TWO_PI = 2.0 * math.pi
 FORM_TOL = 1e-11      # absolute q-series truncation of every form value
 
@@ -80,11 +79,12 @@ def _qseries(coeffs: np.ndarray, x, y) -> np.ndarray:
 # ------------------------------------------------------------------- eta
 
 def log_abs_eta_array(x, y) -> np.ndarray:
-    """log|eta(z)| for arbitrary points, via SL2(Z) reduction: log|eta| at
-    the reduced point, minus half the accumulated log|w| from the inversion
-    steps."""
-    xr, yr, _, loghalf = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
-    return log_abs_eta_reduced(yr, np.exp(TWO_PI * (1j * xr - yr))) - 0.5 * loghalf
+    """log|eta(z)| for arbitrary points, via SL2(Z) reduction: log|eta| +
+    log(y) / 4 is SL2(Z)-invariant, so log|eta(z)| is log|eta| at the
+    reduced point plus (log yr - log y) / 4."""
+    y = np.asarray(y, float)
+    xr, yr, _ = sl2z_reduce(np.asarray(x, float), y)
+    return log_abs_eta_reduced(yr, np.exp(TWO_PI * (1j * xr - yr))) + 0.25 * np.log(yr / y)
 
 
 def log_abs_eta_reduced(yr, q) -> np.ndarray:
@@ -119,25 +119,6 @@ def log_abs_delta_N_array(x, y, N: int) -> np.ndarray:
     return acc
 
 
-def qlog(z: UHPoint, t: complex) -> float:
-    """q-logarithm (1/24) log|q t| + sum_{n>=1} log|1 - q^n t| for t on
-    the unit circle, geometric tail below 1e-12."""
-    if abs(abs(t) - 1.0) > 1e-12:
-        raise ValueError("t must lie on the unit circle")
-    q = cmath.exp(TWO_PI * 1j * z.z)
-    M = series_length(z.y, 1e-13)
-    acc = math.log(abs(q * t)) / 24.0
-    qk = 1.0 + 0.0j
-    for _ in range(M):
-        qk *= q
-        u = 1.0 - qk * t
-        au = abs(u)
-        if au < 1e-300:
-            raise ValueError("1 - q^n t vanished to machine precision")
-        acc += math.log(au)
-    return acc
-
-
 def _powers(u: np.ndarray, n: int) -> np.ndarray:
     """Rows u^1 .. u^n of a 1-d array u, by doubling: rows k+1 .. 2k are
     rows 1 .. k times u^k."""
@@ -152,9 +133,10 @@ def _powers(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def cyclotomic_qlog_sum_array(x, y, N: int, deep_threshold: float = 0.0025):
-    """sum over primitive k mod N of qlog(z, xi^k), the point-wise reference
-    for cyclotomic_qlog_sum_family, through the Moebius factorisation of the
-    cyclotomic polynomial,
+    """sum over primitive k mod N of the q-logarithm
+    (1/24) log|q t| + sum_{n>=1} log|1 - q^n t| at t = xi^k, the point-wise
+    reference for cyclotomic_qlog_sum_family, through the Moebius
+    factorisation of the cyclotomic polynomial,
     log|Phi_N(X)| = sum_{d|N} mu(d) log|1 - X^{N/d}|:
 
         phi(N)/24 * log|q| + sum_{d|N} mu(d) sum_{n>=1} log|1 - u^n|,

@@ -4,7 +4,6 @@ Double precision throughout.  Each public scalar operation returns an
 EvalResult whose abs_error_bound dominates the truncation estimate of
 the underlying scheme plus a rounding allowance; no interval arithmetic.
 
-    gamma          math.gamma with a range check, explicit poles and a bound
     zeta           Borwein's accelerated alternating series, classical
                    functional equation for s < 1/2
     zeta_depleted  zeta with Euler factors at p | N removed
@@ -41,17 +40,6 @@ class EvalResult:
 
 class PoleError(ValueError):
     """Argument at (or too near) a pole of the requested function."""
-
-
-def gamma(s: float) -> EvalResult:
-    """Gamma(s) for real s in [-20, 50]; relative bound 1e-13, wider near poles."""
-    if not -20.0 <= s <= 50.0:
-        raise ValueError("gamma supported on [-20, 50]")
-    if s <= 0 and s == round(s):
-        raise PoleError(f"gamma pole at s = {s:g} (distance to pole 0)")
-    dist = abs(s - round(s)) if s < 0.5 else 1.0
-    v = math.gamma(s)
-    return EvalResult(v, abs(v) * 1e-13 / min(1.0, dist))
 
 
 _BORWEIN_N = 50

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import warnings
+
+import pytest
 
 from ellrank.cli import main
 
@@ -44,19 +47,6 @@ def test_verify_only_and_report(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--out", out, "report"]) == 0
     assert "PASS" in capsys.readouterr().out
-
-
-def test_verify_json_indent_same_content(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    main(["--out", out1, "--only", "epstein_residue", "verify"])
-    main(["--out", out2, "--only", "epstein_residue", "verify", "--json-indent", "2"])
-    r1 = json.load(open(os.path.join(out1, "report.json")))
-    r2 = json.load(open(os.path.join(out2, "report.json")))
-    r1["config"].pop("out"); r2["config"].pop("out")
-    assert r1["checks"] == r2["checks"]
-    raw1 = open(os.path.join(out1, "report.json")).read()
-    raw2 = open(os.path.join(out2, "report.json")).read()
-    assert raw1 != raw2          # pretty-printing changed the bytes only
 
 
 def test_lvalue_rows(tmp_path, capsys):
@@ -104,16 +94,25 @@ def test_eisenstein_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "6.02681" in out
+    # 1e19 is an integer in double precision, so 1e19 + i is the point i
+    assert main(["eisenstein", "--z", "1e19,1", "-s", "2.0"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_eisenstein_bad_input_exits_2(capsys):
+    # one line each, and no numpy warning: below y = sqrt(tiny) the
+    # reduction's |z|^2 can underflow, so that --z is refused too
     for argv, msg in ((["--z", "0,-1"], "upper half-plane"),
                       (["--z", "1,2,3"], "x,y"),
                       (["--z", "0.1,abc"], "x,y"),
+                      (["--z", "0,1e-300"], "--z '0,1e-300' is too deep"),
                       (["-s", "1"], "poles"),
                       (["-s", "nan"], "finite")):
-        assert main(["eisenstein", *argv]) == 2, argv
-        assert msg in capsys.readouterr().err, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eisenstein", *argv]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and msg in err[0], argv
 
 
 def test_eisenstein_deep_point(capsys):
@@ -141,6 +140,10 @@ def test_usage_errors(tmp_path):
     # s outside [-0.5, 25], where no pipeline gives L(s)
     for s in ("-1", "nan", "26"):
         assert main(["lvalue", "-s", s]) == 2, s
+    # verify has no --json-indent: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--json-indent", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
@@ -180,12 +183,23 @@ def test_skipped_check_is_reported_as_skip(tmp_path, capsys):
 def test_bad_number_exits_2(capsys):
     for setting, message in (("depth=abc", "depth = 'abc' is not a number"),
                              ("depth=-1", "depth = '-1' is below 0"),
-                             ("y_cut=0.5", "y_cut = '0.5' is not a finite number above 1"),
-                             ("y_cut=nan", "y_cut = 'nan' is not a finite number above 1"),
+                             ("depth=5", "depth = '5' is above 4"),
                              ("n_max=1", "n_max = '1' is below 2"),
                              ("p_max=1", "p_max = '1' is below 2")):
         assert main(["--set", setting, "verify"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_short_n_max_exits_2(capsys):
+    # the form commands need the q-series length at the lowest height a form
+    # is evaluated at, sqrt(3)/(2L) for the larger level L (14 here)
+    from ellrank.modular import FORM_TOL, series_length
+
+    need = series_length(math.sqrt(3.0) / 28, FORM_TOL)
+    for n_max, command in (("40", "verify"), ("2", "petersson")):
+        assert main(["--set", f"n_max={n_max}", command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: n_max = '{n_max}' is below {need},")
 
 
 def test_non_squarefree_conductor_exits_2(capsys):
@@ -433,6 +447,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     # a key nothing reads is refused rather than silently ignored
     assert main(["--set", "manin_c2=3", "ap"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown config key(s) manin_c2")
+    # the grid's cusp cut is no config key
+    assert main(["--set", "y_cut=12", "verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config key(s) y_cut")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("deg_phi2 = 5\n")
     assert main(["--config", str(cfg), "eisenstein"]) == 2

@@ -340,6 +340,9 @@ def test_lattice_invariant_g2_rejects_wrapped_reduction():
 
     with pytest.raises(OverflowError):
         _lattice_invariant_g2(1.0, complex(1.2345e-5, 1e-45))
+    # at tau = 1e19 + i only the translation entry b is past int64, det 1
+    with pytest.raises(OverflowError):
+        _lattice_invariant_g2(1.0, complex(1e19, 1.0))
     # an ordinary tau is unchanged: g2 = (2 pi)^4 E4(tau) / 12 for the
     # reduced basis, and a translated basis spans the same lattice
     tau = complex(0.1, 1.3)

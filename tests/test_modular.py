@@ -8,7 +8,7 @@ from ellrank.curves import curve_by_label
 from ellrank.halfplane import UHPoint, apply_moebius, boost_array
 from ellrank.modular import (cyclotomic_qlog_sum_array, cyclotomic_qlog_sum_family,
                              eval_form_array, log_abs_delta_N_array, log_abs_eta,
-                             log_abs_eta_array, qlog, series_length)
+                             log_abs_eta_array, series_length)
 
 
 def _form_at(form, z: complex) -> complex:
@@ -45,6 +45,36 @@ def test_log_abs_eta_array_against_mpmath():
         q = mp.exp(2j * mp.pi * mp.mpc(x, y))
         want = -mp.pi * y / 12 + mp.log(abs(mp.qp(q)))
         assert abs(g - float(want)) < 1e-15, (x, y)
+
+
+def test_log_abs_eta_array_at_deep_points():
+    # z = gamma^-1 w for w in F and an exact gamma in SL2(Z) with |c| <= 1000,
+    # down to y ~ 4e-7: against mpmath's -pi Im(gamma z)/12 + log|(q; q)_inf| at
+    # gamma z minus (1/2) log|c z + d|, in 40 digits from the float z
+    from ellrank.halfplane import ext_gcd
+
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(23)
+    zs, refs = [], []
+    while len(zs) < 100:
+        c, d = (int(v) for v in rng.integers(1, 1001, 2))
+        if math.gcd(c, d) != 1:
+            continue
+        _, s, t = ext_gcd(d, c)             # s d + t c = 1: gamma = [s -t; c d]
+        a, b = s, -t
+        x = float(rng.uniform(-0.5, 0.5))
+        w = mp.mpc(x, float(rng.uniform(math.sqrt(1.0 - x * x), 2.0)))
+        zin = (d * w - b) / (-c * w + a)
+        z = mp.mpc(float(zin.real), float(zin.imag))
+        gz = (a * z + b) / (c * z + d)
+        zs.append(complex(z))
+        refs.append(-mp.pi * gz.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * gz))))
+                    - mp.log(abs(c * z + d)) / 2)
+    zs = np.array(zs)
+    got = log_abs_eta_array(zs.real, zs.imag)
+    assert zs.imag.min() < 1e-6
+    assert max(abs(g - float(r)) for g, r in zip(got, refs)) < 1e-10
 
 
 def test_form_values_and_modularity(form_11a):
@@ -103,9 +133,12 @@ def test_boost_floor_guarantee(rng):
         xn, yn = apply_moebius(A, B, C, D, x, y)
         assert np.max(np.abs(yn - yb) / yb) < 1e-12, N
         assert np.max(np.abs(xn - xb) / np.hypot(xb, yb)) < 1e-12, N
-    # a reduction matrix past int64 raises instead of wrapping
+    # a reduction matrix past int64 raises instead of wrapping, also where
+    # only its translation entry b would wrap (its det stays 1)
     with pytest.raises(OverflowError):
         boost_array(11, np.array([1.2345e-5]), np.array([1e-45]))
+    with pytest.raises(OverflowError):
+        boost_array(11, np.array([1e19]), np.array([1.0]))
 
 
 def test_al_signs():
@@ -168,6 +201,19 @@ def test_asai_product_form():
     for n in range(1, 60):
         rhs += 24.0 * math.log(abs(poly(q**n)))
     assert abs(_log_delta_N_at(z, N) - rhs) < 1e-9
+
+
+def qlog(z: UHPoint, t: complex) -> float:
+    """The q-logarithm (1/24) log|q t| + sum_{n>=1} log|1 - q^n t| for t on
+    the unit circle, the scalar oracle of the cyclotomic q-logarithm sum;
+    the geometric tail is below 1e-12."""
+    q = cmath.exp(2j * math.pi * z.z)
+    acc = math.log(abs(q * t)) / 24.0
+    qk = 1.0 + 0.0j
+    for _ in range(series_length(z.y, 1e-13)):
+        qk *= q
+        acc += math.log(abs(1.0 - qk * t))
+    return acc
 
 
 def test_qlog_definitions():

@@ -4,38 +4,8 @@ import numpy as np
 import pytest
 
 from ellrank.specialfn import (EvalResult, PoleError, bessel_k_array,
-                               completed_zeta, gamma, upper_gamma, zeta,
+                               completed_zeta, upper_gamma, zeta,
                                zeta_depleted)
-
-
-def test_gamma_classics():
-    assert abs(gamma(1.0).value - 1.0) < 1e-14
-    assert abs(gamma(0.5).value - math.sqrt(math.pi)) < 1e-14
-    # recurrence-forced example
-    assert abs(gamma(4.7).value - 3.7 * gamma(3.7).value) < 1e-12 * gamma(4.7).value
-
-
-def test_gamma_recurrence_random(rng):
-    for _ in range(100):
-        s = float(rng.uniform(0.01, 20.0))
-        g1, g2 = gamma(s + 1.0).value, s * gamma(s).value
-        assert abs(g1 - g2) <= 1e-12 * abs(g1)
-
-
-def test_gamma_pole_rejection():
-    with pytest.raises(PoleError):
-        gamma(0.0)
-    with pytest.raises(PoleError):
-        gamma(-3.0)
-
-
-def test_gamma_against_mpmath():
-    # 1e-14 relative on a grid of [0.5, 50] and on non-integers in [-20, 0.5)
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    grid = np.concatenate([np.linspace(0.5, 50.0, 9901), np.arange(-19.975, 0.5, 0.05)])
-    for s in grid.tolist():
-        assert abs(gamma(s).value / float(mp.gamma(s)) - 1.0) < 1e-14, s
 
 
 def test_zeta_classics():
@@ -50,7 +20,7 @@ def test_zeta_functional_equation_self_consistency():
     for s in (2.0, 3.0, 4.5):
         lhs = zeta(1.0 - s).value
         rhs = (2.0 ** (1.0 - s) * math.pi**-s * math.sin(math.pi * (1.0 - s) / 2.0)
-               * gamma(s).value * zeta(s).value)
+               * math.gamma(s) * zeta(s).value)
         assert abs(lhs - rhs) < 1e-10
 
 
