@@ -1,10 +1,10 @@
-"""Command-line front end: coefficient caching, batch verification,
-report emission.
+"""Command-line front end: a_p tables, batch verification, report
+emission.
 
 Subcommands: ap, verify, lvalue, petersson, eisenstein, report.
 Exit codes: 0 success, 1 check failure, 2 usage error, a config that
-does not validate (validate_config) or an eisenstein point that cannot
-be reduced in double precision.
+does not validate (validate_config) or an eisenstein point too deep to
+reduce or too tall to evaluate in double precision.
 
 Configuration is a flat key=value text file (see DEFAULT_CONFIG);
 --set key=value overrides individual entries.  verify runs the check
@@ -120,45 +120,21 @@ def validate_config(cfg: dict, command: str) -> None:
                              f"of a level-{L} form at height sqrt(3)/{2 * L}")
 
 
-def _write_ap_csv(path: str, table: dict):
-    lines = ["p,kind,ap"]
-    for p in sorted(table):
-        info = table[p]
-        lines.append(f"{p},{info.kind},{info.ap}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_ap_csv(path: str) -> dict:
-    from .curves import ReductionInfo
-
-    out = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "p,kind,ap":
-            raise UsageError(f"unexpected header in {path}")
-        for line in fh:
-            p, kind, ap = line.strip().split(",")
-            out[int(p)] = ReductionInfo(int(p), kind, int(ap))
-    return out
-
-
 def cmd_ap(cfg: dict) -> int:
-    from .curves import ap_table, primes_up_to
+    """Tabulate a_p up to p_max for both curves and write ap_<label>.csv
+    (p,kind,ap), always: the file does not name the curve, so it is
+    never reused."""
+    from .curves import ap_table
 
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    p_max = int(cfg["p_max"])
     for idx in (1, 2):
         curve = checks.curve_from_config(cfg, idx)
         path = os.path.join(out_dir, f"ap_{curve.label}.csv")
-        if os.path.exists(path):
-            cached = _read_ap_csv(path)
-            if cached and all(int(p) in cached for p in primes_up_to(p_max)):
-                print(f"{path}: cache covers p_max={p_max}, reusing")
-                continue
-        table = ap_table(curve, p_max)
-        _write_ap_csv(path, table)
+        table = ap_table(curve, int(cfg["p_max"]))
+        rows = "".join(f"{p},{r.kind},{r.ap}\n" for p, r in sorted(table.items()))
+        with open(path, "w") as fh:
+            fh.write("p,kind,ap\n" + rows)
         print(f"{path}: wrote {len(table)} rows")
     return 0
 
@@ -235,8 +211,10 @@ def cmd_petersson(cfg: dict) -> int:
 
 
 def cmd_eisenstein(cfg: dict, z: str, s: float) -> int:
+    """Both rows are computed before either is printed, so a refused
+    point prints none."""
     from .eisenstein import epstein_completed, epstein_lattice
-    from .halfplane import Y_MIN, UHPoint
+    from .halfplane import UHPoint, sl2z_reduce
 
     try:
         x, y = (float(t) for t in z.split(","))
@@ -244,19 +222,26 @@ def cmd_eisenstein(cfg: dict, z: str, s: float) -> int:
         raise UsageError(f"--z {z!r} is not of the form x,y") from None
     if not (math.isfinite(x) and math.isfinite(y) and y > 0):
         raise UsageError(f"--z {z!r} is not a point of the upper half-plane (finite x, y > 0)")
-    if y < Y_MIN:
-        raise UsageError(f"--z {z!r} is too deep: below y = {Y_MIN:.3g} the SL2(Z) reduction "
-                         f"underflows")
     if not math.isfinite(s):
         raise UsageError(f"-s {s!r} is not a finite number")
+    try:
+        yr = float(sl2z_reduce([x], [y])[1][0])
+    except ValueError as exc:
+        raise UsageError(f"--z {z!r} is too deep: {exc}") from None
+    if max(s, 1.0 - s) * math.log10(yr) > 300.0:
+        raise UsageError(f"--z {z!r} is too tall: at its reduced height {yr:.3g}, "
+                         f"the y^s terms of E*(z,s) pass 1e300")
     pt = UHPoint(x, y)
     try:
         star = epstein_completed(pt, s)
     except ValueError as exc:       # includes PoleError
         raise UsageError(f"-s {s!r}: {exc}") from None
+    try:
+        lat = epstein_lattice(pt, s, tol=1e-12) if s > 1.0 else None
+    except ValueError as exc:       # more lattice vectors than the sum's cap
+        raise UsageError(f"--z {z!r} is too tall: {exc}") from None
     print(f"E*(z,s)   = {star.value!r} +- {star.abs_error_bound:.3e}")
-    if s > 1.0:
-        lat = epstein_lattice(pt, s, tol=1e-12)
+    if lat is not None:
         print(f"E(z,s)    = {lat.value!r} +- {lat.abs_error_bound:.3e} (lattice)")
     return 0
 

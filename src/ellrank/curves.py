@@ -313,7 +313,7 @@ def reduce_mod_p(curve: CurveModel, p: int, p_max: int = DEFAULT_P_MAX) -> Reduc
     """
     if p > p_max:
         raise ValueError(f"p={p} exceeds p_max={p_max}")
-    if not _is_prime(p):
+    if not (p >= 2 and prime_divisors(p) == [p]):
         raise ValueError(f"p={p} is not prime")
     return _reduce(curve, p)
 
@@ -334,31 +334,6 @@ def _reduce(curve: CurveModel, p: int) -> ReductionInfo:
     ap = p - n_smooth
     kind = {1: "split-multiplicative", -1: "nonsplit-multiplicative", 0: "additive"}[ap]
     return ReductionInfo(p, kind, ap)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: bases 2 to 37 are exact for n < 3.3e24."""
-    if n < 4:
-        return n in (2, 3)
-    if n % 2 == 0:
-        return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a >= n:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -468,21 +443,18 @@ def _eisenstein_E(weight: int, tau: complex) -> complex:
 
 
 def _lattice_invariant_g2(omega1: complex, omega2: complex) -> complex:
-    """g2 of the lattice Z w1 + Z w2, via E4 at an SL2(Z)-reduced tau.
-    A reduction matrix that int64 could not hold (det != 1: a translation
-    past 2^62, or heights below about 1e-38) raises OverflowError."""
-    from .halfplane import sl2z_reduce
+    """g2 of the lattice Z w1 + Z w2, via E4 at an SL2(Z)-reduced tau; the
+    reduction matrix is the level-1 boost's, which raises OverflowError
+    for an entry beyond int64."""
+    from .halfplane import boost_array
 
     tau = omega2 / omega1
     if tau.imag < 0:
         omega2 = -omega2
         tau = -tau
-    xr, yr, g = sl2z_reduce(np.array([tau.real]), np.array([tau.imag]))
-    a, b, c, d = (int(e[0]) for e in g)
-    if a * d - b * c != 1:
-        raise OverflowError("SL2(Z) reduction matrix overflowed int64")
+    xr, yr, (_, _, c, d), _ = boost_array(1, [tau.real], [tau.imag])
     tau_red = complex(xr[0], yr[0])
-    w1_new = c * omega2 + d * omega1
+    w1_new = int(c[0]) * omega2 + int(d[0]) * omega1
     return (2 * cmath.pi / w1_new) ** 4 * _eisenstein_E(4, tau_red) / 12.0
 
 

@@ -382,7 +382,7 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
     for i in range(0, len(classes), per):
         block = classes[i:i + per]
         ux, uy = _upper_image(np.array([U for U, _ in block], dtype=float).T[:, :, None], grid)
-        rx, ry = sl2z_reduce(ux.ravel(), uy.ravel())[:2]
+        rx, ry = sl2z_reduce(ux.ravel(), uy.ravel())
         q = np.exp(2j * math.pi * (rx + 1j * ry))
         vals = [epstein_star_reduced(rx, ry, q, s) for s in s_values]
         if want_regulator:      # h = log|Delta| + 6 log y

@@ -51,6 +51,8 @@ from .specialfn import (
     upper_gamma,
 )
 
+THETA_MAX_VECTORS = 10**6   # epstein_star_theta's vector cap: 8 MB per array
+
 
 def _check_s_not_pole(s: float):
     if s in (0.0, 1.0):
@@ -71,7 +73,7 @@ def _star_constants(s: float, nmax: int) -> tuple:
 
 def epstein_star_array(x, y, s: float) -> np.ndarray:
     """Completed Epstein series E*(z,s) on arrays of points (Fourier form)."""
-    xr, yr = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))[:2]
+    xr, yr = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
     return epstein_star_reduced(xr, yr, np.exp(2j * math.pi * (xr + 1j * yr)), s)
 
 
@@ -110,32 +112,37 @@ def epstein_star_theta(x: float, y: float, s: float, tol: float = 1e-13) -> tupl
     contribute at most (4 + 2 sqrt(X)) e^{-X} (two incomplete-gamma
     weights <= 2 e^{-x} each for x >= 8, ellipse-rim count ~ sqrt(X)).
     z is SL2(Z)-reduced first: the sum is invariant, and the enumeration
-    below costs ~ y^{-1/2}.  Points of F pass through unchanged.
+    below visits about 2 sqrt(11 y) vectors at a tall reduced height y.
+    Points of F pass through unchanged.  A count above THETA_MAX_VECTORS
+    (y above about 2e10) raises ValueError before any vector is built.
     """
     _check_s_not_pole(s)
-    xr, yr, _ = sl2z_reduce(np.array([x], float), np.array([y], float))
+    xr, yr = sl2z_reduce([x], [y])
     x, y = float(xr[0]), float(yr[0])
     X = max(12.0, math.log(1.0 / tol) + 6.0)
     while (4.0 + 2.0 * math.sqrt(X)) * math.exp(-X) > tol:
         X += 2.0
     R = X / math.pi
-    # enumerate Q(m,n) = |mz+n|^2 / y <= R
+    # enumerate Q(m,n) = |mz+n|^2 / y <= R, row m by row m:
+    # (mx+n)^2 <= R y - m^2 y^2
     M = int(math.floor(math.sqrt(R / y))) + 1
-    qs = []
+    rows = []
     for m in range(-M, M + 1):
-        # (mx+n)^2 <= R y - m^2 y^2
         rem = R * y - m * m * y * y
-        if rem < 0:
-            continue
-        half = math.sqrt(rem)
-        nlo = math.ceil(-m * x - half)
-        nhi = math.floor(-m * x + half)
-        for n in range(nlo, nhi + 1):
-            if m == 0 and n == 0:
-                continue
-            qs.append(((m * x + n) ** 2 + (m * y) ** 2) / y)
-    q = np.array(qs)
-    xq = math.pi * q
+        if rem >= 0:
+            half = math.sqrt(rem)
+            rows.append((m, math.ceil(-m * x - half), math.floor(-m * x + half)))
+    count = sum(nhi - nlo + 1 for _, nlo, nhi in rows)
+    if count > THETA_MAX_VECTORS:
+        raise ValueError(f"the lattice sum needs {count:.3g} vectors at the reduced height "
+                         f"{y:.3g}, above its cap of {THETA_MAX_VECTORS:.0e}")
+    qs = []
+    for m, nlo, nhi in rows:
+        n = np.arange(nlo, nhi + 1)
+        if m == 0:
+            n = n[n != 0]
+        qs.append(((m * x + n) ** 2 + (m * y) ** 2) / y)
+    xq = math.pi * np.concatenate(qs)
     val = (1.0 / (s - 1.0) - 1.0 / s
            + float(np.sum(xq ** (-s) * upper_gamma(s, xq)))
            + float(np.sum(xq ** (s - 1.0) * upper_gamma(1.0 - s, xq))))

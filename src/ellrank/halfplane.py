@@ -2,15 +2,16 @@
 SL2(Z), the extended gcd and Hermite forms of integer matrices, and the
 Atkin-Lehner cusp matrix that lifts a point to height sqrt(3)/(2L).
 
-The point kernels are vectorized over flat numpy arrays.  For a point
-z = gamma w with w in the fundamental domain F and gamma = [a b; c d],
-the cusp gamma(infinity) = a/c is W_Q(infinity) for Q = L / gcd(c, L)
+sl2z_reduce moves flat numpy arrays of points into the fundamental
+domain F and returns the points only.  boost_array takes the same float
+steps point by point and composes the exact integer matrix with them:
+for z = gamma w with w in F and gamma = [a b; c d], the cusp
+gamma(infinity) = a/c is W_Q(infinity) for Q = L / gcd(c, L)
 (L square-free), and the Hermite form U = [1 beta; 0 Q] of
 diag(Q, 1) gamma is M gamma for an M in W_Q Gamma_0(L) (Cremona,
 Algorithms for Modular Elliptic Curves; Cohen, GTM 138).  So
-M z = (w + beta) / Q, with one exact integer matrix per point and no
-search over the orbit.  The X_0(N) sweep in `domain` uses the same
-matrices, one per coset.
+M z = (w + beta) / Q, with no search over the orbit.  The X_0(N) sweep
+in `domain` uses the same Hermite forms, one per coset.
 """
 
 from __future__ import annotations
@@ -53,46 +54,28 @@ def apply_moebius(a, b, c, d, x, y):
 def sl2z_reduce(x, y):
     """Reduce points to the standard fundamental domain of SL2(Z).
 
-    Returns (xr, yr, (a, b, c, d)) with [[a,b],[c,d]] integral of det 1
-    mapping the input points to the reduced ones.  The translations run in
-    floating point, so every finite x reduces.  A point whose matrix needs
-    a translation of 2^62 or more gets the zero matrix instead, which the
-    readers of the matrix refuse (det != 1).  Heights below Y_MIN raise
-    ValueError: there |z|^2 can underflow to 0.
+    Returns (xr, yr).  The translations run in floating point, so every
+    finite x reduces; boost_array repeats these steps per point to
+    compose the reduction matrix.  Heights below Y_MIN raise ValueError:
+    there |z|^2 can underflow to 0.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.array(y, dtype=float, copy=True)
     if y.size and not y.min() >= Y_MIN:
         raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
-    n = x.shape
-    a = np.ones(n, dtype=np.int64); b = np.zeros(n, dtype=np.int64)
-    c = np.zeros(n, dtype=np.int64); d = np.ones(n, dtype=np.int64)
-    wide = np.zeros(n, dtype=bool)
     for _ in range(600):
-        kf = np.rint(x)
-        x -= kf
-        if np.abs(kf).max(initial=0.0) >= 2.0**62:      # beyond int64's reach
-            wide |= np.abs(kf) >= 2.0**62
-            kf[wide] = 0.0
-        k = kf.astype(np.int64)
-        a -= k * c
-        b -= k * d
+        x -= np.rint(x)
         r2 = x * x + y * y
         m = r2 < 1.0 - 1e-15
         if not m.any():
             break
         # z -> -1/z on the mask
-        xm, ym, rm = x[m], y[m], r2[m]
-        x[m] = -xm / rm
-        y[m] = ym / rm
-        am, bm = a[m].copy(), b[m].copy()
-        a[m], b[m] = -c[m], -d[m]
-        c[m], d[m] = am, bm
+        rm = r2[m]
+        x[m] = -x[m] / rm
+        y[m] = y[m] / rm
     else:
         raise RuntimeError("sl2z_reduce did not converge")
-    for e in (a, b, c, d):
-        e[wide] = 0
-    return x, y, (a, b, c, d)
+    return x, y
 
 
 def ext_gcd(p: int, q: int) -> tuple[int, int, int]:
@@ -121,24 +104,38 @@ def boost_array(level: int, x, y):
     diag(Q, 1) gamma, the matrix M = U gamma^{-1} lies in
     W_Q Gamma_0(level) and M z = (w + beta) / Q, at height
     Im(w) / Q >= sqrt(3) / (2 level).  That floor is all the q-series
-    needs; the result is not the top of the orbit.
+    needs; the result is not the top of the orbit.  At level 1, Q = 1,
+    beta = 0 and M is the reduction matrix.
 
     Returns (xb, yb, (A, B, C, D), Q): int64 arrays of the integral
     matrices M = [A B; C D] of det Q, mapping the input points to the
-    boosted ones.  M is composed in Python integers, so an entry beyond
-    int64 raises OverflowError instead of wrapping; so does a reduction
-    matrix that sl2z_reduce could not hold in int64 (seen as det != 1:
-    the zero matrix of a translation past 2^62, or a wrapped product at
-    heights below about 1e-38).
+    boosted ones.  Each point is reduced by sl2z_reduce's float steps,
+    so w equals sl2z_reduce's point bit for bit, while gamma^{-1} is
+    composed alongside in Python integers; an entry of M beyond int64
+    raises OverflowError when it is stored, instead of wrapping.
     """
     if not is_squarefree(level):
         raise ValueError("boosting implemented for square-free level only")
-    xr, yr, g = sl2z_reduce(x, y)
-    cols = np.empty((6,) + xr.shape, dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(zip(*(e.tolist() for e in g))):
-        if a * d - b * c != 1:
-            raise OverflowError("SL2(Z) reduction matrix overflowed int64")
-        # g = [a b; c d] maps z to w, so gamma = [d -b; -c a]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.size and not y.min() >= Y_MIN:
+        raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
+    xr, yr = np.empty_like(x), np.empty_like(y)
+    cols = np.empty((6,) + x.shape, dtype=np.int64)
+    for i, (u, v) in enumerate(zip(x.tolist(), y.tolist())):
+        a, b, c, d = 1, 0, 0, 1         # [a b; c d] = gamma^{-1} maps z to w
+        for _ in range(600):            # sl2z_reduce's steps on one point
+            k = round(u)
+            u -= k
+            a, b = a - k * c, b - k * d
+            r2 = u * u + v * v
+            if not r2 < 1.0 - 1e-15:
+                break
+            u, v = -u / r2, v / r2
+            a, b, c, d = -c, -d, a, b
+        else:
+            raise RuntimeError("sl2z_reduce did not converge")
+        xr[i], yr[i] = u, v
         Q = level // math.gcd(c, level)
         _, beta, _ = hermite(Q, d, -b, -c, a)
         cols[:, i] = (a + beta * c, b + beta * d, Q * c, Q * d, beta, Q)

@@ -83,7 +83,7 @@ def log_abs_eta_array(x, y) -> np.ndarray:
     log(y) / 4 is SL2(Z)-invariant, so log|eta(z)| is log|eta| at the
     reduced point plus (log yr - log y) / 4."""
     y = np.asarray(y, float)
-    xr, yr, _ = sl2z_reduce(np.asarray(x, float), y)
+    xr, yr = sl2z_reduce(np.asarray(x, float), y)
     return log_abs_eta_reduced(yr, np.exp(TWO_PI * (1j * xr - yr))) + 0.25 * np.log(yr / y)
 
 

@@ -14,14 +14,16 @@ def test_ap_writes_and_reuses_cache(tmp_path, capsys):
     first = open(os.path.join(out, "ap_11a.csv"), "rb").read()
     assert first.decode().splitlines()[0] == "p,kind,ap"
     assert len(first.decode().strip().splitlines()) == 26  # header + 25 primes
-    capsys.readouterr()
-    # rerun: identical bytes, cache reused
+    # the file does not name the curve, so it is never reused: a curve
+    # relabelled 11a (15a, with a_2 = -1) gets its own table
+    assert main(["--out", out, "--set", "p_max=50", "--set", "curve1.ainvs=1,1,1,-10,-10",
+                 "--set", "curve1.conductor=15", "ap"]) == 0
+    rows = open(os.path.join(out, "ap_11a.csv")).read().splitlines()
+    assert rows[1] == "2,good,-1" and len(rows) == 16  # header + 15 primes
+    # a truncated file is overwritten, not read
+    with open(os.path.join(out, "ap_11a.csv"), "w") as fh:
+        fh.write("p,kind,ap\n3,go")
     assert main(["--out", out, "--set", "p_max=100", "ap"]) == 0
-    assert "reusing" in capsys.readouterr().out
-    assert open(os.path.join(out, "ap_11a.csv"), "rb").read() == first
-    # smaller p_max: cache reused, no recompute
-    assert main(["--out", out, "--set", "p_max=50", "ap"]) == 0
-    assert "reusing" in capsys.readouterr().out
     assert open(os.path.join(out, "ap_11a.csv"), "rb").read() == first
 
 
@@ -97,6 +99,12 @@ def test_eisenstein_command(capsys):
     # 1e19 is an integer in double precision, so 1e19 + i is the point i
     assert main(["eisenstein", "--z", "1e19,1", "-s", "2.0"]) == 0
     assert capsys.readouterr().out == out
+    # a tall point below the lattice sum's vector cap prints both rows,
+    # E = pi^2 E* at s = 2
+    assert main(["eisenstein", "--z", "0,1e10", "-s", "2.0"]) == 0
+    star, lat = (float(line.split("=")[1].split("+-")[0])
+                 for line in capsys.readouterr().out.splitlines())
+    assert abs(lat / (math.pi**2 * star) - 1.0) < 1e-10
 
 
 def test_eisenstein_bad_input_exits_2(capsys):
@@ -106,6 +114,10 @@ def test_eisenstein_bad_input_exits_2(capsys):
                       (["--z", "1,2,3"], "x,y"),
                       (["--z", "0.1,abc"], "x,y"),
                       (["--z", "0,1e-300"], "--z '0,1e-300' is too deep"),
+                      # too tall at the reduced point: the lattice sum's
+                      # vector cap, and y^s of E* past a double
+                      (["--z", "0,1e20"], "--z '0,1e20' is too tall"),
+                      (["--z", "0,1e-150", "-s", "2.5"], "--z '0,1e-150' is too tall"),
                       (["-s", "1"], "poles"),
                       (["-s", "nan"], "finite")):
         with warnings.catch_warnings():

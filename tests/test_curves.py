@@ -114,6 +114,15 @@ def test_enumeration_reduces_before_int64_overflow():
     assert info.kind == "split-multiplicative" and info.ap == 1
 
 
+def test_reduce_mod_p_refuses_bad_p():
+    e = curve_by_label("11a")
+    for p in (0, 1, -7, 4, 91, 1001):
+        with pytest.raises(ValueError, match="not prime"):
+            reduce_mod_p(e, p)
+    with pytest.raises(ValueError, match="exceeds p_max"):
+        reduce_mod_p(e, 101, p_max=100)
+
+
 def test_ap_table_contents():
     e = curve_by_label("11a")
     t = ap_table(e, 10)

@@ -63,6 +63,19 @@ def test_half_integer_order_horner_against_theta(s):
         assert abs(f / theta - 1.0) < 1e-12, (x, y, s)
 
 
+def test_theta_at_tall_points():
+    # the reduced height sets the vector count, about 2 sqrt(11 y): at
+    # y = 1e6 the rows still match the Fourier form, and past the cap
+    # the sum refuses before enumerating
+    for x, y in ((0.3, 1e6), (0.0, 1e-6)):
+        theta, _ = epstein_star_theta(x, y, 2.0)
+        bessel = float(epstein_star_array(np.array([x]), np.array([y]), 2.0)[0])
+        assert abs(bessel / theta - 1.0) < 1e-12, (x, y)
+    for y in (1e20, 1e-150):
+        with pytest.raises(ValueError, match="cap"):
+            epstein_star_theta(0.0, y, 2.0)
+
+
 def test_mutual_oracle_at_s_three_halves():
     # pi^{-1.5} Gamma(1.5) * lattice(i, 1.5) against the Fourier form
     b = float(epstein_star_array(np.array([0.0]), np.array([1.0]), 1.5)[0])

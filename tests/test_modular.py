@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ellrank.curves import curve_by_label
-from ellrank.halfplane import UHPoint, apply_moebius, boost_array
+from ellrank.halfplane import UHPoint, apply_moebius, boost_array, sl2z_reduce
 from ellrank.modular import (cyclotomic_qlog_sum_array, cyclotomic_qlog_sum_family,
                              eval_form_array, log_abs_delta_N_array, log_abs_eta,
                              log_abs_eta_array, series_length)
@@ -123,7 +123,7 @@ def test_al_boost_examples():
 def test_boost_floor_guarantee(rng):
     # M = [A B; C D] lies in W_Q Gamma_0(N) (det Q, Q | A, N | C, Q | D),
     # maps z to the boosted point and lifts it to sqrt(3)/(2N) or above
-    for N in (11, 14, 154, 210):
+    for N in (1, 11, 14, 154, 210):
         x = rng.uniform(-0.5, 0.5, 1000)
         y = np.exp(rng.uniform(math.log(1e-4), 0.0, 1000))
         xb, yb, (A, B, C, D), Q = boost_array(N, x, y)
@@ -133,6 +133,26 @@ def test_boost_floor_guarantee(rng):
         xn, yn = apply_moebius(A, B, C, D, x, y)
         assert np.max(np.abs(yn - yb) / yb) < 1e-12, N
         assert np.max(np.abs(xn - xb) / np.hypot(xb, yb)) < 1e-12, N
+    # at level 1 the boost is the SL2(Z) reduction: its points are
+    # sl2z_reduce's bit for bit, also far out in x, deep in y, just
+    # inside the unit circle (the inversion test's slack) and at
+    # half-integer x (the translation's tie rule)
+    t = rng.uniform(-0.5, 0.5, 200)
+    x = np.concatenate([x, rng.uniform(-1e18, 1e18, 200), rng.uniform(-0.5, 0.5, 200), t,
+                        np.arange(-4.5, 5.0)])
+    y = np.concatenate([y, np.exp(rng.uniform(math.log(1e-3), 2.0, 200)),
+                        np.exp(rng.uniform(math.log(1e-30), 0.0, 200)),
+                        np.sqrt(1.0 - t * t) * (1.0 - np.geomspace(1e-17, 1e-12, 200)),
+                        np.full(10, 0.9)])
+    xb, yb, (A, B, C, D), Q = boost_array(1, x, y)
+    xr, yr = sl2z_reduce(x, y)
+    assert xb.tobytes() == xr.tobytes() and yb.tobytes() == yr.tobytes()
+    A, B, C, D = (e.astype(object) for e in (A, B, C, D))     # exact products
+    assert np.all(Q == 1) and np.all(A * D - B * C == 1)
+    # both refuse heights where |z|^2 can underflow
+    for reduce in (sl2z_reduce, lambda x, y: boost_array(1, x, y)):
+        with pytest.raises(ValueError, match="underflows"):
+            reduce(np.array([0.3]), np.array([1e-300]))
     # a reduction matrix past int64 raises instead of wrapping, also where
     # only its translation entry b would wrap (its det stays 1)
     with pytest.raises(OverflowError):
