@@ -384,7 +384,7 @@ def sweep_pair_family(fe: CuspFormEval, ge: CuspFormEval, N: int,
         ux, uy = _upper_image(np.array([U for U, _ in block], dtype=float).T[:, :, None], grid)
         rx, ry = sl2z_reduce(ux.ravel(), uy.ravel())
         q = np.exp(2j * math.pi * (rx + 1j * ry))
-        vals = [epstein_star_reduced(rx, ry, q, s) for s in s_values]
+        vals = [epstein_star_reduced(ry, q, s) for s in s_values]
         if want_regulator:      # h = log|Delta| + 6 log y
             vals.append(24.0 * log_abs_eta_reduced(ry, q) + 6.0 * np.log(ry))
         V = np.reshape(vals, (len(vals), len(block), y2.size))

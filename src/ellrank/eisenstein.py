@@ -28,6 +28,13 @@ Three evaluators with disjoint machinery, used as mutual oracles:
                         (specialfn.bessel_k_half_coeffs), and the sum is
                         4 sum_k c_k (2 pi y)^{-k} Re sum_n sigma_{1-2s}(n)
                         n^{s-1-k} q^n: m + 1 Horner polynomials in q.
+                        At any other order one specialfn.cosh_rule,
+                        K_nu(X) ~ sum_t w_t e^{-X cosh t}, taken at the
+                        batch's lowest harmonic X = 2 pi min(y) (every
+                        higher one errs less in absolute terms), serves
+                        every harmonic: the sum is 8 sqrt(y) Re sum_t w_t
+                        A(q e^{-2 pi y (cosh t - 1)}), A(u) = sum_n
+                        sigma_{1-2s}(n) n^nu u^n.
 
 E* has simple poles at s = 0, 1 with residues -1, +1 and satisfies
 E*(z,s) = E*(z,1-s) termwise in the Fourier form.
@@ -45,9 +52,9 @@ from .halfplane import UHPoint, sl2z_reduce
 from .specialfn import (
     EvalResult,
     PoleError,
-    bessel_k_array,
     bessel_k_half_coeffs,
     completed_zeta,
+    cosh_rule,
     upper_gamma,
 )
 
@@ -74,12 +81,13 @@ def _star_constants(s: float, nmax: int) -> tuple:
 def epstein_star_array(x, y, s: float) -> np.ndarray:
     """Completed Epstein series E*(z,s) on arrays of points (Fourier form)."""
     xr, yr = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
-    return epstein_star_reduced(xr, yr, np.exp(2j * math.pi * (xr + 1j * yr)), s)
+    return epstein_star_reduced(yr, np.exp(2j * math.pi * (xr + 1j * yr)), s)
 
 
-def epstein_star_reduced(xr, yr, q, s: float) -> np.ndarray:
-    """E*(z,s) at SL2(Z)-reduced points z = xr + i yr, q = e^{2 pi i z}:
-    the Horner route reads q, the Bessel route xr and yr."""
+def epstein_star_reduced(yr, q, s: float) -> np.ndarray:
+    """E*(z,s) at SL2(Z)-reduced points z = xr + i yr, q = e^{2 pi i z}
+    (module docstring: Horner in q at half-integer order, else the
+    cosh_rule sum)."""
     _check_s_not_pole(s)
     nu = s - 0.5
     # truncation: K_nu(2 pi n y) < sqrt(pi/(4 pi n y)) e^{-2 pi n y + nu^2/(4 pi n y)}
@@ -98,11 +106,11 @@ def epstein_star_reduced(xr, yr, q, s: float) -> np.ndarray:
         coef = np.vstack([0.0 * k, bessel_k_half_coeffs(m) * sig[1:, None] * n ** (s - 1.0 - k)])
         P = polyval(q, coef)     # row k: P_k(q)
         return c + 4.0 * polyval(0.5 / (math.pi * yr), P.real, tensor=False)
-    acc = np.zeros_like(yr)
-    for n in range(1, nmax + 1):
-        kv = bessel_k_array(nu, 2.0 * math.pi * n * yr)
-        acc += float(n) ** (s - 0.5) * sig[n] * kv * np.cos(2.0 * math.pi * n * xr)
-    return c + 8.0 * np.sqrt(yr) * acc
+    # one cosh_rule for every harmonic (module docstring)
+    t, w = cosh_rule(nu, 2.0 * math.pi * ymin, 2.0 * math.pi * ymin)
+    u = q[..., None] * np.exp(-2.0 * math.pi * yr[..., None] * (np.cosh(t) - 1.0))
+    A = np.polynomial.polynomial.polyval(u, np.r_[0.0, sig[1:] * np.arange(1.0, nmax + 1.0) ** nu])
+    return c + 8.0 * np.sqrt(yr) * (A.real @ w)
 
 
 def epstein_star_theta(x: float, y: float, s: float, tol: float = 1e-13) -> tuple[float, float]:
@@ -220,7 +228,7 @@ def kronecker_limit_check(z: UHPoint) -> tuple[float, float, float]:
         rhs = -pi log y + 2 pi (gamma - log 2) - 4 pi log|eta(z)|
 
     Returns (lhs, rhs, lhs - rhs)."""
-    from .modular import log_abs_eta
+    from .modular import log_abs_eta_array
     from .specialfn import EULER_GAMMA
 
     def f(h):
@@ -231,5 +239,5 @@ def kronecker_limit_check(z: UHPoint) -> tuple[float, float, float]:
     lhs, _ = richardson_limit(f, 0.01, levels=4)
     rhs = (-math.pi * math.log(z.y)
            + 2.0 * math.pi * (EULER_GAMMA - math.log(2.0))
-           - 4.0 * math.pi * log_abs_eta(z.x, z.y))
+           - 4.0 * math.pi * float(log_abs_eta_array([z.x], [z.y])[0]))
     return lhs, rhs, lhs - rhs

@@ -97,14 +97,6 @@ def log_abs_eta_reduced(yr, q) -> np.ndarray:
     return -math.pi * yr / 12.0 + np.log(np.abs(prod))
 
 
-def log_abs_eta(x: float, y: float) -> float:
-    return float(log_abs_eta_array(np.array([x]), np.array([y]))[0])
-
-
-def log_abs_delta_array(x, y) -> np.ndarray:
-    return 24.0 * log_abs_eta_array(x, y)
-
-
 def log_abs_delta_N_array(x, y, N: int) -> np.ndarray:
     """log|Delta_N(z)| = sum_{d|N} mu(d) log|Delta(N z/d)|, each factor
     SL2(Z)-reduced; Gamma_0(N)-invariant for square-free N."""
@@ -115,7 +107,7 @@ def log_abs_delta_N_array(x, y, N: int) -> np.ndarray:
         mu = moebius(d)
         if mu == 0:
             continue
-        acc += mu * log_abs_delta_array(N * x / d, N * y / d)
+        acc += mu * 24.0 * log_abs_eta_array(N * x / d, N * y / d)
     return acc
 
 

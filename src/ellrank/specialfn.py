@@ -7,11 +7,11 @@ the underlying scheme plus a rounding allowance; no interval arithmetic.
     zeta           Borwein's accelerated alternating series, classical
                    functional equation for s < 1/2
     zeta_depleted  zeta with Euler factors at p | N removed
-    bessel_k_array trapezoidal rule on K_nu(x) = int_0^inf
-                   exp(-x cosh t) cosh(nu t) dt; the integrand decays
-                   doubly exponentially, so a fixed step (7.8/399) is
-                   spectrally accurate; half-integer orders short-cut
-                   to the closed form sqrt(pi/2x) e^{-x} * polynomial
+    cosh_rule      trapezoid rule on K_nu(x) = int_0^inf exp(-x cosh t)
+                   cosh(nu t) dt, its step following the integrand's
+                   width 1/sqrt(x) at t = 0 (exponential convergence,
+                   Trefethen & Weideman 2014); bessel_k_array, xk1_fast
+                   and E*'s Fourier sum read K_nu from it
     gauss_panels   the package's one composite Gauss-Legendre panel rule
 """
 
@@ -138,17 +138,16 @@ def gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 # ----------------------------------------------------------------- Bessel K
 
-_BESSEL_STEP = 7.8 / 399.0    # trapezoid step in t, the 400-node rule's finest
-
-
-def _bessel_k_quad(nu: float, x: np.ndarray) -> np.ndarray:
-    """Trapezoid rule of step _BESSEL_STEP on the cosh integral, one node set per call.
+def cosh_rule(nu: float, xmin: float, xmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w of the trapezoid rule K_nu(x) ~ sum_t w_t
+    exp(-x cosh t) for every x in [xmin, xmax].
 
     T is chosen so the integrand at the endpoint is below 1e-19 times
-    the peak for the smallest x in the batch; the node count follows.
+    the peak at xmin, and so at every larger x; the node count follows.
+    The step is min(0.15, 0.5/sqrt(xmax)), xmax taken at most 745: above
+    it every exp(-x cosh t) underflows to 0, whatever the step.
     """
     nu = abs(nu)
-    xmin = float(np.min(x))
     # endpoint: x cosh T - nu T >= log-scale + 44
     T = 3.0
     for _ in range(40):
@@ -156,12 +155,11 @@ def _bessel_k_quad(nu: float, x: np.ndarray) -> np.ndarray:
         T, Tp = (math.asinh(target) if target > 3 else 3.0), T
         if abs(T - Tp) < 1e-9:
             break
-    t = np.arange(math.ceil(T / _BESSEL_STEP) + 1) * _BESSEL_STEP
-    xa = np.asarray(x, dtype=float)[..., None]
-    integrand = np.exp(-xa * np.cosh(t)) * np.cosh(nu * t)
-    integrand[..., 0] *= 0.5
-    integrand[..., -1] *= 0.5
-    return _BESSEL_STEP * integrand.sum(axis=-1)
+    h = min(0.15, 0.5 / math.sqrt(min(xmax, 745.0)))
+    t = np.arange(math.ceil(T / h) + 1) * h
+    w = h * np.cosh(nu * t)
+    w[[0, -1]] *= 0.5
+    return t, w
 
 
 def bessel_k_half_coeffs(m: int) -> np.ndarray:
@@ -172,31 +170,20 @@ def bessel_k_half_coeffs(m: int) -> np.ndarray:
 
 
 def bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized K_nu over a positive array; dispatches half-integer
-    orders to the closed form, otherwise batches the quadrature by
-    octaves of x so the common node range stays sharp."""
+    """Vectorized K_nu over a positive array: one cosh_rule per octave of
+    x, so each octave's endpoint and step stay sharp."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("bessel_k needs x > 0")
     if abs(nu) > 10.5:
         raise ValueError("bessel_k supported for |nu| <= 10.5")
-    nu = abs(nu)
-    two_nu = 2.0 * nu
-    if abs(two_nu - round(two_nu)) < 1e-14 and round(two_nu) % 2 == 1:
-        c = bessel_k_half_coeffs(int((round(two_nu) - 1) // 2))
-        return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * np.polynomial.polynomial.polyval(1.0 / x, c)
     out = np.empty_like(x)
-    big = x > 700.0
-    out[big] = 0.0
-    rest = ~big
-    if np.any(rest):
-        xr = x[rest]
-        octs = np.floor(np.log2(xr)).astype(int)
-        vals = np.empty_like(xr)
-        for o in np.unique(octs):
-            m = octs == o
-            vals[m] = _bessel_k_quad(nu, xr[m])
-        out[rest] = vals
+    octs = np.floor(np.log2(np.minimum(x, 1024.0))).astype(int)    # one batch from 1024 up
+    for o in np.unique(octs):
+        m = octs == o
+        xm = x[m]
+        t, w = cosh_rule(nu, float(xm.min()), float(xm.max()))
+        out[m] = np.exp(-xm[:, None] * np.cosh(t)) @ w
     return out
 
 
@@ -215,7 +202,7 @@ def _xk1_table():
 
 
 def xk1_fast(x: np.ndarray) -> np.ndarray:
-    """x*K_1(x): exact quadrature below 0.05; cubic-Hermite interpolation
+    """x*K_1(x): one cosh_rule below 0.05; cubic-Hermite interpolation
     on a precomputed log grid up to 600 (about 4e-14 relative, measured);
     the two-term asymptotic sqrt(pi x/2) e^-x (1 + 3/(8x)) below 740
     (at most 3.3e-7 relative while the value is a normal double, up to
@@ -242,7 +229,9 @@ def xk1_fast(x: np.ndarray) -> np.ndarray:
         out[inside] = val * np.exp(-xi)
     low = x < 0.05
     if low.any():
-        out[low] = x[low] * _bessel_k_quad(1.0, x[low])
+        xl = x[low]
+        t, w = cosh_rule(1.0, float(xl.min()), float(xl.max()))
+        out[low] = xl * (np.exp(-xl[:, None] * np.cosh(t)) @ w)
     return out
 
 

@@ -244,7 +244,7 @@ def _per_class_reference(fe, ge, grid, s_values):
     member's product with its coset's Re(f conj g) y^2 folded by ws alone."""
     from ellrank.domain import _hermite_classes, slash_on_cosets
     from ellrank.eisenstein import epstein_star_array
-    from ellrank.modular import log_abs_delta_array
+    from ellrank.modular import log_abs_eta_array
 
     fs, gs = slash_on_cosets(fe, grid), slash_on_cosets(ge, grid)
     bs = [(F * np.conj(G)).real * grid.ys**2 for F, G in zip(fs, gs)]
@@ -252,7 +252,7 @@ def _per_class_reference(fe, ge, grid, s_values):
     for U, members in _hermite_classes(grid.level, grid.reps).items():
         ux, uy = _upper(U, grid.xs, grid.ys)
         estar = {s: epstein_star_array(ux, uy, s) for s in s_values}
-        h = log_abs_delta_array(ux, uy) + 6.0 * np.log(uy)
+        h = 24.0 * log_abs_eta_array(ux, uy) + 6.0 * np.log(uy)
         for j, d in members:
             for s in s_values:
                 parts.setdefault(("eis", s, d), []).append(grid.ws @ (bs[j] * estar[s]))
@@ -411,7 +411,7 @@ def test_hermite_classes_carry_eisenstein_and_regulator(rng):
     # log|Delta_N(gamma w)| = sum_d mu(d) h(U_{j,d} w) - 6 Lambda(N)
     from ellrank.eisenstein import epstein_star_array
     from ellrank.halfplane import apply_moebius, hermite
-    from ellrank.modular import log_abs_delta_array, log_abs_delta_N_array
+    from ellrank.modular import log_abs_delta_N_array, log_abs_eta_array
 
     N = 154
     reps = coset_reps(N)
@@ -425,7 +425,7 @@ def test_hermite_classes_carry_eisenstein_and_regulator(rng):
             a = epstein_star_array(N * gx / d, N * gy / d, 2.0)
             b = epstein_star_array(ux, uy, 2.0)
             assert np.max(np.abs(a / b - 1.0)) < 1e-11, (rep, d)
-            hsum += moebius(d) * (log_abs_delta_array(ux, uy) + 6.0 * np.log(uy))
+            hsum += moebius(d) * (24.0 * log_abs_eta_array(ux, uy) + 6.0 * np.log(uy))
         ref = log_abs_delta_N_array(gx, gy, N)
         assert np.max(np.abs(hsum - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref))), rep
 

@@ -63,6 +63,47 @@ def test_half_integer_order_horner_against_theta(s):
         assert abs(f / theta - 1.0) < 1e-12, (x, y, s)
 
 
+def _mp_star_fourier(mp, x, y, s):
+    """E*(z,s) by its Fourier-Bessel expansion in mpmath, at the point
+    reduced into F in mpmath, every term above e^{-110} kept."""
+    z = mp.mpc(x, y)
+    while True:
+        z -= mp.nint(z.real)
+        if abs(z) >= 1:
+            break
+        z = -1 / z
+    x, y, s = z.real, z.imag, mp.mpf(s)
+    nu = s - mp.mpf(1) / 2
+
+    def xi(v):
+        return mp.pi ** (-v / 2) * mp.gamma(v / 2) * mp.zeta(v)
+
+    val = 2 * xi(2 * s) * y**s + 2 * xi(2 * s - 1) * y ** (1 - s)
+    for n in range(1, int(110 / (2 * math.pi * float(y))) + 3):
+        sig = sum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+        val += (8 * mp.sqrt(y) * mp.mpf(n) ** nu * sig * mp.besselk(nu, 2 * mp.pi * n * y)
+                * mp.cos(2 * mp.pi * n * x))
+    return val
+
+
+@pytest.mark.parametrize("s", [-9.7, -2.3, 0.3, 1.001, 1.5001, 2.5, 5.25, 9.9])
+def test_general_order_fourier_sum_against_mpmath(s):
+    # away from half-integer order every harmonic comes from one cosh_rule
+    # taken at the lowest harmonic of the batch: points of F, the corner,
+    # unreduced points and reduced heights up to 1e3, in one call; alone,
+    # a reduced height of 1e25, where every harmonic underflows to 0
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    pts = [(0.0, 1.0), (0.5, math.sqrt(3.0) / 2.0), (-0.31, 0.97), (0.37, 1.21),
+           (0.25, 3.0), (-0.3, 12.0), (0.2, 1e3), (2.7, 0.05), (-0.45, 0.4),
+           (0.0, 1e-3), (5.123, 0.31)]
+    xs, ys = np.array(pts).T
+    got = np.append(epstein_star_array(xs, ys, s), epstein_star_array([0.1], [1e25], s))
+    for (x, y), g in zip(pts + [(0.1, 1e25)], got):
+        want = float(_mp_star_fourier(mp, x, y, s))
+        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (x, y, s, g, want)
+
+
 def test_theta_at_tall_points():
     # the reduced height sets the vector count, about 2 sqrt(11 y): at
     # y = 1e6 the rows still match the Fourier form, and past the cap

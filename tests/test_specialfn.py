@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ellrank.specialfn import (EvalResult, PoleError, bessel_k_array,
-                               completed_zeta, upper_gamma, zeta,
-                               zeta_depleted)
+                               bessel_k_half_coeffs, completed_zeta,
+                               upper_gamma, zeta, zeta_depleted)
 
 
 def test_zeta_classics():
@@ -35,6 +35,13 @@ def test_bessel_half_integer_closed_forms():
     v1, v2 = bessel_k_array(0.5, np.array([1.0, 2.0]))
     assert abs(v1 - math.sqrt(math.pi / 2) * math.exp(-1)) < 1e-14
     assert abs(v2 - math.sqrt(math.pi / 4) * math.exp(-2)) < 1e-15
+    # the quadrature at half-integer order; x = 11.1 = (0.5/0.15)^2 is
+    # where cosh_rule's step leaves its cap for 0.5/sqrt(x)
+    xs = np.array([0.01, 0.3, 11.1, 12.0, 300.0, 690.0])
+    for m in (1, 4, 10):
+        closed = (np.sqrt(math.pi / (2.0 * xs)) * np.exp(-xs)
+                  * np.polynomial.polynomial.polyval(1.0 / xs, bessel_k_half_coeffs(m)))
+        assert np.max(np.abs(bessel_k_array(m + 0.5, xs) / closed - 1.0)) < 5e-14, m
 
 
 def _k_series_oracle(nu, x, terms=60):
@@ -100,6 +107,8 @@ def test_bessel_k_against_mpmath():
 
 def test_bessel_underflow_and_rejection():
     assert bessel_k_array(1.0, np.array([800.0]))[0] == 0.0
+    with np.errstate(invalid="raise"):
+        assert np.all(bessel_k_array(10.5, np.array([745.2, 1e300, np.inf])) == 0.0)
     with pytest.raises(ValueError):
         bessel_k_array(1.0, np.array([-1.0]))
 
