@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import checks
 
@@ -263,7 +264,10 @@ def cmd_report(cfg: dict) -> int:
     return 0 if rep["all_passed"] else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args
+    leaves it unchanged and copies the --set default before appending."""
     parser = argparse.ArgumentParser(prog="ellrank")
     parser.add_argument("--config", default=None)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -281,8 +285,12 @@ def main(argv=None) -> int:
     pe.add_argument("--z", default="0.0,1.0")
     pe.add_argument("-s", type=float, default=2.0)
     sub.add_parser("report")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config, args.set)
         if args.out is not None:
             cfg["out"] = args.out

@@ -1,11 +1,13 @@
 """Elliptic curves over Q: reduction data, traces of Frobenius by point
 counting, Hecke coefficient tables, period lattices.
 
-Point counting is exhaustive (a dot product of two bincounts over F_p:
-how often g(x) takes each value, times how many y square to it) up to
-ENUM_LIMIT and switches to Mestre-style order finding with baby-step /
-giant-step beyond that; both paths are deterministic (the BSGS point
-sampler is seeded from (curve, p)).
+Point counting is exhaustive up to ENUM_LIMIT: the completed-square
+cubic g(x) is evaluated once per curve at x = 0..ENUM_LIMIT, exactly in
+int64 (a model whose |g| could pass 2^62 there reduces mod p instead),
+and each prime reads #{(x, y) : y^2 = g(x)} from that table reduced
+mod p and a bincount of the squares.  Beyond ENUM_LIMIT it switches to
+Mestre-style order finding with baby-step / giant-step; both paths are
+deterministic (the BSGS point sampler is seeded from (curve, p)).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .arith import divisor_sigma_table, factorize, is_squarefree, prime_divisors
 
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
+_SQUARES = np.arange(ENUM_LIMIT + 1, dtype=np.int64) ** 2
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,29 @@ class ReductionInfo:
             raise ValueError(f"unknown reduction kind {self.kind}")
 
 
+@lru_cache(maxsize=64)
+def _cubic_values(b2: int, b4: int, b6: int) -> np.ndarray | None:
+    """g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 at x = 0..ENUM_LIMIT, exact in
+    int64 (read-only), or None when |g| could pass 2^62 there."""
+    X = ENUM_LIMIT
+    if 4 * X**3 + abs(b2) * X**2 + 2 * abs(b4) * X + abs(b6) >= 2**62:
+        return None
+    x = np.arange(X + 1, dtype=np.int64)
+    g = ((4 * x + b2) * x + 2 * b4) * x + b6     # each partial sum is within the bound
+    g.flags.writeable = False
+    return g
+
+
 def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     """(#smooth affine points + 1, #singular affine points) over F_p.
 
     Exhaustive. For odd p the completed square y^2 = g(x) is counted as
-    sum_v #{x : g(x) = v} * #{y : y^2 = v}, a dot product of two
-    bincounts; singular points are looked for only when p | disc. At
-    p = 2 every (x, y) pair is tested on the long model.
+    sum_x #{y : y^2 = g(x)}, reading g mod p off the curve's cached table
+    of exact g values (_cubic_values) and #{y : y^2 = v} off a bincount of
+    the squares mod p. Above ENUM_LIMIT, or for a model whose g could pass
+    2^62, g is evaluated by Horner reduced mod p after every step.
+    Singular points are looked for only when p | disc. At p = 2 every
+    (x, y) pair is tested on the long model.
     """
     a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
     if p == 2:
@@ -150,16 +170,22 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
                     smooth += 1
         return smooth + 1, singular
     b2, b4, b6, _ = curve.b_invariants
-    xs = np.arange(p, dtype=np.int64)
-    # g = 4x^3 + b2 x^2 + 2 b4 x + b6 by Horner, reduced after every step as t - t // p * p
-    # (numpy's int64 % p is slower): each product stays below p^2, exact in int64 for p < 3e9
-    g = 4
-    for c in (b2, 2 * b4, b6):
-        g = g * xs + c % p
-        g -= g // p * p
-    sq = xs * xs
+    table = _cubic_values(b2, b4, b6) if p <= ENUM_LIMIT else None
+    if table is not None:
+        g = table[:p] - table[:p] // p * p
+        sq = _SQUARES[:p]
+    else:
+        xs = np.arange(p, dtype=np.int64)
+        # Horner reduced after every step as t - t // p * p (numpy's int64
+        # % p is slower): each product stays below p^2, exact for p < 3e9
+        g = 4
+        for c in (b2, 2 * b4, b6):
+            g = g * xs + c % p
+            g -= g // p * p
+        sq = xs * xs
     # the substitution y -> (y - a1 x - a3)/2 is a bijection for odd p
-    n_affine = int(np.dot(np.bincount(g, minlength=p), np.bincount(sq - sq // p * p, minlength=p)))
+    roots = np.bincount(sq - sq // p * p, minlength=p)      # roots[v] = #{y : y^2 = v}
+    n_affine = int(roots[g].sum())
     if curve.discriminant % p:
         return n_affine + 1, 0
     # singular points: g(x0) = 0 and g'(x0) = 0 (and y = 0)

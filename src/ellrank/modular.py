@@ -63,7 +63,8 @@ def _qseries(coeffs: np.ndarray, x, y) -> np.ndarray:
     nmax_have = len(coeffs) - 1
     q = np.exp(TWO_PI * (1j * x - y))
     octs = np.floor(np.log2(y)).astype(int)
-    for o in np.unique(octs):
+    lowest = octs.min(initial=0)
+    for o in np.flatnonzero(np.bincount(octs.ravel() - lowest)) + lowest:
         m = octs == o
         L = series_length(float(y[m].min()), FORM_TOL)
         if L > nmax_have:

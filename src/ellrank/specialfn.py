@@ -170,16 +170,18 @@ def bessel_k_half_coeffs(m: int) -> np.ndarray:
 
 
 def bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized K_nu over a positive array: one cosh_rule per octave of
-    x, so each octave's endpoint and step stay sharp."""
+    """Vectorized K_nu over a positive array (NaN refused, +inf gives 0):
+    one cosh_rule per octave of x, so each octave's endpoint and step stay
+    sharp."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k needs x > 0")
+    if not np.all(x > 0):
+        raise ValueError("bessel_k needs x > 0 (not NaN)")
     if abs(nu) > 10.5:
         raise ValueError("bessel_k supported for |nu| <= 10.5")
     out = np.empty_like(x)
     octs = np.floor(np.log2(np.minimum(x, 1024.0))).astype(int)    # one batch from 1024 up
-    for o in np.unique(octs):
+    lowest = octs.min(initial=0)
+    for o in np.flatnonzero(np.bincount(octs.ravel() - lowest)) + lowest:
         m = octs == o
         xm = x[m]
         t, w = cosh_rule(nu, float(xm.min()), float(xm.max()))
@@ -206,9 +208,11 @@ def xk1_fast(x: np.ndarray) -> np.ndarray:
     on a precomputed log grid up to 600 (about 4e-14 relative, measured);
     the two-term asymptotic sqrt(pi x/2) e^-x (1 + 3/(8x)) below 740
     (at most 3.3e-7 relative while the value is a normal double, up to
-    x ~ 705); zero from 740 on."""
-    lo, hi, n, t, h, dh = _xk1_table()
+    x ~ 705); zero from 740 on, +inf included."""
     x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise ValueError("xk1_fast needs x > 0 (not NaN)")
+    lo, hi, n, t, h, dh = _xk1_table()
     out = np.zeros_like(x)
     big = (x > 600.0) & (x < 740.0)
     if big.any():

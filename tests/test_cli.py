@@ -528,3 +528,40 @@ def test_isogenous_pair_skips_orthogonality_and_pole_orders(tmp_path, capsys):
         [rec] = rep["checks"]
         assert rec["name"] == only and rec["status"] == "skip" and rec["passed"] is False
         assert "isogenous" in rec["extra"]["skipped"]
+
+
+def test_repeated_main_calls_share_no_arguments(monkeypatch):
+    # the parser is built once per process: a later call must see neither
+    # an earlier call's --set items nor its -s in place of a default
+    import ellrank.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_ap", lambda cfg: seen.append(cfg["p_max"]) or 0)
+    monkeypatch.setattr(cli, "cmd_lvalue", lambda cfg, s: seen.append(s) or 0)
+    monkeypatch.setattr(cli, "cmd_eisenstein", lambda cfg, z, s: seen.append((z, s)) or 0)
+    assert main(["--set", "p_max=12", "ap"]) == 0
+    assert main(["ap"]) == 0
+    assert main(["lvalue", "-s", "0.7"]) == 0
+    assert main(["eisenstein"]) == 0
+    assert seen == ["12", "1000", 0.7, ("0.0,1.0", 2.0)]
+
+
+def test_lvalue_does_not_import_numpy_ma():
+    # numpy.ma is heavy to import (np.unique loads it): one lvalue call
+    # in a fresh interpreter must not need it
+    import subprocess
+    import sys
+
+    import ellrank
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellrank.__file__)))
+    code = ("import contextlib, io, sys\n"
+            "from ellrank.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['lvalue', '-s', '1.7']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

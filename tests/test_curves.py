@@ -35,7 +35,7 @@ def qr_table_count(curve, p):
     xs = np.arange(p, dtype=np.int64)
     x2 = xs * xs % p
     x3 = x2 * xs % p
-    g = (4 * x3 + (b2 % p) * x2 + (2 * b4 % p) * xs + b6) % p
+    g = (4 * x3 + (b2 % p) * x2 + (2 * b4 % p) * xs + b6 % p) % p
     qr = np.full(p, -1, dtype=np.int8)
     qr[x2] = 1
     qr[0] = 0
@@ -80,16 +80,22 @@ def test_11a_multiplicative_with_tangent_oracle():
 
 
 def test_enumeration_matches_oracles():
-    """(n, sing) at every prime <= 4200 and every prime dividing the
-    discriminant, for each built-in curve: the quadratic-character sum
-    at odd p, the (x, y) brute force at p = 2 and 3, and the reduction
-    kind and a_p at p = 3 against the brute force."""
-    from ellrank.curves import _REGISTRY, _count_points_enum
+    """(n, sing) at every prime <= 4200, 20 seeded primes in
+    (4200, ENUM_LIMIT], the last prime below ENUM_LIMIT and every prime
+    dividing the discriminant, for each built-in curve: the
+    quadratic-character sum at odd p, the (x, y) brute force at p = 2
+    and 3, and the reduction kind and a_p at p = 3 against the brute
+    force."""
+    from ellrank.curves import _REGISTRY, ENUM_LIMIT, _count_points_enum
 
+    upper = [p for p in primes_up_to(ENUM_LIMIT).tolist() if p > 4200]
+    assert upper[-1] == 9973
+    sample = set(np.random.default_rng(4201).choice(upper, 20, replace=False).tolist())
+    sample |= set(primes_up_to(4200).tolist()) | {upper[-1]}
     for label in _REGISTRY:
         e = curve_by_label(label)
         bad = prime_divisors(abs(e.discriminant))
-        for p in sorted(set(primes_up_to(4200).tolist()) | set(bad)):
+        for p in sorted(sample | set(bad)):
             got = _count_points_enum(e, p)
             if p <= 3:
                 assert got == brute_force_count(e, p), (label, p)
@@ -102,6 +108,24 @@ def test_enumeration_matches_oracles():
         info = reduce_mod_p(e, 3)
         assert (info.kind == "good") == (sing == 0), label
         assert info.ap == (3 + 1 - n if sing == 0 else 3 - n), label
+
+
+def test_enumeration_of_a_model_past_int64():
+    # 2 b4 x = 4 a4 x passes 2^62 at x = ENUM_LIMIT: the exact table is
+    # refused, so every prime takes the Horner that reduces mod p, and
+    # 3 | disc exercises its singular-point scan
+    from ellrank.curves import _count_points_enum, _cubic_values
+
+    c = CurveModel(0, 0, 0, 3 * 2**50, 2**40 + 1, conductor=1)
+    b2, b4, b6, _ = c.b_invariants
+    assert _cubic_values(b2, b4, b6) is None
+    assert c.discriminant % 3 == 0
+    for p in (3, 5, 7, 11, 13, 101, 9973):
+        got = _count_points_enum(c, p)
+        if p <= 101:
+            assert got == brute_force_count(c, p), p
+        assert got == qr_table_count(c, p), p
+    assert _count_points_enum(c, 3)[1] > 0
 
 
 def test_enumeration_reduces_before_int64_overflow():

@@ -113,6 +113,16 @@ def test_bessel_underflow_and_rejection():
         bessel_k_array(1.0, np.array([-1.0]))
 
 
+def test_bessel_kernels_refuse_nan():
+    # NaN fails every comparison: a check written as x <= 0 lets it through
+    from ellrank.specialfn import xk1_fast
+
+    for kernel in (lambda x: bessel_k_array(1.0, x), xk1_fast):
+        with pytest.raises(ValueError, match="NaN"):
+            kernel(np.array([1.0, np.nan]))
+        assert np.all(kernel(np.array([np.inf])) == 0.0)
+
+
 def test_upper_gamma_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
