@@ -5,9 +5,9 @@ Point counting is exhaustive up to ENUM_LIMIT: the completed-square
 cubic g(x) is evaluated once per curve at x = 0..ENUM_LIMIT, exactly in
 int64 (a model whose |g| could pass 2^62 there reduces mod p instead),
 and each prime reads #{(x, y) : y^2 = g(x)} from that table reduced
-mod p and a bincount of the squares.  Beyond ENUM_LIMIT it switches to
-Mestre-style order finding with baby-step / giant-step; both paths are
-deterministic (the BSGS point sampler is seeded from (curve, p)).
+mod p and a mask of the nonzero squares.  Beyond ENUM_LIMIT it switches
+to Mestre-style order finding with baby-step / giant-step; both paths
+are deterministic (the BSGS point sampler is seeded from (curve, p)).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class CurveModel:
     def ainvs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
+    @cached_property
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.ainvs
         b2 = a1 * a1 + 4 * a2
@@ -64,7 +64,7 @@ class CurveModel:
         c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
         return c4, c6
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -145,9 +145,10 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
 
     Exhaustive. For odd p the completed square y^2 = g(x) is counted as
     sum_x #{y : y^2 = g(x)}, reading g mod p off the curve's cached table
-    of exact g values (_cubic_values) and #{y : y^2 = v} off a bincount of
-    the squares mod p. Above ENUM_LIMIT, or for a model whose g could pass
-    2^62, g is evaluated by Horner reduced mod p after every step.
+    of exact g values (_cubic_values): one root where g = 0, two where g
+    is in a mask of the nonzero squares mod p. Above ENUM_LIMIT, or for
+    a model whose g could pass 2^62, g is evaluated by Horner reduced mod
+    p after every step.
     Singular points are looked for only when p | disc. At p = 2 every
     (x, y) pair is tested on the long model.
     """
@@ -173,7 +174,7 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     table = _cubic_values(b2, b4, b6) if p <= ENUM_LIMIT else None
     if table is not None:
         g = table[:p] - table[:p] // p * p
-        sq = _SQUARES[:p]
+        sq = _SQUARES[1:(p + 1) // 2]
     else:
         xs = np.arange(p, dtype=np.int64)
         # Horner reduced after every step as t - t // p * p (numpy's int64
@@ -182,10 +183,13 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
         for c in (b2, 2 * b4, b6):
             g = g * xs + c % p
             g -= g // p * p
-        sq = xs * xs
-    # the substitution y -> (y - a1 x - a3)/2 is a bijection for odd p
-    roots = np.bincount(sq - sq // p * p, minlength=p)      # roots[v] = #{y : y^2 = v}
-    n_affine = int(roots[g].sum())
+        sq = xs[1:(p + 1) // 2] ** 2
+    # the substitution y -> (y - a1 x - a3)/2 is a bijection for odd p;
+    # x^2 for x = 1..(p-1)/2 meets each nonzero square once, which has
+    # two roots y, and 0 has one
+    square = np.zeros(p, dtype=bool)
+    square[sq - sq // p * p] = True
+    n_affine = int(np.count_nonzero(g == 0)) + 2 * int(np.count_nonzero(square[g]))
     if curve.discriminant % p:
         return n_affine + 1, 0
     # singular points: g(x0) = 0 and g'(x0) = 0 (and y = 0)

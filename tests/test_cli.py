@@ -305,6 +305,9 @@ def test_benchmark_tracer_reads_the_arguments_it_counts():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["--set", "depth=0", "petersson"]) == 0
             assert cli.main(["lvalue", "-s", "1.5"]) == 0
+        # the AFE sums no longer go through afe_weight: call it as a client would
+        from ellrank import checks, lseries
+        lseries.afe_weight(checks.RunContext(dict(cli.DEFAULT_CONFIG)).rs, 0.5, 1.0)
         for key in ("domain.petersson.calls", "domain.sweep_pair_family.calls",
                     "lseries.RankinSeries.build.calls", "lseries.afe_weight.calls"):
             assert tr.counters.get(key, 0) >= 1, (key, tr.counters)
@@ -405,6 +408,32 @@ def test_lvalue_loop_tabulates_each_curve_once(monkeypatch, capsys):
     assert "afe," in capsys.readouterr().out
     assert sorted(tabulated) == sorted((tuple(int(t) for t in _CURVES[c].split(",")), 4200)
                                        for c in _CURVES)
+
+
+def test_lvalue_loop_computes_each_afe_kernel_once(monkeypatch, capsys):
+    # 24 lvalue calls at the default split (T = 1) over N = 154, 165, 210:
+    # one Rankin series and one 48 x 180 AFE kernel per level
+    from ellrank import lseries
+
+    kernels = []
+    real = lseries.xk1_fast
+
+    def counting(x):
+        kernels.append(x.shape)
+        return real(x)
+
+    for name in ("_SERIES_CACHE", "_AFE_ROWS"):
+        monkeypatch.setattr(lseries, name, {})
+    monkeypatch.setattr(lseries, "xk1_fast", counting)
+    pairs = [("11a", "14a"), ("11a", "15a"), ("14a", "15a")]
+    s_values = [-0.35, 0.2, 0.45, 0.8, 1.35, 2.1, 0.2, 1.35]
+    for i in range(24):
+        assert main(_pair(*pairs[i % 3]) + ["lvalue", "-s", str(s_values[i % 8])]) == 0
+    assert "afe," in capsys.readouterr().out
+    assert kernels == [(lseries._W_NODES, 180)] * 3
+    assert sorted(key[:3] for key in lseries._AFE_ROWS) == [(154, 4200, 1.0), (165, 4200, 1.0),
+                                                          (210, 4200, 1.0)]
+    assert sorted(rs.N for rs in lseries._SERIES_CACHE.values()) == [154, 165, 210]
 
 
 def test_triple_product_on_14a_15a(tmp_path, monkeypatch):

@@ -258,3 +258,84 @@ def test_afe_weights_at_integer_sigma_match_closed_form(rs_11_11, rs_11_14):
                 big = np.abs(ref) > 1e-17
                 worst = max(worst, float(np.max(np.abs(w[:keff][big] / ref[big] - 1.0))))
     assert worst < 1e-12, worst
+
+
+def _direct_afe_terms(rs, T, coeffs, sigmas):
+    """{sigma: fsum_k C_k T^sigma W_sigma(A k T)} by the 180-node v-rule at
+    every k <= k_eff, the per-k quadrature of _weights_numeric_sigma."""
+    from ellrank import lseries
+    from ellrank.specialfn import gauss_panels, xk1_fast
+
+    keff = lseries._k_effective(rs, T)
+    ks = np.arange(1.0, keff + 1)
+    beta = rs.A_const * T * ks
+    v, w = gauss_panels(lseries._V_PANELS, lseries._V_GL)
+    phi = xk1_fast(2.0 * np.sqrt(beta[:, None] * np.exp(v)[None, :]))
+    C = coeffs[1:keff + 1] / ks
+    return {sigma: math.fsum(C * T**sigma * ((phi * np.exp(sigma * v)[None, :]) @ w))
+            for sigma in sigmas}
+
+
+def test_afe_sum_matches_per_k_quadrature(run_ctx):
+    """The contracted AFE sums against the per-k quadrature and against
+    sum_k C_k afe_weight_k, at N = 154, 165, 210 (U) and N = 11 (the
+    Phi+ coefficients), for splits 1/4..4 and sigma in [-1.75, 2.75]."""
+    from ellrank import lseries
+    from ellrank.modular import CuspFormEval
+
+    he = CuspFormEval.from_curve(curve_by_label("15a"), run_ctx.n_max)
+    cases = [(RankinSeries.build(fe, ge), None)
+             for fe, ge in ((run_ctx.fe, run_ctx.ge), (run_ctx.fe, he), (run_ctx.ge, he))]
+    cases.append((run_ctx.rs_ff, lseries._plus_coefficients(run_ctx.rs_ff)))
+    splits = (1 / 4, 1 / 3, 1 / 2, 2 / 3, 1.0, 3 / 2, 2.0, 3.0, 4.0)
+    s_values = (-1.75, -0.5, 0.5, 1.5, 2.75)            # closed under s -> 1 - s
+    worst_direct = worst_weights = 0.0
+    for rs, coeffs in cases:
+        coeffs = rs.U if coeffs is None else coeffs
+        direct = {T: _direct_afe_terms(rs, T, coeffs, s_values) for T in splits}
+        ks = np.arange(1.0, rs.k_max + 1)
+        for X in splits:
+            for s in s_values:
+                S = lseries._afe_sum(rs, s, X, coeffs)
+                ref = direct[1.0 / X][s] + direct[X][1.0 - s]
+                w = lseries.afe_weight(rs, s, 1.0 / X) + lseries.afe_weight(rs, 1.0 - s, X)
+                by_weights = math.fsum(coeffs[1:] / ks * w)
+                scale = max(1.0, abs(S))
+                worst_direct = max(worst_direct, abs(S - ref) / scale)
+                worst_weights = max(worst_weights, abs(S - by_weights) / scale)
+    assert worst_direct <= 1e-13 and worst_weights <= 1e-13, (worst_direct, worst_weights)
+
+
+def test_afe_sum_cache_keys_on_coefficients(rs_11_14):
+    """Same (N, k_max), different coefficients: different sums, apart by
+    exactly the changed term; equal content shares one contraction."""
+    import dataclasses
+
+    from ellrank import lseries
+
+    U2 = rs_11_14.U.copy()
+    U2[1] = 3                                      # C_1 = 3 instead of 1
+    rs2 = dataclasses.replace(rs_11_14, U=U2)
+    for s, X in ((0.5, 1.0), (0.2345, 2.0)):
+        S1 = lseries._afe_sum(rs_11_14, s, X, rs_11_14.U)
+        S2 = lseries._afe_sum(rs2, s, X, rs2.U)
+        w1 = (lseries.afe_weight(rs_11_14, s, 1.0 / X)[0]
+              + lseries.afe_weight(rs_11_14, 1.0 - s, X)[0])
+        assert abs((S2 - S1) - 2.0 * w1) < 1e-12 * max(1.0, abs(S1)), (s, X)
+    row = lseries._afe_row(rs_11_14, 1.0, rs_11_14.U)
+    assert lseries._afe_row(rs_11_14, 1.0, rs_11_14.U.copy()) is row
+
+
+def test_rankin_series_built_once_per_process(run_ctx):
+    # equal forms give the same read-only series; other coefficients do not
+    import copy
+
+    rs = RankinSeries.build(run_ctx.fe, run_ctx.ge)
+    assert RankinSeries.build(copy.deepcopy(run_ctx.fe), run_ctx.ge) is rs is run_ctx.rs
+    assert not rs.U.flags.writeable
+    fake = copy.deepcopy(run_ctx.ge)
+    fake.table.coefficients = run_ctx.ge.table.coefficients.copy()
+    fake.table.coefficients[3] += 1
+    other = RankinSeries.build(run_ctx.fe, fake)
+    assert other is not rs and other.U[3] != rs.U[3]
+    assert RankinSeries.build(run_ctx.fe, run_ctx.ge, k_max=1000) is not rs
