@@ -152,8 +152,8 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     Singular points are looked for only when p | disc. At p = 2 every
     (x, y) pair is tested on the long model.
     """
-    a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
     if p == 2:
+        a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
         smooth = 0
         singular = 0
         for x in range(p):
@@ -173,7 +173,8 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     b2, b4, b6, _ = curve.b_invariants
     table = _cubic_values(b2, b4, b6) if p <= ENUM_LIMIT else None
     if table is not None:
-        g = table[:p] - table[:p] // p * p
+        g = table[:p]
+        g = g - g // p * p
         sq = _SQUARES[1:(p + 1) // 2]
     else:
         xs = np.arange(p, dtype=np.int64)

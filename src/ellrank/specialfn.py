@@ -173,20 +173,31 @@ def bessel_k_array(nu: float, x: np.ndarray) -> np.ndarray:
     """Vectorized K_nu over a positive array (NaN refused, +inf gives 0):
     one cosh_rule per octave of x, so each octave's endpoint and step stay
     sharp."""
+    return _bessel_k_orders((nu,), x)[0]
+
+
+def _bessel_k_orders(nus, x) -> list[np.ndarray]:
+    """bessel_k_array for each order in nus, bit for bit, with one
+    exp(-x cosh t) matrix per octave: cosh_rule's step depends on the
+    octave alone, so every order's nodes are a prefix of the longest."""
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("bessel_k needs x > 0 (not NaN)")
-    if abs(nu) > 10.5:
+    if any(abs(nu) > 10.5 for nu in nus):
         raise ValueError("bessel_k supported for |nu| <= 10.5")
-    out = np.empty_like(x)
+    outs = [np.empty_like(x) for _ in nus]
     octs = np.floor(np.log2(np.minimum(x, 1024.0))).astype(int)    # one batch from 1024 up
     lowest = octs.min(initial=0)
     for o in np.flatnonzero(np.bincount(octs.ravel() - lowest)) + lowest:
         m = octs == o
         xm = x[m]
-        t, w = cosh_rule(nu, float(xm.min()), float(xm.max()))
-        out[m] = np.exp(-xm[:, None] * np.cosh(t)) @ w
-    return out
+        rules = [cosh_rule(nu, float(xm.min()), float(xm.max())) for nu in nus]
+        t = max((t for t, _ in rules), key=len)
+        e = np.exp(-xm[:, None] * np.cosh(t))
+        for out, (_, w) in zip(outs, rules):
+            out[m] = e[:, :len(w)] @ w
+        del e           # two octaves' matrices at once would set the memory peak
+    return outs
 
 
 @cache
@@ -195,8 +206,7 @@ def _xk1_table():
     lo, hi, n = math.log(0.04), math.log(600.0), 9000
     t = np.linspace(lo, hi, n)
     x = np.exp(t)
-    k1 = bessel_k_array(1.0, x)
-    k0 = bessel_k_array(0.0, x)
+    k1, k0 = _bessel_k_orders((1.0, 0.0), x)
     h = x * k1 * np.exp(x)
     # dh/dt = x * d/dx [x K1 e^x] = x e^x (x K1 - x K0) = x^2 e^x (K1 - K0)
     dh = x * x * np.exp(x) * (k1 - k0)

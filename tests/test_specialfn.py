@@ -95,6 +95,17 @@ def test_bessel_properties(rng):
     assert abs(ratio - 1.0) < 0.01
 
 
+def test_bessel_orders_share_one_matrix_bit_for_bit(rng):
+    # each order's cosh_rule nodes are a prefix of the longest order's,
+    # so one exp matrix per octave serves them all without changing a bit
+    from ellrank.specialfn import _bessel_k_orders
+
+    xs = np.exp(rng.uniform(math.log(0.01), math.log(700.0), 400))
+    nus = (1.0, 0.0, 2.5, -7.3)
+    for nu, got in zip(nus, _bessel_k_orders(nus, xs)):
+        assert np.array_equal(got, bessel_k_array(nu, xs)), nu
+
+
 def test_bessel_k_against_mpmath():
     # the fixed-step trapezoid rule, octave by octave, from x = 0.01 to 690
     mp = pytest.importorskip("mpmath")
