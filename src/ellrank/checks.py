@@ -146,15 +146,17 @@ def _num(v):
 # ------------------------------------------------------------------ checks
 
 def check_ap(ctx: RunContext) -> list[dict]:
-    ok = True
+    checked = failed = 0
     for curve in (ctx.c1, ctx.c2):
         for p, info in curves.ap_table(curve, int(ctx.cfg["p_max"])).items():
-            if info.kind == "good" and info.ap * info.ap > 4 * p:
-                ok = False
-            if curve.conductor % p == 0 and abs(info.ap) != 1:
-                ok = False
-    return [_record("ap", 0.0 if ok else 1.0, 0.0, 0.5,
-                    extra={"curves": [ctx.c1.label, ctx.c2.label]}, pipelines="point-count")]
+            checked += 1
+            if ((info.kind == "good" and info.ap * info.ap > 4 * p)
+                    or (curve.conductor % p == 0 and abs(info.ap) != 1)):
+                failed += 1
+    return [_record("ap", 1.0 if failed else 0.0, 0.0, 0.5,
+                    extra={"curves": [ctx.c1.label, ctx.c2.label],
+                           "primes_checked": checked, "primes_failed": failed},
+                    pipelines="point-count")]
 
 
 def check_unfolding(ctx: RunContext) -> list[dict]:

@@ -6,8 +6,11 @@ cubic g(x) is evaluated once per curve at x = 0..ENUM_LIMIT, exactly in
 int64 (a model whose |g| could pass 2^62 there reduces mod p instead),
 and each prime reads #{(x, y) : y^2 = g(x)} from that table reduced
 mod p and a mask of the nonzero squares.  Beyond ENUM_LIMIT it switches
-to Mestre-style order finding with baby-step / giant-step; both paths
-are deterministic (the BSGS point sampler is seeded from (curve, p)).
+to Shanks-Mestre order finding: each random point, on the curve or its
+quadratic twist, gives all its annihilators in the Hasse interval from
+one baby-step / giant-step scan, and the candidates for #E narrow until
+one is left.  Both paths are deterministic (the BSGS point sampler is
+seeded from (curve, p)).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import divisor_sigma_table, factorize, is_squarefree, prime_divisors
+from .arith import divisor_sigma_table, is_squarefree, prime_divisors
 
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
@@ -215,9 +218,9 @@ def _ec_add(P, Q, A, p):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, p - 2, p) % p
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return x3, (lam * (x1 - x3) - y1) % p
 
@@ -233,73 +236,50 @@ def _ec_mul(k, P, A, p):
     return acc
 
 
-def _random_point(A, B, p, rng):
-    while True:
-        x = rng.randrange(p)
-        rhs = (x * x * x + A * x + B) % p
-        if rhs == 0:
-            return x, 0
-        if pow(rhs, (p - 1) // 2, p) == 1:
-            y = _sqrt_mod(rhs, p)
-            return x, y
+def _hasse_interval(p: int) -> tuple[int, int]:
+    """[lo, hi] around p + 1, a little wider than the Hasse bound, and
+    symmetric: m is in it exactly when 2p + 2 - m is."""
+    r = math.isqrt(p)
+    return p - 2 * r, p + 2 + 2 * r
 
 
-def _sqrt_mod(a, p):
-    # Tonelli-Shanks; p odd prime, a a quadratic residue
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+def _annihilators(P, A, p, lo, hi) -> list[int]:
+    """Every m in [lo, hi] with m*P = O, for an affine P on
+    y^2 = x^3 + A x + B, by one baby-step / giant-step scan.
 
-
-def _order_from_multiple(P, m, A, p):
-    """Exact order of P given m with m*P = O."""
-    order = m
-    for q, e in factorize(m).items():
-        for _ in range(e):
-            if _ec_mul(order // q, P, A, p) is None:
-                order //= q
-            else:
-                break
-    return order
-
-
-def _bsgs_annihilator(P, A, p):
-    """Some m in the Hasse interval with m*P = O (baby-step giant-step)."""
-    lo = p + 1 - 2 * math.isqrt(p) - 1
-    hi = p + 1 + 2 * math.isqrt(p) + 1
-    s = math.isqrt(hi - lo) + 1
+    Baby steps map x(jP) to (j, y(jP)) for j = 1..s.  If P's order k is
+    at most 2s it shows there first, exactly: as y(jP) = 0 (k = 2j) or
+    as x(jP) = x(j'P), j' < j (then jP = -j'P and k = j + j').  Else the
+    x values are distinct and each window [c - s, c + s] holds at most
+    one multiple of k: cP = +-jP gives it as c -+ j, the sign read from
+    y, with no check needed.  The centres c step by 2s + 1 from lo + s.
+    """
+    s = math.isqrt((hi - lo) // 2) + 1
     baby = {}
-    R = None  # j*P for j = 0..s-1
-    for j in range(s):
-        baby.setdefault("O" if R is None else R, j)
+    R = None
+    for j in range(1, s + 1):
         R = _ec_add(R, P, A, p)
-    Q = _ec_mul(lo, P, A, p)
-    S = _ec_mul(s, P, A, p)
-    for i in range(s + 2):
-        # Q + i s P == +-(j P)  ->  (lo + i s -+ j) P = O
-        for key, sign in ((("O" if Q is None else Q), -1),
-                          ((None if Q is None else (Q[0], (-Q[1]) % p)), +1)):
-            if key is not None and key in baby:
-                m = lo + i * s + sign * baby[key]
-                if m > 0 and _ec_mul(m, P, A, p) is None:
-                    return m
-        Q = _ec_add(Q, S, A, p)
-    raise RuntimeError("BSGS failed to find an annihilator")
+        x, y = R
+        if y == 0:
+            k = 2 * j
+        elif x in baby:
+            k = j + baby[x][0]
+        else:
+            baby[x] = j, y
+            continue
+        return list(range(-(-lo // k) * k, hi + 1, k))
+    step = 2 * s + 1
+    T = _ec_add(_ec_add(R, R, A, p), P, A, p)     # (2s + 1) P
+    Q = _ec_mul(lo + s, P, A, p)
+    out = []
+    for c in range(lo + s, hi + s + 1, step):
+        if Q is None:
+            out.append(c)
+        elif Q[0] in baby:
+            j, y = baby[Q[0]]
+            out.append(c - j if Q[1] == y else c + j)
+        Q = _ec_add(Q, T, A, p)
+    return [m for m in out if m <= hi]
 
 
 def _bsgs_seed(ainvs: tuple, p: int) -> int:
@@ -309,28 +289,27 @@ def _bsgs_seed(ainvs: tuple, p: int) -> int:
 
 
 def _count_points_bsgs(curve: CurveModel, p: int) -> int:
-    """#E(F_p) by Mestre's method: orders of random points on the curve
-    and its quadratic twist jointly pin the order inside the Hasse
-    interval (#E + #E_twist = 2p + 2).  Deterministic seed per (curve, p)."""
+    """#E(F_p) by Shanks-Mestre (Cohen, GTM 138, 7.4.3): each draw takes
+    a random x, r = x^3 + A x + B != 0 and the point (x r, r^2) on
+    y^2 = x^3 + A r^2 x + B r^3, which is E when r is a square and its
+    quadratic twist when not (#E + #E_twist = 2p + 2).  The candidates
+    for #E in the Hasse interval are narrowed by each draw's
+    annihilators until one is left.  Deterministic seed per (curve, p)."""
     A, B = _short_model(curve, p)
-    d = 2
-    while pow(d, (p - 1) // 2, p) != p - 1:
-        d += 1
-    At, Bt = A * d * d % p, B * d * d * d % p
     rng = random.Random(_bsgs_seed(curve.ainvs, p))
-    lo = p + 1 - 2 * math.isqrt(p) - 1
-    hi = p + 1 + 2 * math.isqrt(p) + 1
-    lcm_e = lcm_t = 1
+    lo, hi = _hasse_interval(p)
+    candidates = None
     for _ in range(40):
-        P = _random_point(A, B, p, rng)
-        lcm_e = math.lcm(lcm_e, _order_from_multiple(P, _bsgs_annihilator(P, A, p), A, p))
-        Q = _random_point(At, Bt, p, rng)
-        lcm_t = math.lcm(lcm_t, _order_from_multiple(Q, _bsgs_annihilator(Q, At, p), At, p))
-        first = (lo + lcm_e - 1) // lcm_e * lcm_e
-        candidates = [n for n in range(first, hi + 1, lcm_e)
-                      if (2 * p + 2 - n) % lcm_t == 0]
+        x = rng.randrange(p)
+        r = (x * x * x + A * x + B) % p
+        if r == 0:
+            continue
+        ms = _annihilators((x * r % p, r * r % p), A * r * r % p, p, lo, hi)
+        if pow(r, (p - 1) // 2, p) != 1:        # the point is on the twist
+            ms = [2 * p + 2 - m for m in ms]
+        candidates = set(ms) if candidates is None else candidates & set(ms)
         if len(candidates) == 1:
-            return candidates[0]
+            return candidates.pop()
     raise RuntimeError(f"group order ambiguous at p={p}")
 
 

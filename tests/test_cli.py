@@ -174,6 +174,37 @@ def test_verify_ap_check_uses_p_max(tmp_path, monkeypatch):
     assert seen == [200, 200]
 
 
+def test_ap_record_counts_the_primes_it_compared(tmp_path, monkeypatch):
+    import types
+
+    import ellrank.curves
+
+    def read_ap():
+        rep = json.load(open(os.path.join(tmp_path, "report.json")))
+        (rec,) = rep["checks"]
+        return rec
+
+    argv = ["--out", str(tmp_path), "--only", "ap", "--set", "p_max=200", "verify"]
+    assert main(argv) == 0
+    rec = read_ap()
+    assert rec["status"] == "pass"
+    assert rec["extra"]["primes_checked"] == 2 * 46       # 46 primes <= 200, two curves
+    assert rec["extra"]["primes_failed"] == 0
+    # one a_p past the Hasse bound on each curve: two failures
+    real = ellrank.curves.ap_table
+
+    def broken(curve, p_max):
+        table = dict(real(curve, p_max))
+        table[199] = types.SimpleNamespace(prime=199, kind="good", ap=29)
+        return table
+
+    monkeypatch.setattr(ellrank.curves, "ap_table", broken)
+    assert main(argv) == 1
+    rec = read_ap()
+    assert rec["status"] == "fail"
+    assert (rec["extra"]["primes_checked"], rec["extra"]["primes_failed"]) == (92, 2)
+
+
 _ISOGENOUS_PAIR = ["--set", "curve2.label=11a", "--set", "curve2.ainvs=0,-1,1,-10,-20",
                    "--set", "curve2.conductor=11"]
 

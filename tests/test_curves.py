@@ -159,12 +159,99 @@ def test_ap_table_contents():
 
 
 def test_bsgs_agrees_with_enumeration():
-    from ellrank.curves import _count_points_bsgs, _count_points_enum
+    from ellrank.curves import _REGISTRY, _count_points_bsgs, _count_points_enum
 
-    for label in ("11a", "14a"):
+    primes = [p for p in primes_up_to(11_000).tolist() if p > 10_000]
+    assert {10007, 10039, 10141} <= set(primes)
+    for label in sorted(_REGISTRY):
         e = curve_by_label(label)
-        for p in (10007, 10039, 10141):
-            assert _count_points_bsgs(e, p) == _count_points_enum(e, p)[0]
+        for p in primes:
+            assert _count_points_bsgs(e, p) == _count_points_enum(e, p)[0], (label, p)
+
+
+def _short_point(curve, x, y, p):
+    """(x, y) on the long model mapped to y^2 = x^3 - 27 c4 x - 54 c6."""
+    a1, _, a3, _, _ = curve.ainvs
+    b2 = curve.b_invariants[0]
+    return (36 * x + 3 * b2) % p, 108 * (2 * y + a1 * x + a3) % p
+
+
+# rational torsion points and their orders: 11a1 (Z/5), 14a1 (Z/6), 15a1
+# (Z/4 x Z/2); orders 5 and 3 show as a repeated x among the baby steps,
+# 6, 4 and 2 as y = 0
+TORSION = [("11a", (5, 5), 5), ("14a", (9, 23), 6), ("14a", (2, 2), 3),
+           ("15a", (8, 18), 4), ("15a", (3, -2), 2)]
+
+
+@pytest.mark.parametrize("label,point,order", TORSION)
+@pytest.mark.parametrize("p", [10007, 50021, 119993])
+def test_annihilators_of_a_torsion_point(label, point, order, p):
+    from ellrank.curves import _annihilators, _hasse_interval, _short_model
+
+    e = curve_by_label(label)
+    A, B = _short_model(e, p)
+    x, y = _short_point(e, *point, p)
+    assert (y * y - x**3 - A * x - B) % p == 0
+    lo, hi = _hasse_interval(p)
+    ms = _annihilators((x, y), A, p, lo, hi)
+    assert ms == [m for m in range(lo, hi + 1) if m % order == 0]
+    if (label, p) == ("11a", 10007):
+        assert len(ms) == 80
+
+
+def test_annihilators_of_a_point_of_large_order():
+    # the order by repeated addition; the giant steps must find exactly
+    # its multiples in the interval
+    from ellrank.curves import _annihilators, _ec_add, _hasse_interval, _short_model
+
+    p = 10007
+    e = curve_by_label("11a")
+    A, B = _short_model(e, p)
+    lo, hi = _hasse_interval(p)
+    found = 0
+    for x in range(1, 50):
+        r = (x**3 + A * x + B) % p
+        if r == 0:
+            continue
+        P = (x * r % p, r * r % p)
+        Ar = A * r * r % p
+        k, R = 1, P
+        while R is not None:
+            R = _ec_add(R, P, Ar, p)
+            k += 1
+        if k < 200:
+            continue
+        found += 1
+        assert _annihilators(P, Ar, p, lo, hi) == [m for m in range(lo, hi + 1) if m % k == 0]
+    assert found >= 20
+
+
+def test_bsgs_narrows_over_several_draws(monkeypatch):
+    # every draw's annihilators lie in the interval; at some primes the
+    # last draw alone leaves several candidates, so the count comes from
+    # the intersection with the earlier draws
+    from ellrank import curves
+
+    draws = []
+    original = curves._annihilators
+
+    def recorded(P, A, p, lo, hi):
+        ms = original(P, A, p, lo, hi)
+        assert ms and all(lo <= m <= hi for m in ms)
+        draws[-1].append(len(ms))
+        return ms
+
+    monkeypatch.setattr(curves, "_annihilators", recorded)
+    e = curve_by_label("11a")
+    intersected = []
+    for p in (p for p in primes_up_to(20_000).tolist() if p > 10_000):
+        draws.append([])
+        n = curves._count_points_bsgs(e, p)
+        if len(draws[-1]) > 1:
+            assert n == curves._count_points_enum(e, p)[0]
+            if draws[-1][-1] > 1:
+                intersected.append(p)
+    assert intersected
 
 
 def test_an_table_recursion():
