@@ -1,17 +1,27 @@
 """Traces of Frobenius, Hecke eigenvalues and periods for a few curves.
 
 Counts points on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p
-(exhaustively below 1e4, baby-step/giant-step with the quadratic-twist
-constraint above), assembles the Hecke eigenvalue table, and computes
-the period lattice by complex AGM.
+(exhaustively below 1e4; above, by baby-step/giant-step on random points
+of the curve and of its quadratic twist, over only the residue class of
+#E modulo the rational torsion order), assembles the Hecke eigenvalue
+table, and computes the period lattice by complex AGM.
 """
 
-from ellrank import an_table, ap_table, check_ogg_pm1, curve_by_label, period_lattice
+from ellrank import (an_table, ap_table, check_ogg_pm1, curve_by_label, period_lattice,
+                     reduce_mod_p)
 
 for label in ("11a", "14a", "15a"):
     curve = curve_by_label(label)
     print(f"curve {label}: a-invariants {curve.ainvs}, conductor {curve.conductor}, "
           f"discriminant {curve.discriminant}")
+
+print("\nRational torsion order T (Nagell-Lutz); T | #E(F_p) at every good p >= 3:")
+for label in ("11a", "14a", "15a"):
+    c = curve_by_label(label)
+    counts = {p: p + 1 - reduce_mod_p(c, p).ap for p in (10007, 50021)}
+    print(f"  {label}: T = {c.torsion_order}; "
+          + ", ".join(f"#E(F_{p}) = {n} = {c.torsion_order} * {n // c.torsion_order}"
+                      for p, n in counts.items()))
 
 curve = curve_by_label("11a")
 table = ap_table(curve, 60)

@@ -124,13 +124,19 @@ def validate_config(cfg: dict, command: str) -> None:
 def cmd_ap(cfg: dict) -> int:
     """Tabulate a_p up to p_max for both curves and write ap_<label>.csv
     (p,kind,ap), always: the file does not name the curve, so it is
-    never reused."""
+    never reused.  Two curves under one label are one table when their
+    a-invariants agree, and a usage error when not."""
     from .curves import ap_table
 
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    by_label = {}
     for idx in (1, 2):
         curve = checks.curve_from_config(cfg, idx)
+        if by_label.setdefault(curve.label, curve).ainvs != curve.ainvs:
+            raise UsageError(f"curve1 and curve2 are both labelled {curve.label!r} but have "
+                             f"different ainvs; ap_{curve.label}.csv would hold only one")
+    out_dir = cfg["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    for curve in by_label.values():
         path = os.path.join(out_dir, f"ap_{curve.label}.csv")
         table = ap_table(curve, int(cfg["p_max"]))
         rows = "".join(f"{p},{r.kind},{r.ap}\n" for p, r in sorted(table.items()))

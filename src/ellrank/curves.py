@@ -8,9 +8,10 @@ and each prime reads #{(x, y) : y^2 = g(x)} from that table reduced
 mod p and a mask of the nonzero squares.  Beyond ENUM_LIMIT it switches
 to Shanks-Mestre order finding: each random point, on the curve or its
 quadratic twist, gives all its annihilators in the Hasse interval from
-one baby-step / giant-step scan, and the candidates for #E narrow until
-one is left.  Both paths are deterministic (the BSGS point sampler is
-seeded from (curve, p)).
+one baby-step / giant-step scan, over only the class that #E (or the
+twist's order) lies in modulo the rational torsion order, and the
+candidates for #E narrow until one is left.  Both paths are
+deterministic (the BSGS point sampler is seeded from (curve, p)).
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ from .arith import divisor_sigma_table, is_squarefree, prime_divisors
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
 _SQUARES = np.arange(ENUM_LIMIT + 1, dtype=np.int64) ** 2
+
+
+def _cubic_real_roots(p: float, q: float) -> list[float]:
+    """The real roots of x^3 + p x + q in floating point: Cardano's
+    formula when there is one, Viete's cosines when there are three."""
+    d = q * q / 4 + p**3 / 27
+    if d > 0 or p == 0:
+        s = math.sqrt(d)
+        return [sum(math.copysign(abs(u) ** (1 / 3), u) for u in (-q / 2 + s, -q / 2 - s))]
+    r = 2 * math.sqrt(-p / 3)
+    phi = math.acos(max(-1.0, min(1.0, 3 * q / (p * r))))
+    return [r * math.cos((phi - 2 * math.pi * k) / 3) for k in range(3)]
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,70 @@ class CurveModel:
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @cached_property
+    def torsion_order(self) -> int:
+        """#E(Q)_tors, or a divisor of it, by Nagell-Lutz on
+        y^2 = x^3 + A x + B, A = -27 c4, B = -54 c6 (Silverman, AEC,
+        VIII.7): a torsion point other than O is integral, with y = 0 or
+        y^2 | D = 4A^3 + 27B^2 = -2^8 3^12 disc.  D is factored over the
+        primes of 6N (1 is returned if a cofactor is left); the integral
+        points at each such y come from the cubic's float roots
+        (_cubic_real_roots), checked exactly; a point is torsion when its
+        multiples stay integral and reach O by 12P (Mazur).  The result
+        is the order of the subgroup the torsion points found generate,
+        so a missed point can only make it a smaller divisor.  It divides #E(F_p) at every good
+        p >= 3, where E(Q)_tors injects."""
+        c4, c6 = self.c_invariants
+        A, B = -27 * c4, -54 * c6
+        rest = abs(4 * A**3 + 27 * B**2)
+        ys = [1]
+        for q in prime_divisors(6 * self.conductor):
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            ys = [y * q**f for y in ys for f in range(e // 2 + 1)]
+        if rest != 1:
+            return 1
+        ys.append(0)
+        points = set()
+        for y in ys:
+            roots = _cubic_real_roots(float(A), float(B - y * y))
+            for x in {x0 + d for x0 in map(round, roots) for d in (-1, 0, 1)}:
+                if x**3 + A * x + B == y * y:
+                    points.update({(x, y), (x, -y)})
+
+        def add(P, Q):
+            """P + Q for integral affine P, Q (None is O), or False when
+            the sum is not integral: x3 = lam^2 - x1 - x2 is an integer
+            exactly when the slope lam is."""
+            if P is None or Q is None:
+                return Q if P is None else P
+            (x1, y1), (x2, y2) = P, Q
+            if x1 == x2 and y1 + y2 == 0:
+                return None
+            if x1 == x2:
+                lam, r = divmod(3 * x1 * x1 + A, 2 * y1)
+            else:
+                lam, r = divmod(y2 - y1, x2 - x1)
+            if r:
+                return False
+            x3 = lam * lam - x1 - x2
+            return x3, lam * (x1 - x3) - y1
+
+        group = {None}
+        for P in points:
+            R = P
+            for _ in range(11):                  # 2P, ..., 12P
+                R = add(R, P)
+                if R is None or R is False:
+                    break
+            if R is None:
+                group.add(P)
+        while new := {add(P, Q) for P in group for Q in group} - group:
+            group |= new
+        return len(group)
 
     def validate_conductor(self, p_limit: int = 1000) -> bool:
         """Check that every prime dividing the stated conductor, at any
@@ -236,6 +313,40 @@ def _ec_mul(k, P, A, p):
     return acc
 
 
+def _ec_mul_jacobian(k, P, A, p):
+    """k*P by left-to-right double-and-add in Jacobian coordinates
+    (x = X/Z^2, y = Y/Z^3), with one inversion at the end.  An
+    intermediate point O, or an addition of P to itself, gives Z = 0,
+    which every later step keeps; _ec_mul then gives the answer."""
+    if k == 0:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        YY = Y * Y % p
+        ZZ = Z * Z % p
+        S = 4 * X * YY % p
+        M = (3 * X * X + A * ZZ * ZZ) % p
+        Z = 2 * Y * Z % p
+        X = (M * M - 2 * S) % p
+        Y = (M * (S - X) - 8 * YY * YY) % p
+        if bit == "1":
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            r = (y * ZZ * Z - Y) % p
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH
+            X = (r * r - HHH - 2 * V) % p
+            Y = (r * (V - X) - Y * HHH) % p
+            Z = Z * H % p
+    if Z == 0:
+        return _ec_mul(k, P, A, p)
+    zi = pow(Z, -1, p)
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 * zi % p
+
+
 def _hasse_interval(p: int) -> tuple[int, int]:
     """[lo, hi] around p + 1, a little wider than the Hasse bound, and
     symmetric: m is in it exactly when 2p + 2 - m is."""
@@ -243,23 +354,31 @@ def _hasse_interval(p: int) -> tuple[int, int]:
     return p - 2 * r, p + 2 + 2 * r
 
 
-def _annihilators(P, A, p, lo, hi) -> list[int]:
-    """Every m in [lo, hi] with m*P = O, for an affine P on
-    y^2 = x^3 + A x + B, by one baby-step / giant-step scan.
+def _annihilators(P, A, p, ms: range) -> list[int]:
+    """Every m in the progression ms = m0, m0 + t, ... with m*P = O, for
+    an affine P on y^2 = x^3 + A x + B, by one baby-step / giant-step
+    scan for the i in [0, n) with R + i Q = O, R = m0 P and Q = t P.
 
-    Baby steps map x(jP) to (j, y(jP)) for j = 1..s.  If P's order k is
-    at most 2s it shows there first, exactly: as y(jP) = 0 (k = 2j) or
-    as x(jP) = x(j'P), j' < j (then jP = -j'P and k = j + j').  Else the
-    x values are distinct and each window [c - s, c + s] holds at most
-    one multiple of k: cP = +-jP gives it as c -+ j, the sign read from
-    y, with no check needed.  The centres c step by 2s + 1 from lo + s.
+    Baby steps map x(jQ) to (j, y(jQ)) for j = 1..s.  If Q's order k is
+    at most 2s it shows there first, exactly: as y(jQ) = 0 (k = 2j) or
+    as x(jQ) = x(j'Q), j' < j (then jQ = -j'Q and k = j + j'); the
+    answer is then i = i0 mod k, for the i0 with i0 Q = -R read off the
+    baby table, or none if R is not a multiple of Q.  Else the x values
+    are distinct and each window [c - s, c + s] holds at most one i:
+    R + cQ = +-jQ gives it as c -+ j, the sign read from y, with no
+    check needed.  The centres c step by 2s + 1 from s.
     """
-    s = math.isqrt((hi - lo) // 2) + 1
+    m0, t, n = ms.start, ms.step, len(ms)
+    R = _ec_mul_jacobian(m0, P, A, p)
+    Q = _ec_mul(t, P, A, p)
+    if Q is None:
+        return list(ms) if R is None else []
+    s = math.isqrt((n - 1) // 2) + 1
     baby = {}
-    R = None
+    S = None
     for j in range(1, s + 1):
-        R = _ec_add(R, P, A, p)
-        x, y = R
+        S = _ec_add(S, Q, A, p)
+        x, y = S
         if y == 0:
             k = 2 * j
         elif x in baby:
@@ -267,19 +386,28 @@ def _annihilators(P, A, p, lo, hi) -> list[int]:
         else:
             baby[x] = j, y
             continue
-        return list(range(-(-lo // k) * k, hi + 1, k))
+        if R is None:
+            i0 = 0
+        elif R[0] in baby:
+            jr, yr = baby[R[0]]
+            i0 = k - jr if R[1] == yr else jr
+        elif R == S:                              # = -S, of order 2
+            i0 = j
+        else:
+            return []
+        return [m0 + t * i for i in range(i0, n, k)]
     step = 2 * s + 1
-    T = _ec_add(_ec_add(R, R, A, p), P, A, p)     # (2s + 1) P
-    Q = _ec_mul(lo + s, P, A, p)
+    G = _ec_add(R, S, A, p)                       # R + s Q
+    T = _ec_add(_ec_add(S, S, A, p), Q, A, p)     # (2s + 1) Q
     out = []
-    for c in range(lo + s, hi + s + 1, step):
-        if Q is None:
+    for c in range(s, n + s, step):
+        if G is None:
             out.append(c)
-        elif Q[0] in baby:
-            j, y = baby[Q[0]]
-            out.append(c - j if Q[1] == y else c + j)
-        Q = _ec_add(Q, T, A, p)
-    return [m for m in out if m <= hi]
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            out.append(c - j if G[1] == y else c + j)
+        G = _ec_add(G, T, A, p)
+    return [m0 + t * i for i in out if i < n]
 
 
 def _bsgs_seed(ainvs: tuple, p: int) -> int:
@@ -292,21 +420,28 @@ def _count_points_bsgs(curve: CurveModel, p: int) -> int:
     """#E(F_p) by Shanks-Mestre (Cohen, GTM 138, 7.4.3): each draw takes
     a random x, r = x^3 + A x + B != 0 and the point (x r, r^2) on
     y^2 = x^3 + A r^2 x + B r^3, which is E when r is a square and its
-    quadratic twist when not (#E + #E_twist = 2p + 2).  The candidates
-    for #E in the Hasse interval are narrowed by each draw's
+    quadratic twist when not (#E + #E_twist = 2p + 2).  The rational
+    torsion order T divides #E, so a point on E is scanned over the
+    m = 0 mod T in the Hasse interval, and one on the twist over the
+    m = 2p + 2 mod T.  The candidates for #E are narrowed by each draw's
     annihilators until one is left.  Deterministic seed per (curve, p)."""
     A, B = _short_model(curve, p)
+    T = curve.torsion_order
     rng = random.Random(_bsgs_seed(curve.ainvs, p))
     lo, hi = _hasse_interval(p)
+    on_curve = range(lo + -lo % T, hi + 1, T)
+    on_twist = range(lo + (2 * p + 2 - lo) % T, hi + 1, T)
     candidates = None
     for _ in range(40):
         x = rng.randrange(p)
         r = (x * x * x + A * x + B) % p
         if r == 0:
             continue
-        ms = _annihilators((x * r % p, r * r % p), A * r * r % p, p, lo, hi)
-        if pow(r, (p - 1) // 2, p) != 1:        # the point is on the twist
-            ms = [2 * p + 2 - m for m in ms]
+        P, Ar = (x * r % p, r * r % p), A * r * r % p
+        if pow(r, (p - 1) // 2, p) == 1:
+            ms = _annihilators(P, Ar, p, on_curve)
+        else:
+            ms = [2 * p + 2 - m for m in _annihilators(P, Ar, p, on_twist)]
         candidates = set(ms) if candidates is None else candidates & set(ms)
         if len(candidates) == 1:
             return candidates.pop()

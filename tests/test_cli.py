@@ -35,6 +35,22 @@ def test_ap_csv_content(tmp_path):
     assert rows[-1] == "11,split-multiplicative,1"
 
 
+def test_ap_one_label_for_two_curves(tmp_path, capsys):
+    # the same model twice is one table and one line
+    out = str(tmp_path / "same")
+    assert main(["--out", out, "--set", "p_max=200", "--set", "curve2.label=11a",
+                 "--set", "curve2.ainvs=0,-1,1,-10,-20", "--set", "curve2.conductor=11",
+                 "ap"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{os.path.join(out, 'ap_11a.csv')}: wrote 46 rows"]
+    assert os.listdir(out) == ["ap_11a.csv"]
+    # two models under one label: a usage error that names it, no file
+    out = str(tmp_path / "clash")
+    assert main(["--out", out, "--set", "p_max=200", "--set", "curve2.label=11a", "ap"]) == 2
+    assert "'11a'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_verify_only_and_report(tmp_path, capsys):
     out = str(tmp_path)
     rc = main(["--out", out, "--only", "epstein_residue", "verify"])

@@ -193,7 +193,7 @@ def test_annihilators_of_a_torsion_point(label, point, order, p):
     x, y = _short_point(e, *point, p)
     assert (y * y - x**3 - A * x - B) % p == 0
     lo, hi = _hasse_interval(p)
-    ms = _annihilators((x, y), A, p, lo, hi)
+    ms = _annihilators((x, y), A, p, range(lo, hi + 1))
     assert ms == [m for m in range(lo, hi + 1) if m % order == 0]
     if (label, p) == ("11a", 10007):
         assert len(ms) == 80
@@ -222,7 +222,8 @@ def test_annihilators_of_a_point_of_large_order():
         if k < 200:
             continue
         found += 1
-        assert _annihilators(P, Ar, p, lo, hi) == [m for m in range(lo, hi + 1) if m % k == 0]
+        ms = _annihilators(P, Ar, p, range(lo, hi + 1))
+        assert ms == [m for m in range(lo, hi + 1) if m % k == 0]
     assert found >= 20
 
 
@@ -235,11 +236,12 @@ def test_bsgs_narrows_over_several_draws(monkeypatch):
     draws = []
     original = curves._annihilators
 
-    def recorded(P, A, p, lo, hi):
-        ms = original(P, A, p, lo, hi)
-        assert ms and all(lo <= m <= hi for m in ms)
-        draws[-1].append(len(ms))
-        return ms
+    def recorded(P, A, p, ms):
+        lo, hi = curves._hasse_interval(p)
+        out = original(P, A, p, ms)
+        assert out and all(lo <= m <= hi and m in ms for m in out)
+        draws[-1].append(len(out))
+        return out
 
     monkeypatch.setattr(curves, "_annihilators", recorded)
     e = curve_by_label("11a")
@@ -252,6 +254,142 @@ def test_bsgs_narrows_over_several_draws(monkeypatch):
             if draws[-1][-1] > 1:
                 intersected.append(p)
     assert intersected
+
+
+def _points_of_large_order(curve, p, count):
+    """(P, A, order of P) for the first points (x r, r^2), x = 1, 2, ...,
+    on y^2 = x^3 + A r^2 x + B r^3 whose order, found by repeated
+    addition, is at least 200."""
+    from ellrank.curves import _ec_add, _short_model
+
+    A, B = _short_model(curve, p)
+    out = []
+    for x in range(1, 100):
+        r = (x**3 + A * x + B) % p
+        if r == 0:
+            continue
+        P, Ar = (x * r % p, r * r % p), A * r * r % p
+        k, R = 1, P
+        while R is not None:
+            R = _ec_add(R, P, Ar, p)
+            k += 1
+        if k >= 200:
+            out.append((P, Ar, k))
+        if len(out) == count:
+            return out
+    raise AssertionError("too few points of large order")
+
+
+@pytest.mark.parametrize("label,T", [("11a", 5), ("14a", 6), ("15a", 8), ("36a", 6),
+                                     ("37a", 1)])
+def test_torsion_order_of_the_registry_curves(label, T):
+    assert curve_by_label(label).torsion_order == T
+
+
+def test_torsion_order_of_isogenous_models():
+    assert CurveModel(0, -1, 1, 0, 0, conductor=11).torsion_order == 5            # 11a3
+    assert CurveModel(0, -1, 1, -7820, -263580, conductor=11).torsion_order == 1  # 11a2
+
+
+def test_cubic_real_roots():
+    from ellrank.curves import _cubic_real_roots
+
+    # three roots, a double root, one root, and the j = 0 forms
+    cases = {(-7, 6): [-3, 1, 2], (-3, 2): [-2, 1, 1], (1, -2): [1], (0, -8): [2], (0, 0): [0]}
+    for (p, q), roots in cases.items():
+        assert sorted(_cubic_real_roots(p, q)) == pytest.approx(roots, abs=1e-9), (p, q)
+
+
+def test_torsion_order_closes_over_a_missed_point(monkeypatch):
+    # 15a1 on the short model: 2-torsion at x = -102, -21, 123, order 4 at
+    # (-57, +-540) and (303, +-4860); with the roots near -57 hidden, the
+    # sums of the points found still give all eight
+    from ellrank import curves
+
+    real = curves._cubic_real_roots
+
+    def hiding(p, q):
+        return [x + 1000 if abs(x + 57) < 0.5 else x for x in real(p, q)]
+
+    monkeypatch.setattr(curves, "_cubic_real_roots", hiding)
+    assert CurveModel(1, 1, 1, -10, -10, conductor=15).torsion_order == 8
+
+
+def test_torsion_order_divides_every_enumerated_count():
+    from ellrank.curves import _REGISTRY, _count_points_enum
+
+    primes = primes_up_to(10_000).tolist()[1:]
+    for label in sorted(_REGISTRY):
+        e = curve_by_label(label)
+        T = e.torsion_order
+        for p in primes:
+            if e.discriminant % p:
+                assert _count_points_enum(e, p)[0] % T == 0, (label, p)
+
+
+def test_torsion_order_falls_back_to_1_when_the_conductor_misses_a_prime():
+    # 11a stated with conductor 1 leaves 11^5 of D unfactored; the scan
+    # over all of the Hasse interval still gives the right count
+    from ellrank.curves import _count_points_bsgs, _count_points_enum
+
+    e = CurveModel(0, -1, 1, -10, -20, conductor=1)
+    assert e.torsion_order == 1
+    for p in (p for p in primes_up_to(10_100).tolist() if p > 10_000):
+        assert _count_points_bsgs(e, p) == _count_points_enum(e, p)[0], p
+
+
+def test_annihilators_on_a_progression():
+    # every class mod t in {5, 6, 8}, for torsion points (where t P is
+    # often O or of small order, and m0 P may lie outside <t P>) and for
+    # points of large order, against m P = O tested one m at a time
+    from ellrank.curves import _annihilators, _ec_mul, _hasse_interval, _short_model
+
+    p = 10007
+    lo, hi = _hasse_interval(p)
+    cases = []
+    for label, point, _ in TORSION:
+        e = curve_by_label(label)
+        cases.append((_short_point(e, *point, p), _short_model(e, p)[0]))
+    cases += [(P, Ar) for P, Ar, _ in _points_of_large_order(curve_by_label("11a"), p, 3)]
+    hits = 0
+    for P, A in cases:
+        for t in (5, 6, 8):
+            for c in range(t):
+                ms = range(lo + (c - lo) % t, hi + 1, t)
+                want = [m for m in ms if _ec_mul(m, P, A, p) is None]
+                assert _annihilators(P, A, p, ms) == want, (P, t, c)
+                hits += len(want)
+    assert hits > 0
+
+
+def test_jacobian_ladder_matches_ec_mul(monkeypatch):
+    import random
+
+    from ellrank import curves
+
+    p = 10007
+    (P, A, order), = _points_of_large_order(curve_by_label("14a"), p, 1)
+    rnd = random.Random(7)
+    ks = [0, 1, 2, order - 1, order, order + 1] + [rnd.randrange(3 * p) for _ in range(200)]
+    for k in ks:
+        assert curves._ec_mul_jacobian(k, P, A, p) == curves._ec_mul(k, P, A, p), k
+    # a point of order 5: many k pass through a multiple of 5 on the way
+    e = curve_by_label("11a")
+    T5, A5 = _short_point(e, 5, 5, p), curves._short_model(e, p)[0]
+    for k in range(40):
+        assert curves._ec_mul_jacobian(k, T5, A5, p) == curves._ec_mul(k, T5, A5, p), k
+    # k whose leading bits are the order: the ladder meets O and falls back
+    fallbacks = []
+    real = curves._ec_mul
+
+    def recorded(k, P, A, p):
+        fallbacks.append(k)
+        return real(k, P, A, p)
+
+    monkeypatch.setattr(curves, "_ec_mul", recorded)
+    k = (order << 3) | 5
+    assert curves._ec_mul_jacobian(k, P, A, p) == real(5, P, A, p)
+    assert fallbacks == [k]
 
 
 def test_an_table_recursion():
