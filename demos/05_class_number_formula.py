@@ -17,14 +17,13 @@ sweep_pair_family returns (b), (c) and the Petersson products already
 normalised (its docstring lists each key), so nothing here applies a
 factor.  Each comes with its depth-doubling error from the same sweep.
 
-(a) and (b) agree to ~2e-6; (c)/(a) comes out exactly 1/2, pinning the
-prefactor of the q-logarithm sum form.
+(a) and (b) agree to ~2e-6; (c)/(a) is checked against the 1/2 that the
+paper's q-logarithm sum form states as its prefactor.
 
 Runs a 288-coset sweep at depth 1 (about 0.8 s on a 2-core Xeon).
 """
 
 from ellrank import RankinSeries, build_grid, curve_by_label, sweep_pair_family
-from ellrank.arith import best_rational
 from ellrank.lseries import afe_eval
 from ellrank.modular import CuspFormEval
 
@@ -45,9 +44,7 @@ print(f"(b) regulator integral      = {reg:.10f} +- {fam['regulator'].abs_error_
       f"   rel diff {abs(reg/phi0.value-1):.2e}")
 print(f"(c) cyclotomic q-log sum    = {cnf:.10f} +- {fam['cnf'].abs_error_bound:.1e}")
 ratio = cnf / phi0.value
-br = best_rational(ratio, 48)
-print(f"    (c)/(a) = {ratio:.10f}  ~  {br.numerator}/{br.denominator} "
-      f"(residual {br.residual:.1e})")
+print(f"    (c)/(a) = {ratio:.10f}  against the stated 1/2 (diff {abs(ratio - 0.5):.1e})")
 
 print(f"\northogonality on the same sweep: (f,g) = {abs(fam['pet_fg'].value):.2e} "
       f"+- {fam['pet_fg'].abs_error_bound:.1e} while (f,f) = {fam['pet_ff'].value:.8f}")

@@ -22,8 +22,7 @@ from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, sweep_pair_family,
                      rs_identity_check, unfolding_check)
 from .lseries import (RankinSeries, L_direct, Phi, afe_eval,
-                      bad_factor_H, assemble_LH2, order_of_vanishing,
-                      residue_at_1, sym2_report)
+                      bad_factor_H, assemble_LH2, residue_at_1, sym2_report)
 
 __all__ = [
     "moebius", "totient", "divisors", "cyclotomic", "recognize_rational", "index_psi",
@@ -38,6 +37,5 @@ __all__ = [
     "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
     "unfolding_check",
     "RankinSeries", "L_direct", "Phi", "afe_eval",
-    "bad_factor_H", "assemble_LH2", "order_of_vanishing", "residue_at_1",
-    "sym2_report",
+    "bad_factor_H", "assemble_LH2", "residue_at_1", "sym2_report",
 ]

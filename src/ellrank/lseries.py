@@ -29,6 +29,11 @@ relative of the per-k quadrature (7.6e-15 measured at N = 11, 154, 165,
 Weight decay e^{-4 pi sqrt(k T / N)} pins the coefficient cutoff:
 k_max ~ (42/(4 pi))^2 N / T, e.g. ~3500 for N = 154 at T = 1/2, well
 inside the 4e4 cap.
+
+Orders at the Tate points are not fitted: the factorisation
+L(H^2, s) = zeta(s-1)^2 H(s-1) L_{f,g}(s-1) (assemble_LH2) states
+them, and what is measured is a leading coefficient with its bar,
+residue_at_1 for f = g and afe_eval at s = 1 otherwise.
 """
 
 from __future__ import annotations
@@ -375,72 +380,43 @@ def assemble_LH2(rs: RankinSeries, s: float) -> float:
     return _zeta_raw(u) ** 2 * bad_factor_H(rs, u) * L
 
 
-def order_of_vanishing(F, s0: float) -> dict:
-    """Estimate ord_{s0} F as the slope of log|F| against log|s - s0|
-    on the geometric ladder s0 + 0.32 * 2^-j, j = 0..3; negative = pole
-    order."""
-    hs = [0.32 * 0.5**j for j in range(4)]
-    logs = [math.log(abs(F(s0 + h))) for h in hs]
-    slopes = [
-        (logs[i + 1] - logs[i]) / (math.log(hs[i + 1]) - math.log(hs[i]))
-        for i in range(3)
-    ]
-    # the slope sequence converges linearly in h; extrapolate once
-    extr = 2.0 * slopes[-1] - slopes[-2]
-    order = round(extr)
-    residual = abs(extr - order)
-    return {
-        "order": int(order),
-        "slope": extr,
-        "residual": residual,
-        "inconclusive": residual > 0.2,
-    }
-
-
-def sym2_report(curve, pet: EvalResult, rs: RankinSeries) -> dict:
+def sym2_report(curve, pet: EvalResult, rs: RankinSeries, res: dict) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
-      residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), rationally
-                      recognized (expected sum_{d|N} mu(d)/d)
-      sym2_edge       H(1) * Res_{s=1} L_{f,f}  (the following ratio to
-                      the period area/pi is reported, never asserted)
+      residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), an EvalResult
+                      with the first-order bar of the residue and the
+                      norm; the paper states sum_{d|N} mu(d)/d
+      sym2_edge       H(1) * Res_{s=1} L_{f,f}  (its ratio to the period
+                      area/pi is recorded as area_ratio, never asserted)
 
-    pet is the Petersson norm (f, f) at the curve's level and rs the
-    Rankin series of (f, f).  deg_estimate estimates the modular degree
-    as 4 pi^2 psi(N) (f, f) / area, with Manin constant 1.
+    pet is the Petersson norm (f, f) at the curve's level, rs the Rankin
+    series of (f, f) and res its residue_at_1.  deg_estimate estimates
+    the modular degree as 4 pi^2 psi(N) (f, f) / area, with Manin
+    constant 1.
     """
-    from .arith import recognize_rational, best_rational
     from .curves import period_lattice
 
     if not is_squarefree(curve.conductor):
         raise ValueError("square-free conductor required")
     N = curve.conductor
-    res = residue_at_1(rs)
     if not pet.value > 0:
         raise ValueError("(f,f) must be positive")
     psi = index_psi(N)
-    ratio1 = res["residue"].value / (2.0 * math.pi * psi * pet.value)
-    rec1 = recognize_rational(ratio1, 576, 1e-4)
-    best1 = best_rational(ratio1, 576)
+    scale = 2.0 * math.pi * psi * pet.value
+    ratio = res["residue"].value / scale
+    ratio_err = (res["residue"].abs_error_bound / scale
+                 + abs(ratio) * pet.abs_error_bound / pet.value)
     lat = period_lattice(curve)
-    resL = res["residue"].value / G_factor(rs, 1.0)
-    H1 = bad_factor_H(rs, 1.0)
-    sym2_edge = H1 * resL
-    ratio2 = sym2_edge / (lat.area / math.pi)
-    best2 = best_rational(ratio2, 576)
-    deg_estimate = 4.0 * math.pi**2 * pet.value * psi / lat.area
+    sym2_edge = bad_factor_H(rs, 1.0) * (res["residue"].value / G_factor(rs, 1.0))
     return {
         "level": N,
         "petersson_ff": pet.value,
         "petersson_err": pet.abs_error_bound,
         "residue_phi": res["residue"].value,
         "residue_spread": res["spread"],
-        "residue_ratio": ratio1,
-        "residue_ratio_recognized": None if rec1 is None else (rec1.numerator, rec1.denominator),
-        "residue_ratio_residual": best1.residual,
+        "residue_ratio": EvalResult(ratio, ratio_err),
         "sym2_edge": sym2_edge,
         "period_area": lat.area,
-        "area_ratio": ratio2,
-        "area_ratio_best_rational": (best2.numerator, best2.denominator, best2.residual),
-        "deg_estimate": deg_estimate,
+        "area_ratio": sym2_edge / (lat.area / math.pi),
+        "deg_estimate": 4.0 * math.pi**2 * pet.value * psi / lat.area,
     }

@@ -1,17 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
-line with the measured figures.  Tolerances are the stated ones; where
-a measured constant is to be reported rather than asserted (resolved
-exponents, ratio constants), the value is printed and pinned by
-rational recognition."""
+line with the measured figures.  Tolerances are the stated ones.  Each
+record compares with the value the paper states; independent estimates
+that the records do not make (the closest exponent convention, rational
+recognition of the ratios, pole orders as log-slopes) are made here and
+must agree with the stated values."""
 
 import json
 import os
 
 import numpy as np
 
-from ellrank import checks
+from ellrank import checks, lseries
 from ellrank.arith import best_rational, recognize_rational
 from ellrank.curves import ap_table
+from ellrank.specialfn import _zeta_raw
+from oracles import order_of_vanishing, rs_exponent_rel_diffs
 
 
 def _line(num, ok, text):
@@ -78,10 +81,13 @@ def test_criterion_05_kronecker_limit(run_ctx):
 
 def test_criterion_06_rankin_selberg(run_ctx):
     pair, iso = checks.check_rankin_selberg(run_ctx)
-    diffs = pair["extra"]["rel_diffs"]
-    resolved = pair["extra"]["resolved_exponent"]
+    diffs = rs_exponent_rel_diffs(pair["lhs"], run_ctx.fam, run_ctx.N, checks.S_RS)
+    resolved = min(diffs, key=diffs.get)
+    pair_diff = pair["diff"] / abs(pair["lhs"])
     iso_diff = iso["diff"] / abs(iso["lhs"])
-    ok = diffs[resolved] < 1e-3 and iso_diff < 1e-3 and resolved == "N^-s d^-s"
+    ok = (pair_diff < 1e-3 and iso_diff < 1e-3 and resolved == "N^-s d^-s"
+          and abs(diffs[resolved] - pair_diff) < 1e-12
+          and pair["status"] == iso["status"] == "pass")
     _line(6, ok, f"Rankin-Selberg identity s=2: (11a,14a,N=154) rel {diffs[resolved]:.2e}, "
                  f"(11a,11a,N=11) rel {iso_diff:.2e}; resolved exponent "
                  f"'{resolved}' (the rejected d^-2s convention is off by {diffs['d^-2s']:.1e})")
@@ -104,13 +110,14 @@ def test_criterion_08_main_theorem(run_ctx):
     br = best_rational(ratio_ca, 48)
     recognized = recognize_rational(ratio_ca, 48, 1e-4)
     ok = (rel_ab < 1e-3 and recognized is not None and br.denominator <= 48
-          and nv["status"] == "pass")
+          and (br.numerator, br.denominator) == (1, 2) and ca["rhs"] == 0.5
+          and ca["status"] == "pass" and nv["status"] == "pass")
     _line(8, ok,
           f"main theorem: (a) Phi(0) = {phi0.value:.6f}, (b) regulator = {reg:.6f} "
-          f"(rel {rel_ab:.2e} < 1e-3); (c)/(a) = {ratio_ca:.8f} recognized as "
-          f"{br.numerator}/{br.denominator} (residual {br.residual:.1e} < 1e-4; "
-          f"pinning the q-logarithm sum prefactor); |Phi(0)| > 10 (err Phi(0) + "
-          f"|Phi(0) - regulator|)")
+          f"(rel {rel_ab:.2e} < 1e-3); (c)/(a) = {ratio_ca:.8f} against the stated "
+          f"1/2, recognized as {br.numerator}/{br.denominator} (residual "
+          f"{br.residual:.1e} < 1e-4; the q-logarithm sum prefactor); |Phi(0)| > 10 "
+          f"(err Phi(0) + |Phi(0) - regulator|)")
 
 
 def test_criterion_09_orthogonality(run_ctx):
@@ -123,33 +130,59 @@ def test_criterion_09_orthogonality(run_ctx):
 
 def test_criterion_10_pole_orders(run_ctx):
     (rec,) = checks.check_pole_orders(run_ctx)
-    o_iso, o_pair = rec["extra"]["isogenous"], rec["extra"]["pair"]
-    ok = (o_iso["order"] == -3 and o_iso["residual"] < 0.2
-          and o_pair["order"] == -2 and o_pair["residual"] < 0.2)
-    _line(10, ok, f"L(H^2) pole orders at s=2: isogenous {o_iso['order']} "
-                  f"(residual {o_iso['residual']:.3f}), pair {o_pair['order']} "
-                  f"(residual {o_pair['residual']:.3f})")
+    iso, pair = rec["extra"]["isogenous"], rec["extra"]["pair"]
+    # the log-slope oracle reads the stated orders off L(H^2) itself
+    o_iso = order_of_vanishing(lambda s: lseries.assemble_LH2(run_ctx.rs_ff, s), 2.0)
+    o_pair = order_of_vanishing(lambda s: lseries.assemble_LH2(run_ctx.rs, s), 2.0)
+    ok = (rec["status"] == "pass" and iso["nonzero"] and pair["nonzero"]
+          and o_iso["order"] == iso["order"] == -3 and o_iso["residual"] < 0.2
+          and o_pair["order"] == pair["order"] == -2 and o_pair["residual"] < 0.2)
+    _line(10, ok, f"L(H^2) pole orders at s=2: isogenous {iso['order']} "
+                  f"(Res Phi_ff = {iso['value']:.5f} +- {iso['err']:.1e}; slope residual "
+                  f"{o_iso['residual']:.3f}), pair {pair['order']} (Phi_fg(1) = "
+                  f"{pair['value']:.5f} +- {pair['err']:.1e}; slope residual "
+                  f"{o_pair['residual']:.3f})")
 
 
 def test_criterion_11_sym2_recognition(run_ctx):
     (record,) = checks.check_sym2(run_ctx)
     rep = record["extra"]
-    rec = rep["residue_ratio_recognized"]
-    ok = (rec is not None and rec[1] <= 576
-          and rep["residue_ratio_residual"] < 1e-4)
-    _line(11, ok, f"sym^2 ratio {rep['residue_ratio']:.8f} recognized as "
-                  f"{rec[0]}/{rec[1]} (residual {rep['residue_ratio_residual']:.1e}); "
-                  f"recorded, not asserted to equal any predicted constant "
+    ratio = record["lhs"]
+    rec = recognize_rational(ratio, 576, 1e-4)
+    ok = (rec is not None and rec.denominator <= 576 and rec.residual < 1e-4
+          and (rec.numerator, rec.denominator) == (10, 11) and record["rhs"] == 10 / 11
+          and record["status"] == "pass")
+    _line(11, ok, f"sym^2 ratio {ratio:.8f} against the stated sum mu(d)/d = 10/11 "
+                  f"(diff {record['diff']:.1e}), recognized as "
+                  f"{rec.numerator}/{rec.denominator} (residual {rec.residual:.1e}) "
                   f"(area ratio {rep['area_ratio']:.6f} recorded)")
 
 
 def test_criterion_12_triple_product(run_ctx):
     (rec,) = checks.check_triple_product(run_ctx)
     t = rec["extra"]
-    ok = t["order"] == t["predicted"] and t["residual"] < 0.3
-    _line(12, ok, f"L(H^4) order at the Tate point: {t['order']} (slope residual "
-                  f"{t['residual']:.3f} < 0.3) matches 3 from zeta^3 plus pairwise "
-                  f"orders {t['pairwise_orders']}")
+    he = checks._third_form(run_ctx)
+    pairs = [run_ctx.rs, *(lseries.RankinSeries.build(x, he) for x in (run_ctx.fe, run_ctx.ge))]
+
+    def LH4(s):
+        u = s - 2.0
+        out = _zeta_raw(u) ** 3
+        for rr in pairs:
+            out *= lseries.Phi(rr, u).value / lseries.G_factor(rr, u) * lseries.bad_factor_H(rr, u)
+        return out
+
+    # the log-slope oracle reads the orders off L(H^4) and the L_{f,g}(s-2)
+    o4 = order_of_vanishing(LH4, 3.0)
+    pairwise = [order_of_vanishing(
+        lambda s: lseries.Phi(rr, s - 2.0).value / lseries.G_factor(rr, s - 2.0), 3.0)["order"]
+        for rr in pairs]
+    predicted = -(3 - sum(pairwise))
+    ok = (o4["order"] == predicted == rec["lhs"] == rec["rhs"] and o4["residual"] < 0.3
+          and t["pairwise_orders"] == pairwise and rec["status"] == "pass")
+    _line(12, ok, f"L(H^4) order at the Tate point: {o4['order']} (slope residual "
+                  f"{o4['residual']:.3f} < 0.3) matches 3 from zeta^3 plus pairwise "
+                  f"orders {pairwise}, with Phi(1) = "
+                  f"{', '.join(format(c['value'], '.4f') for c in t['phi_at_1'])}")
 
 
 def test_criterion_13_determinism(tmp_path):

@@ -276,6 +276,7 @@ def test_ainvs_not_matching_conductor_exits_2(capsys):
 
 def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
     import ellrank.domain
+    import ellrank.lseries
 
     swept = []
     real = ellrank.domain.sweep_pair_family
@@ -284,7 +285,15 @@ def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
         swept.append((fe.level, ge.level, N, grid.depth))
         return real(fe, ge, N, grid, **kw)
 
+    residues = []
+    real_residue = ellrank.lseries.residue_at_1
+
+    def counting_residue(rs):
+        residues.append(rs.N)
+        return real_residue(rs)
+
     monkeypatch.setattr(ellrank.domain, "sweep_pair_family", counting)
+    monkeypatch.setattr(ellrank.lseries, "residue_at_1", counting_residue)
     out = str(tmp_path)
     assert main(["--out", out, "--set", "depth=1", "verify"]) == 0
     rep = json.load(open(os.path.join(out, "report.json")))
@@ -295,6 +304,8 @@ def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
         "triple_product"]
     assert all(r["status"] == "pass" for r in rep["checks"])
     assert len(swept) == len(set(swept)) == 2
+    # residue_law, pole_orders and sym2 read one (f, f) residue
+    assert residues == [11]
     timing = json.load(open(os.path.join(out, "timing.json")))
     assert list(timing) == [
         "ap", "unfolding", "epstein", "epstein_residue", "kronecker", "sweep_pair_family",
@@ -641,3 +652,74 @@ def test_lvalue_does_not_import_numpy_ma():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _verify_record(tmp_path, only, name, *settings):
+    """exit code and the `name` record of `verify --only only` at depth 1"""
+    out = str(tmp_path / only)
+    rc = main(["--out", out, "--set", "depth=1", *settings, "--only", only, "verify"])
+    recs = {r["name"]: r for r in json.load(open(os.path.join(out, "report.json")))["checks"]}
+    return rc, recs[name]
+
+
+def test_cnf_c_ratio_is_held_to_one_half(tmp_path, monkeypatch):
+    # the cyclotomic route scaled by 2/3 gives (c)/(a) = 1/3, a fraction of
+    # small denominator, but not the stated 1/2
+    import ellrank.domain
+    from ellrank.specialfn import EvalResult
+
+    real = ellrank.domain.sweep_pair_family
+
+    def scaled(*args, **kw):
+        fam = real(*args, **kw)
+        if "cnf" in fam:
+            cnf = fam["cnf"]
+            fam = dict(fam, cnf=EvalResult(cnf.value * 2.0 / 3.0, cnf.abs_error_bound))
+        return fam
+
+    monkeypatch.setattr(ellrank.domain, "sweep_pair_family", scaled)
+    rc, rec = _verify_record(tmp_path, "class_number_formula", "cnf_c_ratio")
+    assert rc == 1 and rec["status"] == "fail"
+    assert rec["rhs"] == 0.5 and abs(rec["lhs"] - 1.0 / 3.0) < 1e-4
+
+
+def test_sym2_is_held_to_the_stated_ratio(tmp_path, monkeypatch):
+    # the (f, f) residue 1% high moves the ratio off sum_{d|11} mu(d)/d = 10/11
+    from ellrank import lseries
+    from ellrank.specialfn import EvalResult
+
+    real = lseries.residue_at_1
+
+    def scaled(rs):
+        res = real(rs)
+        r = res["residue"]
+        return dict(res, residue=EvalResult(1.01 * r.value, 1.01 * r.abs_error_bound))
+
+    monkeypatch.setattr(lseries, "residue_at_1", scaled)
+    rc, rec = _verify_record(tmp_path, "sym2", "sym2")
+    assert rc == 1 and rec["status"] == "fail"
+    assert rec["rhs"] == 10 / 11 and abs(rec["lhs"] - 1.01 * 10 / 11) < 1e-4
+
+
+def test_orders_fail_when_the_pair_vanishes_at_1(tmp_path, monkeypatch):
+    # Phi_{f,g}(1) = 0 for 11a/14a: L(H^2) of the pair loses a pole at
+    # s = 2, and L(H^4) one at s = 3
+    from ellrank import lseries
+    from ellrank.specialfn import EvalResult
+
+    real = lseries.afe_eval
+
+    def vanishing(rs, s, split=1.0):
+        val = real(rs, s, split)
+        if s == 1.0 and (rs.N1, rs.N2) == (11, 14):
+            return EvalResult(0.0, val.abs_error_bound)
+        return val
+
+    monkeypatch.setattr(lseries, "afe_eval", vanishing)
+    rc, rec = _verify_record(tmp_path, "pole_orders", "pole_orders")
+    assert rc == 1 and rec["status"] == "fail" and rec["lhs"] == 1.0
+    assert rec["extra"]["isogenous"]["nonzero"] and not rec["extra"]["pair"]["nonzero"]
+    rc, rec = _verify_record(tmp_path, "triple_product", "triple_product")
+    assert rc == 1 and rec["status"] == "fail"
+    assert (rec["lhs"], rec["rhs"]) == (-2.0, -3)
+    assert rec["extra"]["pairwise_orders"] == [1, 0, 0]

