@@ -4,7 +4,7 @@ Counts points on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p
 (exhaustively below 1e4; above, by baby-step/giant-step on random points
 of the curve and of its quadratic twist, over only the residue class of
 #E modulo the rational torsion order), assembles the Hecke eigenvalue
-table, and computes the period lattice by complex AGM.
+table, and computes the period lattice and its area by complex AGM.
 """
 
 from ellrank import (an_table, ap_table, check_ogg_pm1, curve_by_label, period_lattice,
@@ -38,8 +38,8 @@ an = an_table(11, ap_table(curve, 2000), 2000)
 print("\nHecke recursion (a_4 = a_2^2 - 2, a_6 = a_2 a_3, multiplicative):")
 print("  a_1..a_10 =", [an.a(n) for n in range(1, 11)])
 
-lat = period_lattice(curve)
-print(f"\nperiod lattice of 11a: omega1 = {lat.omega1:.12f}")
-print(f"  omega2 = {lat.omega2:.12f}")
-print(f"  area = {lat.area:.12f}, Legendre residual = {lat.legendre_residual:.2e}")
-print(f"  (the Legendre relation eta1 w2 - eta2 w1 = 2 pi i gates the AGM code)")
+print("\nPeriod lattices by complex AGM (the roots ordered by the sign of disc):")
+for label in ("11a", "14a", "15a"):
+    lat = period_lattice(curve_by_label(label))
+    print(f"  {label}: omega1 = {lat.omega1:.12f}, omega2 = {lat.omega2:.12f}, "
+          f"area = {lat.area:.12f}")

@@ -6,7 +6,7 @@ where exactness matters (Hecke eigenvalues, cyclotomic polynomials,
 coset representatives).
 """
 
-from .arith import moebius, totient, divisors, cyclotomic, recognize_rational, index_psi
+from .arith import moebius, totient, divisors, cyclotomic, index_psi
 from .curves import (CurveModel, curve_by_label, reduce_mod_p, ap_table, an_table,
                      period_lattice, check_ogg_pm1)
 from .specialfn import EvalResult, PoleError, zeta, zeta_depleted
@@ -21,11 +21,10 @@ from .modular import CuspFormEval
 from .domain import (CosetRep, QuadratureGrid, coset_reps, build_grid,
                      integrate_invariant, petersson, sweep_pair_family,
                      rs_identity_check, unfolding_check)
-from .lseries import (RankinSeries, L_direct, Phi, afe_eval,
-                      bad_factor_H, assemble_LH2, residue_at_1, sym2_report)
+from .lseries import RankinSeries, L_direct, afe_eval, bad_factor_H, residue_at_1, sym2_report
 
 __all__ = [
-    "moebius", "totient", "divisors", "cyclotomic", "recognize_rational", "index_psi",
+    "moebius", "totient", "divisors", "cyclotomic", "index_psi",
     "CurveModel", "curve_by_label", "reduce_mod_p", "ap_table", "an_table",
     "period_lattice", "check_ogg_pm1",
     "EvalResult", "PoleError", "zeta", "zeta_depleted",
@@ -36,6 +35,5 @@ __all__ = [
     "CosetRep", "QuadratureGrid", "coset_reps", "build_grid",
     "integrate_invariant", "petersson", "sweep_pair_family", "rs_identity_check",
     "unfolding_check",
-    "RankinSeries", "L_direct", "Phi", "afe_eval",
-    "bad_factor_H", "assemble_LH2", "residue_at_1", "sym2_report",
+    "RankinSeries", "L_direct", "afe_eval", "bad_factor_H", "residue_at_1", "sym2_report",
 ]

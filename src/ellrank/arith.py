@@ -1,15 +1,12 @@
-"""Exact integer and rational utilities.
+"""Exact integer utilities.
 
 Moebius and totient by trial-division factorization (inputs stay below
 1e6 here, so nothing fancier is warranted), divisor-power sums by a
-sieve, cyclotomic polynomials by exact Moebius inversion over Z[X], and
-recognition of rationals from floating-point values as the closest
-fraction of bounded denominator (Fraction.limit_denominator).
+sieve, and cyclotomic polynomials by exact Moebius inversion over Z[X].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,44 +159,3 @@ def cyclotomic(n: int) -> IntPolynomial:
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return IntPolynomial(tuple(poly))
-
-
-@dataclass(frozen=True)
-class RationalGuess:
-    numerator: int
-    denominator: int
-    residual: float
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("fraction not in lowest terms")
-
-
-def best_rational(x: float, max_denominator: int) -> RationalGuess:
-    """The fraction p/q closest to x over q <= max_denominator.
-
-    Whenever |x - p/q| < 1/(2 q max_denominator) with q <= max_denominator
-    the returned guess is exactly p/q.
-    """
-    # fractions imports decimal; loaded here, off the package's import path
-    from fractions import Fraction
-
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    f = Fraction(x).limit_denominator(max_denominator)
-    return RationalGuess(f.numerator, f.denominator, abs(x - f.numerator / f.denominator))
-
-
-def recognize_rational(x: float, max_denominator: int, tol: float):
-    """best_rational(x, max_denominator), or None if it is farther than tol.
-
-    Rejection (residual > tol) is a normal outcome, not an error.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    guess = best_rational(x, max_denominator)
-    return guess if guess.residual <= tol else None

@@ -313,7 +313,30 @@ def check_sym2(ctx: RunContext) -> list[dict]:
     ratio = rep.pop("residue_ratio")
     return [_record("sym2", ratio, arith.totient(N) / N, 1e-4,
                     extra={k: _num(v) for k, v in rep.items()},
-                    pipelines="afe,quadrature,agm")]
+                    pipelines="afe,quadrature")]
+
+
+def check_modular_degree(ctx: RunContext) -> list[dict]:
+    """The degree of X_0(N_i) -> E_i as 4 pi^2 psi(N_i) (f_i, f_i) / area_i
+    (Manin constant 1) against Cremona's, for each curve.  The norms are
+    the N sweep's, normalised by 1/psi(N), which equals the norm at the
+    curve's own level.  Skipped for a curve whose a-invariants are not a
+    registry curve's, as the degree is not known."""
+    out = []
+    for i, (curve, key) in enumerate(((ctx.c1, "pet_ff"), (ctx.c2, "pet_gg")), start=1):
+        name = f"modular_degree_curve{i}"
+        degree = curves.modular_degree(curve)
+        if degree is None:
+            out.append(_skip(name, f"{curve.label} {list(curve.ainvs)} is not a registry "
+                                   "curve, so its modular degree is not known",
+                             "quadrature,agm"))
+            continue
+        area = curves.period_lattice(curve).area
+        c = 4.0 * math.pi**2 * arith.index_psi(curve.conductor) / area
+        pet = ctx.fam[key]
+        out.append(_record(name, EvalResult(c * pet.value, c * pet.abs_error_bound), degree,
+                           0.05, extra={"period_area": area}, pipelines="quadrature,agm"))
+    return out
 
 
 def _third_form(ctx: RunContext):
@@ -361,6 +384,7 @@ CHECKS = {
     "class_number_formula": check_class_number_formula,
     "pole_orders": check_pole_orders,
     "sym2": check_sym2,
+    "modular_degree": check_modular_degree,
     "triple_product": check_triple_product,
 }
 

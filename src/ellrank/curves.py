@@ -1,5 +1,5 @@
 """Elliptic curves over Q: reduction data, traces of Frobenius by point
-counting, Hecke coefficient tables, period lattices.
+counting, Hecke coefficient tables, the period lattice and its area.
 
 Point counting is exhaustive up to ENUM_LIMIT: the completed-square
 cubic g(x) is evaluated once per curve at x = 0..ENUM_LIMIT, exactly in
@@ -12,6 +12,11 @@ one baby-step / giant-step scan, over only the class that #E (or the
 twist's order) lies in modulo the rational torsion order, and the
 candidates for #E narrow until one is left.  Both paths are
 deterministic (the BSGS point sampler is seeded from (curve, p)).
+
+The period lattice is the complex AGM's, with the basis ordered by the
+sign of the discriminant; its area is what the modular degree records
+divide by.  The registry's curves carry the degree of their modular
+parametrisation X_0(N) -> E from Cremona's tables (modular_degree).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import divisor_sigma_table, is_squarefree, prime_divisors
+from .arith import is_squarefree, prime_divisors
 
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
@@ -167,12 +172,14 @@ class CurveModel:
         return True
 
 
+# label: (a1, a2, a3, a4, a6, conductor, modular degree); the curves are
+# Cremona's optimal ones, 11a1 .. 37a1, with his degrees of X_0(N) -> E
 _REGISTRY = {
-    "11a": (0, -1, 1, -10, -20, 11),
-    "14a": (1, 0, 1, 4, -6, 14),
-    "15a": (1, 1, 1, -10, -10, 15),
-    "36a": (0, 0, 0, 0, 1, 36),
-    "37a": (0, 0, 1, -1, 0, 37),
+    "11a": (0, -1, 1, -10, -20, 11, 1),
+    "14a": (1, 0, 1, 4, -6, 14, 1),
+    "15a": (1, 1, 1, -10, -10, 15, 1),
+    "36a": (0, 0, 0, 0, 1, 36, 1),
+    "37a": (0, 0, 1, -1, 0, 37, 2),
 }
 
 
@@ -180,8 +187,16 @@ def curve_by_label(label: str) -> CurveModel:
     key = label.lower().rstrip("1")
     if key not in _REGISTRY:
         raise KeyError(f"unknown curve label {label!r} (have {sorted(_REGISTRY)})")
-    *a, n = _REGISTRY[key]
+    *a, n, _ = _REGISTRY[key]
     return CurveModel(*a, conductor=n, label=key)
+
+
+def modular_degree(curve: CurveModel) -> int | None:
+    """The degree of X_0(N) -> E for a registry curve, matched by its
+    a-invariants and conductor, or None.  Not by its label: an isogenous
+    model given the same label has another degree or Manin constant."""
+    return next((deg for *a, n, deg in _REGISTRY.values()
+                 if tuple(a) == curve.ainvs and n == curve.conductor), None)
 
 
 @dataclass(frozen=True)
@@ -563,9 +578,6 @@ class PeriodLattice:
     omega1: float
     omega2: complex
     area: float
-    eta1: complex
-    eta2: complex
-    legendre_residual: float
 
 
 def _agm(a: complex, b: complex, max_iter: int = 60) -> complex:
@@ -579,77 +591,28 @@ def _agm(a: complex, b: complex, max_iter: int = 60) -> complex:
     raise RuntimeError("AGM did not converge in 60 iterations")
 
 
-def _eisenstein_E(weight: int, tau: complex) -> complex:
-    """E_2 or E_4 at tau by 260 terms of sum sigma_{k-1}(n) q^n."""
-    q = cmath.exp(2j * cmath.pi * tau)
-    sig = divisor_sigma_table(260, weight - 1).tolist()
-    series = sum(sig[n] * q**n for n in range(1, 261))
-    return 1.0 + {2: -24.0, 4: 240.0}[weight] * series
-
-
-def _lattice_invariant_g2(omega1: complex, omega2: complex) -> complex:
-    """g2 of the lattice Z w1 + Z w2, via E4 at an SL2(Z)-reduced tau; the
-    reduction matrix is the level-1 boost's, which raises OverflowError
-    for an entry beyond int64."""
-    from .halfplane import boost_array
-
-    tau = omega2 / omega1
-    if tau.imag < 0:
-        omega2 = -omega2
-        tau = -tau
-    xr, yr, (_, _, c, d), _ = boost_array(1, [tau.real], [tau.imag])
-    tau_red = complex(xr[0], yr[0])
-    w1_new = int(c[0]) * omega2 + int(d[0]) * omega1
-    return (2 * cmath.pi / w1_new) ** 4 * _eisenstein_E(4, tau_red) / 12.0
-
-
 def period_lattice(curve: CurveModel) -> PeriodLattice:
-    """Real and complex periods by AGM on the completed-square model
-    y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, quasi-periods from E2 q-series
-    in two independent bases, Legendre residual reported as computed.
+    """The period lattice Z omega1 + Z omega2 and its area omega1 Im omega2,
+    by AGM on the completed-square model y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
 
-    The candidate basis is validated against the model's g2 = c4/12; for
-    negative discriminant the AGM output generates an index-2
-    superlattice and the generator (omega1 + omega2)/2 is selected.
+    The sign of the discriminant orders the roots of the cubic (Cremona,
+    Algorithms for Modular Elliptic Curves (1997), 3.7): for disc > 0 they
+    are real, e1 > e2 > e3, and the lattice is rectangular; for disc < 0,
+    e1 is the real root and e2 = conj(e3) has Im e2 > 0.  Then
+    omega1 = pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)) and omega2 =
+    pi i / AGM(sqrt(e1 - e3), sqrt(e2 - e3)), taken in the upper half
+    plane with its real part reduced modulo omega1.
     """
     b2, b4, b6, _ = curve.b_invariants
-    c4, _ = curve.c_invariants
     roots = np.roots([4.0, float(b2), 2.0 * float(b4), float(b6)])
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    real_roots = sorted((r.real for r in roots if abs(r.imag) < 1e-9 * scale), reverse=True)
-    if len(real_roots) == 3:
-        e1, e2, e3 = (complex(r) for r in real_roots)
+    if curve.discriminant > 0:
+        e1, e2, e3 = (complex(r) for r in sorted(roots.real, reverse=True))
     else:
-        cplx = [r for r in roots if abs(r.imag) >= 1e-9 * scale]
-        e1 = complex(real_roots[0])
-        e2 = complex(cplx[0] if cplx[0].imag > 0 else cplx[1])
+        e1 = complex(roots[np.argmin(np.abs(roots.imag))].real)
+        e2 = complex(roots[np.argmax(roots.imag)])
         e3 = e2.conjugate()
-    w1 = cmath.pi / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
+    omega1 = abs(cmath.pi / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2)))
     w2 = cmath.pi * 1j / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
-    omega1 = abs(w1)
-    target = complex(c4) / 12.0
-    basis = None
-    for cand in (w2, (w2 + w1) / 2.0, (w2 - w1) / 2.0, (w2 + omega1) / 2.0):
-        if abs((cand / omega1).imag) < 1e-12:
-            continue
-        g2 = _lattice_invariant_g2(omega1, cand)
-        if abs(g2 - target) <= 1e-6 * max(1.0, abs(target)):
-            basis = cand
-            break
-    if basis is None:
-        raise RuntimeError("period basis validation failed against g2 = c4/12")
-    omega2 = basis if (basis / omega1).imag > 0 else -basis
+    omega2 = w2 if (w2 / omega1).imag > 0 else -w2
     omega2 = complex(omega2.real - round(omega2.real / omega1) * omega1, omega2.imag)
-    # quasi-periods, each from its own E2 series (Legendre is then a check)
-    tau = omega2 / omega1
-    eta1 = (cmath.pi**2 / (3.0 * omega1)) * _eisenstein_E(2, tau)
-    eta2 = (cmath.pi**2 / (3.0 * omega2)) * _eisenstein_E(2, -1.0 / tau)
-    legendre = eta1 * omega2 - eta2 * omega1 - 2j * cmath.pi
-    return PeriodLattice(
-        omega1=float(omega1),
-        omega2=omega2,
-        area=float(omega1 * omega2.imag),
-        eta1=eta1,
-        eta2=eta2,
-        legendre_residual=abs(legendre),
-    )
+    return PeriodLattice(omega1=float(omega1), omega2=omega2, area=float(omega1 * omega2.imag))

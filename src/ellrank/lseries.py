@@ -31,9 +31,9 @@ k_max ~ (42/(4 pi))^2 N / T, e.g. ~3500 for N = 154 at T = 1/2, well
 inside the 4e4 cap.
 
 Orders at the Tate points are not fitted: the factorisation
-L(H^2, s) = zeta(s-1)^2 H(s-1) L_{f,g}(s-1) (assemble_LH2) states
-them, and what is measured is a leading coefficient with its bar,
-residue_at_1 for f = g and afe_eval at s = 1 otherwise.
+L(H^2, s) = zeta(s-1)^2 H(s-1) L_{f,g}(s-1) states them, and what is
+measured is a leading coefficient with its bar, residue_at_1 for f = g
+and afe_eval at s = 1 otherwise.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ import numpy as np
 from .arith import index_psi, is_squarefree, prime_divisors
 from .curves import CoefficientTable
 from .modular import CuspFormEval
-from .specialfn import (EvalResult, PoleError, _zeta_raw, euler_depletion, gauss_panels,
-                        xk1_fast, zeta_depleted)
+from .specialfn import (EvalResult, PoleError, euler_depletion, gauss_panels, xk1_fast,
+                        zeta_depleted)
 
 
 _SERIES_CACHE: dict = {}
@@ -337,17 +337,6 @@ def residue_at_1(rs: RankinSeries) -> dict:
     return {"residue": EvalResult(Rplus * fac, spread * fac), "spread": spread}
 
 
-def Phi(rs: RankinSeries, s: float) -> EvalResult:
-    """Completed Phi(s): direct pipeline above the strip, AFE inside."""
-    if rs.isogenous and s == 1.0:
-        raise PoleError("Phi has a simple pole at s = 1 (f = g, (f,f) != 0)")
-    if s > 1.5:
-        L = L_direct(rs, s)
-        g = G_factor(rs, s)
-        return EvalResult(g * L.value, abs(g) * L.abs_error_bound)
-    return afe_eval(rs, s)
-
-
 def bad_factor_H(rs: RankinSeries, s: float) -> float:
     """Ogg's ad hoc bad Euler factor H(s):
 
@@ -372,41 +361,26 @@ def bad_factor_H(rs: RankinSeries, s: float) -> float:
     return out
 
 
-def assemble_LH2(rs: RankinSeries, s: float) -> float:
-    """L(H^2(E x E'), s) = zeta(s-1)^2 H(s-1) L_{f,g}(s-1)."""
-    u = s - 1.0
-    phi = Phi(rs, u)
-    L = phi.value / G_factor(rs, u)
-    return _zeta_raw(u) ** 2 * bad_factor_H(rs, u) * L
-
-
 def sym2_report(curve, pet: EvalResult, rs: RankinSeries, res: dict) -> dict:
     """Symmetric-square bookkeeping for one curve (square-free conductor):
 
       residue_ratio   Res_{s=1} Phi / (2 pi psi(N) (f,f)), an EvalResult
                       with the first-order bar of the residue and the
                       norm; the paper states sum_{d|N} mu(d)/d
-      sym2_edge       H(1) * Res_{s=1} L_{f,f}  (its ratio to the period
-                      area/pi is recorded as area_ratio, never asserted)
+      sym2_edge       H(1) * Res_{s=1} L_{f,f}, recorded, never asserted
 
     pet is the Petersson norm (f, f) at the curve's level, rs the Rankin
-    series of (f, f) and res its residue_at_1.  deg_estimate estimates
-    the modular degree as 4 pi^2 psi(N) (f, f) / area, with Manin
-    constant 1.
+    series of (f, f) and res its residue_at_1.
     """
-    from .curves import period_lattice
-
     if not is_squarefree(curve.conductor):
         raise ValueError("square-free conductor required")
     N = curve.conductor
     if not pet.value > 0:
         raise ValueError("(f,f) must be positive")
-    psi = index_psi(N)
-    scale = 2.0 * math.pi * psi * pet.value
+    scale = 2.0 * math.pi * index_psi(N) * pet.value
     ratio = res["residue"].value / scale
     ratio_err = (res["residue"].abs_error_bound / scale
                  + abs(ratio) * pet.abs_error_bound / pet.value)
-    lat = period_lattice(curve)
     sym2_edge = bad_factor_H(rs, 1.0) * (res["residue"].value / G_factor(rs, 1.0))
     return {
         "level": N,
@@ -416,7 +390,4 @@ def sym2_report(curve, pet: EvalResult, rs: RankinSeries, res: dict) -> dict:
         "residue_spread": res["spread"],
         "residue_ratio": EvalResult(ratio, ratio_err),
         "sym2_edge": sym2_edge,
-        "period_area": lat.area,
-        "area_ratio": sym2_edge / (lat.area / math.pi),
-        "deg_estimate": 4.0 * math.pi**2 * pet.value * psi / lat.area,
     }

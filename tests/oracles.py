@@ -1,15 +1,25 @@
 """Independent oracles for the records that state their values.
 
-The battery states the pole orders and the Moebius-combination exponent
-that the paper gives and measures only leading coefficients and one
-combination.  These make the estimates it does not: the order of a
-function at a point as a finite-difference slope, and the distance of
-the series side to each printed exponent convention.
+The battery states the pole orders, the Moebius-combination exponent,
+the ratios and the modular degrees that the paper and Cremona's tables
+give, and measures only leading coefficients, one combination and the
+period area.  These make the estimates it does not: the order of a
+function at a point as a finite-difference slope, the completed Phi and
+L(H^2) it is read off, the distance of the series side to each printed
+exponent convention, the closest fraction of bounded denominator, and
+the lattice invariants (g2 from E4, the quasi-periods from E2 and the
+Legendre relation) that check a period basis.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from ellrank.arith import divisors, moebius
+from ellrank.arith import divisor_sigma_table, divisors, moebius
+from ellrank.halfplane import boost_array
+from ellrank.lseries import G_factor, L_direct, afe_eval, bad_factor_H
+from ellrank.specialfn import EvalResult, PoleError, _zeta_raw
 
 
 def order_of_vanishing(F, s0: float) -> dict:
@@ -48,3 +58,92 @@ def rs_exponent_rel_diffs(lhs: float, fam: dict, N: int, s: float) -> dict:
                 "d^-s": combine(lambda d: float(d) ** (-s)),
                 "d^-2s": combine(lambda d: float(d) ** (-2.0 * s))}
     return {k: abs(lhs - v) / abs(lhs) for k, v in variants.items()}
+
+
+@dataclass(frozen=True)
+class RationalGuess:
+    numerator: int
+    denominator: int
+    residual: float
+
+    def __post_init__(self):
+        if self.denominator <= 0:
+            raise ValueError("denominator must be positive")
+        if math.gcd(self.numerator, self.denominator) != 1:
+            raise ValueError("fraction not in lowest terms")
+
+
+def best_rational(x: float, max_denominator: int) -> RationalGuess:
+    """The fraction p/q closest to x over q <= max_denominator.
+
+    Whenever |x - p/q| < 1/(2 q max_denominator) with q <= max_denominator
+    the returned guess is exactly p/q.
+    """
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be >= 1")
+    f = Fraction(x).limit_denominator(max_denominator)
+    return RationalGuess(f.numerator, f.denominator, abs(x - f.numerator / f.denominator))
+
+
+def recognize_rational(x: float, max_denominator: int, tol: float):
+    """best_rational(x, max_denominator), or None if it is farther than tol.
+
+    Rejection (residual > tol) is a normal outcome, not an error.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    guess = best_rational(x, max_denominator)
+    return guess if guess.residual <= tol else None
+
+
+def Phi(rs, s: float) -> EvalResult:
+    """Completed Phi(s): direct pipeline above the strip, AFE inside."""
+    if rs.isogenous and s == 1.0:
+        raise PoleError("Phi has a simple pole at s = 1 (f = g, (f,f) != 0)")
+    if s > 1.5:
+        L = L_direct(rs, s)
+        g = G_factor(rs, s)
+        return EvalResult(g * L.value, abs(g) * L.abs_error_bound)
+    return afe_eval(rs, s)
+
+
+def assemble_LH2(rs, s: float) -> float:
+    """L(H^2(E x E'), s) = zeta(s-1)^2 H(s-1) L_{f,g}(s-1)."""
+    u = s - 1.0
+    phi = Phi(rs, u)
+    L = phi.value / G_factor(rs, u)
+    return _zeta_raw(u) ** 2 * bad_factor_H(rs, u) * L
+
+
+def eisenstein_E(weight: int, tau: complex) -> complex:
+    """E_2 or E_4 at tau by 260 terms of sum sigma_{k-1}(n) q^n."""
+    q = cmath.exp(2j * cmath.pi * tau)
+    sig = divisor_sigma_table(260, weight - 1).tolist()
+    series = sum(sig[n] * q**n for n in range(1, 261))
+    return 1.0 + {2: -24.0, 4: 240.0}[weight] * series
+
+
+def lattice_invariant_g2(omega1: complex, omega2: complex) -> complex:
+    """g2 of the lattice Z w1 + Z w2, via E4 at an SL2(Z)-reduced tau; the
+    reduction matrix is the level-1 boost's, which raises OverflowError
+    for an entry beyond int64."""
+    tau = omega2 / omega1
+    if tau.imag < 0:
+        omega2 = -omega2
+        tau = -tau
+    xr, yr, (_, _, c, d), _ = boost_array(1, [tau.real], [tau.imag])
+    tau_red = complex(xr[0], yr[0])
+    w1_new = int(c[0]) * omega2 + int(d[0]) * omega1
+    return (2 * cmath.pi / w1_new) ** 4 * eisenstein_E(4, tau_red) / 12.0
+
+
+def legendre_residual(lat) -> float:
+    """|eta1 omega2 - eta2 omega1 - 2 pi i| for the basis of a period
+    lattice, with the quasi-periods each from its own E2 series,
+    eta1 = pi^2/(3 omega1) E2(tau) and eta2 = pi^2/(3 omega2) E2(-1/tau)."""
+    tau = lat.omega2 / lat.omega1
+    eta1 = (cmath.pi**2 / (3.0 * lat.omega1)) * eisenstein_E(2, tau)
+    eta2 = (cmath.pi**2 / (3.0 * lat.omega2)) * eisenstein_E(2, -1.0 / tau)
+    return abs(eta1 * lat.omega2 - eta2 * lat.omega1 - 2j * cmath.pi)

@@ -301,7 +301,7 @@ def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
         "ap", "unfolding", "epstein", "epstein_residue", "kronecker",
         "rankin_selberg", "rankin_selberg_isogenous", "residue_law", "orthogonality",
         "cnf_a_vs_b", "cnf_c_ratio", "cnf_nonvanishing", "pole_orders", "sym2",
-        "triple_product"]
+        "modular_degree_curve1", "modular_degree_curve2", "triple_product"]
     assert all(r["status"] == "pass" for r in rep["checks"])
     assert len(swept) == len(set(swept)) == 2
     # residue_law, pole_orders and sym2 read one (f, f) residue
@@ -310,7 +310,7 @@ def test_full_verify_sweeps_each_grid_once(tmp_path, monkeypatch):
     assert list(timing) == [
         "ap", "unfolding", "epstein", "epstein_residue", "kronecker", "sweep_pair_family",
         "rankin_selberg", "residue_law", "orthogonality", "class_number_formula",
-        "pole_orders", "sym2", "triple_product"]
+        "pole_orders", "sym2", "modular_degree", "triple_product"]
 
 
 def test_benchmark_tracer_still_binds():
@@ -699,6 +699,56 @@ def test_sym2_is_held_to_the_stated_ratio(tmp_path, monkeypatch):
     rc, rec = _verify_record(tmp_path, "sym2", "sym2")
     assert rc == 1 and rec["status"] == "fail"
     assert rec["rhs"] == 10 / 11 and abs(rec["lhs"] - 1.01 * 10 / 11) < 1e-4
+
+
+def test_modular_degree_fails_on_an_index_2_lattice(tmp_path, monkeypatch):
+    # an index-2 superlattice has half the area, which doubles
+    # 4 pi^2 psi(N) (f, f) / area: both degrees read 2 against Cremona's 1
+    from ellrank import curves
+
+    real = curves.period_lattice
+
+    def halved(curve):
+        lat = real(curve)
+        return curves.PeriodLattice(lat.omega1, lat.omega2 / 2.0, lat.area / 2.0)
+
+    monkeypatch.setattr(curves, "period_lattice", halved)
+    out = str(tmp_path)
+    assert main(["--out", out, "--set", "depth=1", "--only", "modular_degree", "verify"]) == 1
+    recs = json.load(open(os.path.join(out, "report.json")))["checks"]
+    assert [r["name"] for r in recs] == ["modular_degree_curve1", "modular_degree_curve2"]
+    for rec in recs:
+        assert rec["status"] == "fail" and rec["rhs"] == 1
+        assert abs(rec["diff"] - 1.0) < 1e-3
+
+
+def test_modular_degree_reads_the_model_not_the_label(tmp_path, capsys):
+    # 11a3 and 11a2 under the label 11a have 11a1's form but 5 and 1/5 times
+    # its period area (Manin constant 5 for 11a3, degree 5 for 11a2); a
+    # label-keyed degree would fail them, so the first record is a skip
+    from ellrank.checks import curve_from_config
+    from ellrank.cli import DEFAULT_CONFIG
+    from ellrank.curves import period_lattice
+
+    def run(name, *settings):
+        out = str(tmp_path / name)
+        assert main(["--out", out, "--set", "depth=1", *settings, "verify"]) == 0
+        return {r["name"]: r for r in json.load(open(os.path.join(out, "report.json")))["checks"]}
+
+    base = run("11a1")
+    estimate = base["modular_degree_curve1"]["lhs"] * base["modular_degree_curve1"]["extra"][
+        "period_area"]
+    for name, ainvs, degree in (("11a3", "0,-1,1,0,0", 0.2), ("11a2", "0,-1,1,-7820,-263580", 5)):
+        capsys.readouterr()
+        recs = run(name, "--set", f"curve1.ainvs={ainvs}")
+        assert "Traceback" not in capsys.readouterr().err
+        rec = recs.pop("modular_degree_curve1")
+        assert rec["status"] == "skip"
+        assert rec["extra"]["skipped"] == (f"11a [{ainvs.replace(',', ', ')}] is not a registry "
+                                           "curve, so its modular degree is not known")
+        assert recs == {k: r for k, r in base.items() if k != "modular_degree_curve1"}
+        curve = curve_from_config(dict(DEFAULT_CONFIG, **{"curve1.ainvs": ainvs}), 1)
+        assert abs(estimate / period_lattice(curve).area - degree) < 1e-4 * degree
 
 
 def test_orders_fail_when_the_pair_vanishes_at_1(tmp_path, monkeypatch):

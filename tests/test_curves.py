@@ -517,11 +517,36 @@ def test_ogg_pm1():
 
 
 def test_period_lattice_legendre_and_area():
+    from oracles import legendre_residual
+
     for label in ("11a", "14a", "37a"):
         lat = period_lattice(curve_by_label(label))
-        assert lat.legendre_residual < 1e-9
+        assert legendre_residual(lat) < 1e-9
         assert lat.area > 0
         assert (lat.omega2 / lat.omega1).imag > 0
+
+
+# reference areas, from the AGM basis chosen among (w2, (w2 +- w1)/2,
+# (w2 + |w1|)/2) as the one whose g2 is c4/12
+_AREAS = {"11a": 1.8515436234559601, "14a": 2.626251405582017, "15a": 2.2357017126175305,
+          "36a": 5.108115717832558, "37a": 7.3381327407895744}
+
+
+def test_period_basis_has_the_model_g2_and_area():
+    # both signs of the discriminant: 11a, 14a and 36a have disc < 0, 15a
+    # and 37a disc > 0; the basis spans the lattice whose g2 is c4/12
+    from oracles import lattice_invariant_g2
+
+    signs = {}
+    for label, area in _AREAS.items():
+        curve = curve_by_label(label)
+        lat = period_lattice(curve)
+        target = curve.c_invariants[0] / 12.0
+        g2 = lattice_invariant_g2(lat.omega1, lat.omega2)
+        assert abs(g2 - target) <= 1e-6 * max(1.0, abs(target)), label
+        assert abs(lat.area - area) <= 1e-14 * area, label
+        signs[label] = curve.discriminant > 0
+    assert signs == {"11a": False, "14a": False, "15a": True, "36a": False, "37a": True}
 
 
 def test_period_against_quadrature_oracle():
@@ -594,16 +619,16 @@ def test_bsgs_seed_ignores_hash_randomization():
 def test_lattice_invariant_g2_rejects_wrapped_reduction():
     # at tau = 1.2345e-5 + 1e-45 i the int64 reduction matrix wraps (its det
     # reads -8.3e35); g2 raises instead of returning a wrong value
-    from ellrank.curves import _eisenstein_E, _lattice_invariant_g2
+    from oracles import eisenstein_E, lattice_invariant_g2
 
     with pytest.raises(OverflowError):
-        _lattice_invariant_g2(1.0, complex(1.2345e-5, 1e-45))
+        lattice_invariant_g2(1.0, complex(1.2345e-5, 1e-45))
     # at tau = 1e19 + i only the translation entry b is past int64, det 1
     with pytest.raises(OverflowError):
-        _lattice_invariant_g2(1.0, complex(1e19, 1.0))
+        lattice_invariant_g2(1.0, complex(1e19, 1.0))
     # an ordinary tau is unchanged: g2 = (2 pi)^4 E4(tau) / 12 for the
     # reduced basis, and a translated basis spans the same lattice
     tau = complex(0.1, 1.3)
-    g2 = _lattice_invariant_g2(1.0, tau)
-    assert abs(g2 - (2 * math.pi) ** 4 * _eisenstein_E(4, tau) / 12.0) < 1e-13 * abs(g2)
-    assert abs(_lattice_invariant_g2(1.0, tau + 3) - g2) < 1e-13 * abs(g2)
+    g2 = lattice_invariant_g2(1.0, tau)
+    assert abs(g2 - (2 * math.pi) ** 4 * eisenstein_E(4, tau) / 12.0) < 1e-13 * abs(g2)
+    assert abs(lattice_invariant_g2(1.0, tau + 3) - g2) < 1e-13 * abs(g2)

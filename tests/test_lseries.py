@@ -5,11 +5,10 @@ import pytest
 
 from ellrank.arith import prime_divisors
 from ellrank.curves import curve_by_label
-from ellrank.lseries import (G_factor, L_direct, Phi,
-                             RankinSeries, afe_eval, assemble_LH2, bad_factor_H,
+from ellrank.lseries import (G_factor, L_direct, RankinSeries, afe_eval, bad_factor_H,
                              residue_at_1, sym2_report)
 from ellrank.specialfn import PoleError, _zeta_raw
-from oracles import order_of_vanishing
+from oracles import Phi, assemble_LH2, order_of_vanishing, recognize_rational
 
 
 def test_rankin_series_structure(rs_11_14, rs_11_11):
@@ -189,8 +188,6 @@ def test_assemble_and_pole_orders(rs_11_14, rs_11_11):
 
 
 def test_sym2_report_and_rejection_path(run_ctx):
-    from ellrank.arith import recognize_rational
-
     rep = sym2_report(curve_by_label("11a"), run_ctx.pet_ff, run_ctx.rs_ff, run_ctx.res_ff)
     ratio = rep["residue_ratio"].value
     # the stated sum_{d|11} mu(d)/d = 10/11, and the ratio is recognized as it
