@@ -1,10 +1,12 @@
 """Traces of Frobenius, Hecke eigenvalues and periods for a few curves.
 
 Counts points on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p
-(exhaustively below 1e4; above, by baby-step/giant-step on random points
-of the curve and of its quadratic twist, over only the residue class of
-#E modulo the rational torsion order), assembles the Hecke eigenvalue
-table, and computes the period lattice and its area by complex AGM.
+(exhaustively below 1e4; above, by baby-step/giant-step on points of the
+curve and of its quadratic twist, over only the residue class of #E
+modulo the rational torsion order, with every prime a lane of int64
+numpy arrays that all take the same steps, 1024 primes to a block),
+assembles the Hecke eigenvalue table, and computes the period lattice
+and its area by complex AGM.
 """
 
 from ellrank import (an_table, ap_table, check_ogg_pm1, curve_by_label, period_lattice,

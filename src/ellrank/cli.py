@@ -23,6 +23,7 @@ import sys
 from functools import cache
 
 from . import checks
+from .curves import DEFAULT_P_MAX
 
 DEFAULT_CONFIG = {
     "curve1.label": "11a",
@@ -75,11 +76,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 def validate_config(cfg: dict, command: str) -> None:
     """Raise UsageError unless every key is one of DEFAULT_CONFIG's, the
     numeric keys parse, depth is in [0, DEPTH_MAX], n_max and p_max are at
-    least 2 and, for the subcommands that use the two curves, each curve's
-    ainvs have its stated conductor; subcommands that build cusp forms
-    also need a square-free conductor, and an n_max that covers the
-    q-series at the lowest height a form is evaluated at, sqrt(3)/(2L)
-    for L the larger level (halfplane.boost_array)."""
+    least 2, p_max is at most DEFAULT_P_MAX (the bound of int64 point
+    counting) and, for the subcommands that use the two curves, each
+    curve's ainvs have its stated conductor; subcommands that build cusp
+    forms also need a square-free conductor, and an n_max that covers the
+    q-series at the lowest height a form is evaluated at, sqrt(3)/(2L) for
+    L the larger level (halfplane.boost_array)."""
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; "
@@ -97,6 +99,8 @@ def validate_config(cfg: dict, command: str) -> None:
     for key in ("n_max", "p_max"):
         if int(cfg[key]) < 2:
             raise UsageError(f"{key} = {cfg[key]!r} is below 2")
+    if int(cfg["p_max"]) > DEFAULT_P_MAX:
+        raise UsageError(f"p_max = {cfg['p_max']!r} is above {DEFAULT_P_MAX}")
     if command not in _CURVE_COMMANDS:
         return
     from .arith import is_squarefree

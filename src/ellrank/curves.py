@@ -6,12 +6,13 @@ cubic g(x) is evaluated once per curve at x = 0..ENUM_LIMIT, exactly in
 int64 (a model whose |g| could pass 2^62 there reduces mod p instead),
 and each prime reads #{(x, y) : y^2 = g(x)} from that table reduced
 mod p and a mask of the nonzero squares.  Beyond ENUM_LIMIT it switches
-to Shanks-Mestre order finding: each random point, on the curve or its
-quadratic twist, gives all its annihilators in the Hasse interval from
-one baby-step / giant-step scan, over only the class that #E (or the
-twist's order) lies in modulo the rational torsion order, and the
-candidates for #E narrow until one is left.  Both paths are
-deterministic (the BSGS point sampler is seeded from (curve, p)).
+to Shanks-Mestre order finding with each prime a lane of int64 arrays,
+_LANES primes to a block: each point, on the curve or its quadratic
+twist, gives all its annihilators in the Hasse interval from one
+baby-step / giant-step scan over the class of #E (or of the twist's
+order) modulo the rational torsion order, and the candidates for #E
+narrow until one is left.  Both paths are deterministic (a draw's x is
+a splitmix64 hash of p and the draw's index).
 
 The period lattice is the complex AGM's, with the basis ordered by the
 sign of the discriminant; its area is what the modular degree records
@@ -23,14 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
-import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import is_squarefree, prime_divisors
+from .arith import factorize, is_squarefree, prime_divisors
 
 ENUM_LIMIT = 10_000
 DEFAULT_P_MAX = 1_000_000
@@ -156,18 +155,26 @@ class CurveModel:
 
     def validate_conductor(self, p_limit: int = 1000) -> bool:
         """Check that every prime dividing the stated conductor, at any
-        size, divides the discriminant, and that below p_limit the primes
-        of bad reduction are exactly the claimed ones."""
-        claimed = set(prime_divisors(self.conductor))
+        size, divides the discriminant, that below p_limit (>= 3) the bad
+        primes are exactly the claimed ones, and that each exponent is one
+        the reduction allows (Silverman, AEC IV.10): 1 if multiplicative;
+        if additive, 2 at p >= 5 (additive when p | c4, the model minimal
+        at p), and 2..8 at 2 and 2..5 at 3, classified by counting."""
+        claimed = factorize(self.conductor)
         # a claimed prime not dividing disc is good: it fails with no count
         if any(self.discriminant % p for p in claimed):
             return False
         # primes dividing disc but not the conductor must still be good
         # (non-minimal models are not used here, but check anyway); the
         # claimed primes below p_limit are among these
+        kinds = {}
         for p in sorted(p for p in prime_divisors(abs(self.discriminant)) if p <= p_limit):
-            info = reduce_mod_p(self, p)
-            if (info.kind == "good") != (p not in claimed):
+            kinds[p] = reduce_mod_p(self, p).kind
+            if (kinds[p] == "good") != (p not in claimed):
+                return False
+        for p, e in claimed.items():
+            additive = self.c_invariants[0] % p == 0 if p >= 5 else kinds[p] == "additive"
+            if not (2 <= e <= {2: 8, 3: 5}.get(p, 2) if additive else e == 1):
                 return False
         return True
 
@@ -294,173 +301,211 @@ def _count_points_enum(curve: CurveModel, p: int) -> tuple[int, int]:
     return n_affine + 1 - sing, sing
 
 
-def _short_model(curve: CurveModel, p: int) -> tuple[int, int]:
-    """y^2 = x^3 + A x + B over F_p (p > 3), isomorphic to the curve."""
-    c4, c6 = curve.c_invariants
-    return (-27 * c4) % p, (-54 * c6) % p
-
-
-def _ec_add(P, Q, A, p):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _ec_mul(k, P, A, p):
-    acc = None
-    add = P
-    while k:
-        if k & 1:
-            acc = _ec_add(acc, add, A, p)
-        add = _ec_add(add, add, A, p)
-        k >>= 1
-    return acc
-
-
-def _ec_mul_jacobian(k, P, A, p):
-    """k*P by left-to-right double-and-add in Jacobian coordinates
-    (x = X/Z^2, y = Y/Z^3), with one inversion at the end.  An
-    intermediate point O, or an addition of P to itself, gives Z = 0,
-    which every later step keeps; _ec_mul then gives the answer."""
-    if k == 0:
-        return None
-    x, y = P
-    X, Y, Z = x, y, 1
-    for bit in bin(k)[3:]:
-        YY = Y * Y % p
-        ZZ = Z * Z % p
-        S = 4 * X * YY % p
-        M = (3 * X * X + A * ZZ * ZZ) % p
-        Z = 2 * Y * Z % p
-        X = (M * M - 2 * S) % p
-        Y = (M * (S - X) - 8 * YY * YY) % p
-        if bit == "1":
-            ZZ = Z * Z % p
-            H = (x * ZZ - X) % p
-            r = (y * ZZ * Z - Y) % p
-            HH = H * H % p
-            HHH = H * HH % p
-            V = X * HH
-            X = (r * r - HHH - 2 * V) % p
-            Y = (r * (V - X) - Y * HHH) % p
-            Z = Z * H % p
-    if Z == 0:
-        return _ec_mul(k, P, A, p)
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return X * zi2 % p, Y * zi2 * zi % p
-
-
-def _hasse_interval(p: int) -> tuple[int, int]:
-    """[lo, hi] around p + 1, a little wider than the Hasse bound, and
-    symmetric: m is in it exactly when 2p + 2 - m is."""
-    r = math.isqrt(p)
+def _hasse_interval(p):
+    """[lo, hi] around p + 1 (p an int or int64 array), a little wider than
+    the Hasse bound and symmetric: m is in it exactly when 2p + 2 - m is."""
+    r = np.sqrt(p).astype(np.int64)
     return p - 2 * r, p + 2 + 2 * r
 
 
-def _annihilators(P, A, p, ms: range) -> list[int]:
-    """Every m in the progression ms = m0, m0 + t, ... with m*P = O, for
-    an affine P on y^2 = x^3 + A x + B, by one baby-step / giant-step
-    scan for the i in [0, n) with R + i Q = O, R = m0 P and Q = t P.
+# The kernels below work lane by lane on int64 residues mod p, one lane per
+# prime or point; each product is reduced, so for p <= DEFAULT_P_MAX no
+# intermediate passes 4 p^2 < 2^63.
+_KEY = DEFAULT_P_MAX        # baby and giant x values meet as keys lane * _KEY + x
+_LANES = 1024               # lanes per BSGS block: bounds its (steps, lanes) arrays
+_DRAWS = 40                 # points per prime before its count is called ambiguous
 
-    Baby steps map x(jQ) to (j, y(jQ)) for j = 1..s.  If Q's order k is
-    at most 2s it shows there first, exactly: as y(jQ) = 0 (k = 2j) or
-    as x(jQ) = x(j'Q), j' < j (then jQ = -j'Q and k = j + j'); the
-    answer is then i = i0 mod k, for the i0 with i0 Q = -R read off the
-    baby table, or none if R is not a multiple of Q.  Else the x values
+
+def _mix64(p, k):
+    """splitmix64 (Steele, Lea and Flood, OOPSLA 2014) of (p << 32) + k in
+    uint64: the value behind draw k at the prime p, in every process."""
+    z = (p.astype(np.uint64) << np.uint64(32)) + k.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _pow(b, e, p):
+    """b^e mod p lane by lane (e >= 0), by right-to-left binary powers."""
+    out = np.ones_like(b)
+    for j in range(int(e.max()).bit_length()):
+        out = np.where((e >> j) & 1 == 1, out * b % p, out)
+        b = b * b % p
+    return out
+
+
+def _affine(X, Y, Z, p):
+    """(X/Z^2, Y/Z^3) mod p for (rows, lanes) arrays, with one inversion
+    per lane: Montgomery's prefix products of Z along the rows and one
+    Fermat power.  An entry Z = 0 (the point O) is taken as 1."""
+    Z = np.where(Z == 0, 1, Z)
+    pre = Z.copy()
+    for i in range(1, len(Z)):
+        pre[i] = pre[i - 1] * Z[i] % p
+    inv = _pow(pre[-1], p - 2, p)
+    zi = np.empty_like(Z)
+    for i in range(len(Z) - 1, 0, -1):
+        zi[i] = inv * pre[i - 1] % p
+        inv = inv * Z[i] % p
+    zi[0] = inv
+    zi2 = zi * zi % p
+    return X * zi2 % p, Y * zi2 % p * zi % p
+
+
+def _dbl(X, Y, Z, a, p):
+    """2(X : Y : Z) on y^2 = x^3 + a x + b, in Jacobian coordinates
+    x = X/Z^2, y = Y/Z^3 (Z = 0 is O)."""
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * X % p * YY % p
+    M = (3 * X * X + a * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * (YY * YY % p)) % p, 2 * Y * Z % p
+
+
+def _madd(X, Y, Z, x, y, p):
+    """(X : Y : Z) + (x, y) for an affine (x, y), with H = x Z^2 - X and
+    R = y Z^3 - Y.  H = 0 gives Z = 0: the sum O when R != 0, but a
+    doubling this formula cannot make when R = 0.  Z = 0 stays 0."""
+    ZZ = Z * Z % p
+    H = (x * ZZ - X) % p
+    R = (y * (ZZ * Z % p) - Y) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y * HHH) % p, Z * H % p, H, R
+
+
+def _ladder(k, x, y, a, p):
+    """k P for k >= 0 and affine P = (x, y), by left-to-right
+    double-and-add in Jacobian coordinates, each lane from its leading
+    bit so that all end on the same step.  Returns (X, Y, Z, bad): bad
+    marks the lanes that met O or a doubling inside the ladder, whose
+    result is void; elsewhere Z = 0 is k P = O."""
+    X, Y, Z = x, y, np.ones_like(x)
+    bad = np.zeros(x.shape, bool)
+    top = np.frexp(k.astype(float))[1] - 1                # the leading bit; -1 for k = 0
+    for j in range(int(top.max()) - 1, -1, -1):
+        act = top > j
+        bit = act & ((k >> j) & 1 == 1)
+        X2, Y2, Z2 = _dbl(X, Y, Z, a, p)
+        X3, Y3, Z3, H, R = _madd(X2, Y2, Z2, x, y, p)
+        bad |= act & (Z == 0) | bit & ((Z2 == 0) | (H == 0) & (R == 0))
+        X, Y, Z = (np.where(bit, u, np.where(act, v, w))
+                   for u, v, w in ((X3, X2, X), (Y3, Y2, Y), (Z3, Z2, Z)))
+    return X, Y, np.where(k > 0, Z, 0), bad
+
+
+def _annihilators(x, y, a, p, m0, t: int, n):
+    """Lane by lane, the i in [0, n) with (m0 + t i) P = O for the point
+    P = (x, y) on y^2 = x^3 + a x + b mod p, by one baby-step /
+    giant-step scan for R + i Q = O, R = m0 P, Q = t P, taken by all
+    lanes together.  Returns (lane, i) of every hit, and the lanes to
+    redraw, which have none.
+
+    The baby steps are j Q, j = 1..s, s = isqrt((max n - 1) // 2) + 1;
+    the giant steps G_c = R + c Q at the centres c = s, 3s + 1, ... start
+    from a ladder for (m0 + s t) P.  A lane is redrawn when a ladder met
+    O or a doubling, or when Q has order k <= 2s + 1, which shows as
+    Q = O, a baby step O (k <= s), a repeated x (s < k < 2s) or Z = 0 at
+    (2s + 1) Q (k = 2s + 1, or k = 2s through 2s Q = O).  Else the x(j Q)
     are distinct and each window [c - s, c + s] holds at most one i:
-    R + cQ = +-jQ gives it as c -+ j, the sign read from y, with no
-    check needed.  The centres c step by 2s + 1 from s.
-    """
-    m0, t, n = ms.start, ms.step, len(ms)
-    R = _ec_mul_jacobian(m0, P, A, p)
-    Q = _ec_mul(t, P, A, p)
-    if Q is None:
-        return list(ms) if R is None else []
-    s = math.isqrt((n - 1) // 2) + 1
-    baby = {}
-    S = None
-    for j in range(1, s + 1):
-        S = _ec_add(S, Q, A, p)
-        x, y = S
-        if y == 0:
-            k = 2 * j
-        elif x in baby:
-            k = j + baby[x][0]
-        else:
-            baby[x] = j, y
-            continue
-        if R is None:
-            i0 = 0
-        elif R[0] in baby:
-            jr, yr = baby[R[0]]
-            i0 = k - jr if R[1] == yr else jr
-        elif R == S:                              # = -S, of order 2
-            i0 = j
-        else:
-            return []
-        return [m0 + t * i for i in range(i0, n, k)]
+    G_c = O gives i = c, and G_c = +-j Q gives c -+ j, the sign read from
+    y.  One inversion per lane and stage gives affine x, and baby and
+    giant x meet through one sort of the keys lane * _KEY + x and one
+    searchsorted."""
+    L = len(p)
+    lane = np.arange(L)
+    s = math.isqrt((int(n.max()) - 1) // 2) + 1
+    XQ, YQ, ZQ, redraw = _ladder(np.full(L, t), x, y, a, p)
+    *G, bad = _ladder(m0 + s * t, x, y, a, p)
+    redraw |= bad | (ZQ == 0)
+    qx, qy = (v[0] for v in _affine(XQ[None], YQ[None], ZQ[None], p))
+    B = np.empty((3, s + 1, L), np.int64)          # X, Y, Z of Q, 2Q, ..., sQ, (2s + 1)Q
+    B[0, 0], B[1, 0], B[2, 0] = qx, qy, 1
+    if s > 1:
+        B[:, 1] = _dbl(qx, qy, 1, a, p)
+    for j in range(2, s):
+        B[:, j] = _madd(*B[:, j - 1], qx, qy, p)[:3]
+    D = _dbl(*B[:, s - 1], a, p)                    # 2s Q
+    B[:, s] = _madd(*D, qx, qy, p)[:3]
+    bx, by = _affine(*B, p)
+    tx, ty, bx, by = bx[s], by[s], bx[:s], by[:s]
+    redraw |= (B[2] == 0).any(0)
     step = 2 * s + 1
-    G = _ec_add(R, S, A, p)                       # R + s Q
-    T = _ec_add(_ec_add(S, S, A, p), Q, A, p)     # (2s + 1) Q
-    out = []
-    for c in range(s, n + s, step):
-        if G is None:
-            out.append(c)
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            out.append(c - j if G[1] == y else c + j)
-        G = _ec_add(G, T, A, p)
-    return [m0 + t * i for i in out if i < n]
+    E = _dbl(tx, ty, 1, a, p)                       # 2 (2s + 1) Q, after a G_c = O
+    W = np.empty((3, -(-int(n.max()) // step), L), np.int64)
+    W[:, 0] = G
+    for g in range(1, W.shape[1]):
+        *S, H, R = _madd(*W[:, g - 1], tx, ty, p)
+        o, twice = W[2, g - 1] == 0, (H == 0) & (R == 0)
+        W[:, g] = [np.where(o, u, np.where(twice, v, w)) for u, v, w in zip((tx, ty, 1), E, S)]
+    gx, gy = _affine(*W, p)
+    go = (W[2] == 0).ravel()
+    bk = (bx + lane * _KEY).ravel()
+    order = np.argsort(bk)
+    sk = bk[order]
+    redraw[sk[1:][sk[1:] == sk[:-1]] // _KEY] = True
+    gk = (gx + lane * _KEY).ravel()
+    at = order[np.minimum(np.searchsorted(sk, gk), sk.size - 1)]
+    hit = (bk[at] == gk) & ~go
+    c = s + np.arange(gk.size) // L * step
+    j = at // L + 1
+    i = np.where(hit, np.where(by.ravel()[at] == gy.ravel(), c - j, c + j), c)
+    lanes, i = np.tile(lane, len(W[2]))[hit | go], i[hit | go]
+    keep = (i < n[lanes]) & ~redraw[lanes]
+    return lanes[keep], i[keep], redraw
 
 
-def _bsgs_seed(ainvs: tuple, p: int) -> int:
-    """Random seed for the BSGS points at (curve, p): a CRC-32 of the
-    text, so unlike hash() it does not change with PYTHONHASHSEED."""
-    return zlib.crc32(repr((tuple(ainvs), p)).encode())
-
-
-def _count_points_bsgs(curve: CurveModel, p: int) -> int:
-    """#E(F_p) by Shanks-Mestre (Cohen, GTM 138, 7.4.3): each draw takes
-    a random x, r = x^3 + A x + B != 0 and the point (x r, r^2) on
+def _count_points_bsgs(curve: CurveModel, ps) -> np.ndarray:
+    """#E(F_p) at each good prime 3 < p <= DEFAULT_P_MAX of ps, by
+    Shanks-Mestre (Cohen, GTM 138, 7.4.3) with one prime per lane, in
+    blocks of _LANES.  Draw k at p takes x from _mix64(p, k),
+    r = x^3 + A x + B != 0 and the point (x r, r^2) on
     y^2 = x^3 + A r^2 x + B r^3, which is E when r is a square and its
     quadratic twist when not (#E + #E_twist = 2p + 2).  The rational
     torsion order T divides #E, so a point on E is scanned over the
     m = 0 mod T in the Hasse interval, and one on the twist over the
-    m = 2p + 2 mod T.  The candidates for #E are narrowed by each draw's
-    annihilators until one is left.  Deterministic seed per (curve, p)."""
-    A, B = _short_model(curve, p)
+    m = 2p + 2 mod T.  Each draw's annihilators narrow the candidates for
+    #E until one is left; a prime still open goes to the next block."""
+    p = np.asarray(ps, dtype=np.int64)
+    if p.size and p.max() > DEFAULT_P_MAX:
+        raise ValueError(f"p={int(p.max())} exceeds {DEFAULT_P_MAX}, the bound of int64 BSGS")
+    c4, c6 = curve.c_invariants                     # y^2 = x^3 + A x + B, isomorphic to E
+    A, B = (np.array([[-27 * c4], [-54 * c6]], dtype=object) % p.astype(object)).astype(np.int64)
     T = curve.torsion_order
-    rng = random.Random(_bsgs_seed(curve.ainvs, p))
     lo, hi = _hasse_interval(p)
-    on_curve = range(lo + -lo % T, hi + 1, T)
-    on_twist = range(lo + (2 * p + 2 - lo) % T, hi + 1, T)
-    candidates = None
-    for _ in range(40):
-        x = rng.randrange(p)
-        r = (x * x * x + A * x + B) % p
-        if r == 0:
-            continue
-        P, Ar = (x * r % p, r * r % p), A * r * r % p
-        if pow(r, (p - 1) // 2, p) == 1:
-            ms = _annihilators(P, Ar, p, on_curve)
-        else:
-            ms = [2 * p + 2 - m for m in _annihilators(P, Ar, p, on_twist)]
-        candidates = set(ms) if candidates is None else candidates & set(ms)
-        if len(candidates) == 1:
-            return candidates.pop()
-    raise RuntimeError(f"group order ambiguous at p={p}")
+    out = np.zeros(p.size, np.int64)
+    draws = np.zeros(p.size, np.int64)
+    kept: dict[int, set] = {}                      # prime index -> candidates so far
+    queue = np.arange(p.size)
+    while queue.size:
+        b, queue = queue[:_LANES], queue[_LANES:]
+        if draws[b].max() == _DRAWS:
+            raise RuntimeError(f"group order ambiguous at p={int(p[b][draws[b].argmax()])}")
+        q, a = p[b], A[b]
+        x = (_mix64(q, draws[b]) % q.astype(np.uint64)).astype(np.int64)
+        draws[b] += 1
+        r = (x * x % q * x + a * x + B[b]) % q          # r = 0 gives y = 0: redrawn
+        twist = _pow(r, (q - 1) // 2, q) != 1
+        m0 = lo[b] + np.where(twist, 2 * q + 2 - lo[b], -lo[b]) % T
+        rr = r * r % q
+        lanes, i, _ = _annihilators(x * r % q, rr, a * rr % q, q, m0, T, (hi[b] - m0) // T + 1)
+        m = m0[lanes] + T * i
+        m = np.where(twist[lanes], 2 * q[lanes] + 2 - m, m)
+        count = np.bincount(lanes, minlength=b.size)
+        done = (count == 1) & np.array([k not in kept for k in b.tolist()])
+        out[b[lanes[done[lanes]]]] = m[done[lanes]]
+        for l in np.flatnonzero((count > 0) & ~done).tolist():
+            got = set(m[lanes == l].tolist())
+            got &= kept.pop(int(b[l]), got)
+            if len(got) == 1:
+                out[b[l]], done[l] = got.pop(), True
+            else:
+                kept[int(b[l])] = got
+        queue = np.concatenate([b[~done], queue])
+    return out
 
 
 def reduce_mod_p(curve: CurveModel, p: int, p_max: int = DEFAULT_P_MAX) -> ReductionInfo:
@@ -484,7 +529,7 @@ def _reduce(curve: CurveModel, p: int) -> ReductionInfo:
         if p <= ENUM_LIMIT:
             n, _ = _count_points_enum(curve, p)
         else:
-            n = _count_points_bsgs(curve, p)
+            n = int(_count_points_bsgs(curve, [p])[0])
         return ReductionInfo(p, "good", p + 1 - n)
     n_smooth, n_sing = _count_points_enum(curve, p)
     if n_sing == 0:
@@ -509,8 +554,13 @@ def ap_table(curve: CurveModel, p_max: int) -> dict[int, ReductionInfo]:
     """ReductionInfo for every prime <= p_max, in prime order."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    # the sieve's primes need neither the primality test nor the p_max bound
-    return {p: _reduce(curve, p) for p in primes_up_to(p_max).tolist()}
+    # the sieve's primes need neither the primality test nor the p_max
+    # bound; every good prime above ENUM_LIMIT goes to one BSGS call
+    ps = primes_up_to(p_max).tolist()
+    big = [p for p in ps if p > ENUM_LIMIT and curve.discriminant % p]
+    counts = dict(zip(big, _count_points_bsgs(curve, big).tolist())) if big else {}
+    return {p: ReductionInfo(p, "good", p + 1 - counts[p]) if p in counts else _reduce(curve, p)
+            for p in ps}
 
 
 @dataclass

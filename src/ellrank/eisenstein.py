@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import divisor_sigma_table
-from .halfplane import UHPoint, sl2z_reduce
+from .halfplane import UHPoint, finite_points, sl2z_reduce
 from .specialfn import (
     EvalResult,
     PoleError,
@@ -80,7 +80,7 @@ def _star_constants(s: float, nmax: int) -> tuple:
 
 def epstein_star_array(x, y, s: float) -> np.ndarray:
     """Completed Epstein series E*(z,s) on arrays of points (Fourier form)."""
-    xr, yr = sl2z_reduce(np.asarray(x, float), np.asarray(y, float))
+    xr, yr = sl2z_reduce(*finite_points("epstein_star_array", x, y))
     return epstein_star_reduced(yr, np.exp(2j * math.pi * (xr + 1j * yr)), s)
 
 

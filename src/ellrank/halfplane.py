@@ -51,18 +51,26 @@ def apply_moebius(a, b, c, d, x, y):
     return xn, yn
 
 
+def finite_points(name: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays; ValueError, naming the kernel, for a NaN
+    or infinite entry or a height below Y_MIN (|z|^2 underflows there)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"{name} needs finite points (got NaN or inf)")
+    if y.size and not y.min() >= Y_MIN:
+        raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
+    return x, y
+
+
 def sl2z_reduce(x, y):
     """Reduce points to the standard fundamental domain of SL2(Z).
 
     Returns (xr, yr).  The translations run in floating point, so every
     finite x reduces; boost_array repeats these steps per point to
-    compose the reduction matrix.  Heights below Y_MIN raise ValueError:
-    there |z|^2 can underflow to 0.
+    compose the reduction matrix.  NaN, inf and heights below Y_MIN
+    raise ValueError (finite_points).
     """
-    x = np.array(x, dtype=float, copy=True)
-    y = np.array(y, dtype=float, copy=True)
-    if y.size and not y.min() >= Y_MIN:
-        raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
+    x, y = (a.copy() for a in finite_points("sl2z_reduce", x, y))
     for _ in range(600):
         x -= np.rint(x)
         r2 = x * x + y * y
@@ -116,10 +124,7 @@ def boost_array(level: int, x, y):
     """
     if not is_squarefree(level):
         raise ValueError("boosting implemented for square-free level only")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.size and not y.min() >= Y_MIN:
-        raise ValueError(f"Im z below {Y_MIN:.3g} (|z|^2 underflows)")
+    x, y = finite_points("boost_array", x, y)
     xr, yr = np.empty_like(x), np.empty_like(y)
     cols = np.empty((6,) + x.shape, dtype=np.int64)
     for i, (u, v) in enumerate(zip(x.tolist(), y.tolist())):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .arith import divisor_sigma_table, divisors, is_squarefree, moebius, prime_divisors, totient
 from .curves import CoefficientTable, CurveModel, an_table, ap_table
-from .halfplane import boost_array, sl2z_reduce
+from .halfplane import boost_array, finite_points, sl2z_reduce
 TWO_PI = 2.0 * math.pi
 FORM_TOL = 1e-11      # absolute q-series truncation of every form value
 
@@ -83,8 +83,8 @@ def log_abs_eta_array(x, y) -> np.ndarray:
     """log|eta(z)| for arbitrary points, via SL2(Z) reduction: log|eta| +
     log(y) / 4 is SL2(Z)-invariant, so log|eta(z)| is log|eta| at the
     reduced point plus (log yr - log y) / 4."""
-    y = np.asarray(y, float)
-    xr, yr = sl2z_reduce(np.asarray(x, float), y)
+    x, y = finite_points("log_abs_eta_array", x, y)
+    xr, yr = sl2z_reduce(x, y)
     return log_abs_eta_reduced(yr, np.exp(TWO_PI * (1j * xr - yr))) + 0.25 * np.log(yr / y)
 
 

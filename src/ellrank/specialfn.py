@@ -260,8 +260,8 @@ def upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     downward recursion Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x)/a).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("upper_gamma needs x > 0")
+    if not (np.all(x > 0) and np.isfinite(x).all()):
+        raise ValueError("upper_gamma needs finite x > 0 (not NaN or inf)")
     out = np.empty_like(x)
     hi = x >= max(1.5, a + 1.0)
     if np.any(hi):

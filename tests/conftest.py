@@ -37,7 +37,7 @@ def rs_11_11(run_ctx):
 @pytest.fixture(scope="session")
 def big_tables():
     """Coefficient tables to n_max = 120000 for the pipeline-agreement
-    tests (enumeration to 1e4, BSGS beyond; about 1.4 s on a 2-core Xeon,
+    tests (enumeration to 1e4, BSGS beyond; about 0.5 s on a 2-core Xeon,
     built once)."""
     from ellrank.curves import an_table, ap_table
 

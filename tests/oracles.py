@@ -8,7 +8,8 @@ function at a point as a finite-difference slope, the completed Phi and
 L(H^2) it is read off, the distance of the series side to each printed
 exponent convention, the closest fraction of bounded denominator, and
 the lattice invariants (g2 from E4, the quasi-periods from E2 and the
-Legendre relation) that check a period basis.
+Legendre relation) that check a period basis, and affine point
+arithmetic mod p, one point at a time, behind the lane-parallel BSGS.
 """
 
 import cmath
@@ -147,3 +148,55 @@ def legendre_residual(lat) -> float:
     eta1 = (cmath.pi**2 / (3.0 * lat.omega1)) * eisenstein_E(2, tau)
     eta2 = (cmath.pi**2 / (3.0 * lat.omega2)) * eisenstein_E(2, -1.0 / tau)
     return abs(eta1 * lat.omega2 - eta2 * lat.omega1 - 2j * cmath.pi)
+
+
+def short_model(curve, p: int) -> tuple[int, int]:
+    """y^2 = x^3 + A x + B over F_p (p > 3), isomorphic to the curve."""
+    c4, c6 = curve.c_invariants
+    return (-27 * c4) % p, (-54 * c6) % p
+
+
+def ec_add(P, Q, A, p):
+    """P + Q on y^2 = x^3 + A x + B over F_p, affine (None is O)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def ec_mul(k, P, A, p):
+    """k P by right-to-left double-and-add with ec_add (k >= 0)."""
+    acc = None
+    add = P
+    while k:
+        if k & 1:
+            acc = ec_add(acc, add, A, p)
+        add = ec_add(add, add, A, p)
+        k >>= 1
+    return acc
+
+
+def ladder_voids(k: int, order: int) -> bool:
+    """Whether a left-to-right double-and-add for k P, P of the given
+    order, meets O before its last step or adds P to itself: the partial
+    multiples are read as residues mod the order."""
+    acc = 1
+    for bit in bin(k)[3:]:
+        if acc % order == 0:
+            return True
+        acc = 2 * acc % order
+        if bit == "1":
+            if acc in (0, 1 % order):
+                return True
+            acc += 1
+    return False

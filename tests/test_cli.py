@@ -533,6 +533,49 @@ def test_lvalue_non_coprime_levels_exit_2(capsys):
     assert "levels 14 and 21" in err[0]
 
 
+def test_conductor_with_wrong_exponents_exits_2(tmp_path, capsys):
+    # the right primes, the wrong exponents: 11a at 121 (multiplicative at
+    # 11) and 36a at 6 (additive at 2 and 3)
+    out = str(tmp_path)
+    assert main(["--out", out, "--set", "curve1.conductor=121", "ap"]) == 2
+    assert "do not have conductor 121" in capsys.readouterr().err
+    assert main(["--out", out, "--set", "curve2.label=36a", "--set", "curve2.ainvs=0,0,0,0,1",
+                 "--set", "curve2.conductor=6", "verify"]) == 2
+    assert "do not have conductor 6" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_p_max_past_the_counting_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # 1000001 only: a huge p_max would make the sieve allocate, and the
+    # bound is checked before any sieve is built
+    import ellrank.curves
+
+    monkeypatch.setattr(ellrank.curves, "primes_up_to", lambda n: pytest.fail("sieve built"))
+    assert main(["--out", str(tmp_path), "--set", "p_max=1000001", "ap"]) == 2
+    assert capsys.readouterr().err == "error: p_max = '1000001' is above 1000000\n"
+
+
+def test_ap_tables_ignore_hash_randomization(tmp_path):
+    # the BSGS draws come from an integer hash of (p, draw), so the tables
+    # are the same bytes under any PYTHONHASHSEED
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys\nfrom ellrank.cli import main\nsys.exit(main(sys.argv[1:]))"
+    tables = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", code, "--out", str(out), "--set", "p_max=20000",
+                        "ap"], env=env, check=True, capture_output=True, timeout=300)
+        tables.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert list(tables[0]) == ["ap_11a.csv", "ap_14a.csv"]
+    assert tables[0] == tables[1]
+
+
 def test_conductor_with_large_wrong_prime_exits_2(tmp_path, capsys):
     # 11 * 1009: 1009 is above the counted range and does not divide the
     # discriminant of 11a's model

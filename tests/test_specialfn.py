@@ -134,6 +134,32 @@ def test_bessel_kernels_refuse_nan():
         assert np.all(kernel(np.array([np.inf])) == 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["upper_gamma", "sl2z_reduce", "boost_array",
+                                  "log_abs_eta_array", "epstein_star_array"])
+def test_array_kernels_refuse_non_finite(name, bad):
+    # NaN passes a check written as a comparison, and inf turns into NaN
+    # inside a kernel: each array kernel refuses both at its entry, in x
+    # and in y, with its own name in the message
+    from ellrank.eisenstein import epstein_star_array
+    from ellrank.halfplane import boost_array, sl2z_reduce
+    from ellrank.modular import log_abs_eta_array
+    from ellrank.specialfn import upper_gamma
+
+    if name == "upper_gamma":
+        with pytest.raises(ValueError, match=name):
+            upper_gamma(1.5, np.array([1.0, bad]))
+        return
+    kernel = {"sl2z_reduce": sl2z_reduce, "boost_array": lambda x, y: boost_array(11, x, y),
+              "log_abs_eta_array": log_abs_eta_array,
+              "epstein_star_array": lambda x, y: epstein_star_array(x, y, 2.0)}[name]
+    for i in (0, 1):
+        xy = [np.array([0.1, 0.2]), np.array([1.0, 2.0])]
+        xy[i][1] = bad
+        with pytest.raises(ValueError, match=name):
+            kernel(*xy)
+
+
 def test_upper_gamma_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
